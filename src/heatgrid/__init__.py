@@ -30,7 +30,6 @@ from .conditions import StepBoundary, boundary_for_time
 from .mass import MassState, init_mass, update_mass
 from .oracle_solver import energy_audit, oracle_step
 from .radiation import (
-    FluxTensors,
     OpenCavityError,
     RadiationExchangeMatrix,
     STEFAN_BOLTZMANN,
@@ -78,7 +77,6 @@ __all__ = [
     "BuildingGrid",
     "ConfigError",
     "CvType",
-    "FluxTensors",
     "MassParams",
     "MassState",
     "MaterialField",

@@ -120,23 +120,18 @@ def _solar_terms(grid, mats, boundary, mass_enabled: bool):
 def _interior_lw_terms(
     exchange: RadiationExchangeMatrix, temps: List[List[float]], rows: int, cols: int
 ) -> List[List[float]]:
-    """Per-cell interior exchange [W] by direct pairwise summation."""
+    """Per-cell interior exchange [W] by direct summation over the surface pairs."""
     lwx = [[0.0] * cols for _ in range(rows)]
-    n = exchange.n_surfaces
-    coeff = exchange.coefficients.tolist()
-    areas = exchange.areas.tolist()
     cells = exchange.surfaces
     t4 = [temps[r][c] ** 4 for (r, c, _d) in cells]
-    for i in range(n):
-        row = coeff[i]
-        ti4 = t4[i]
-        net = 0.0
-        for j in range(n):
-            fij = row[j]
-            if fij:
-                net += fij * (t4[j] - ti4)
+    net = [0.0] * len(cells)
+    for i, j, fij in zip(
+        exchange.pair_i.tolist(), exchange.pair_j.tolist(), exchange.pair_f.tolist()
+    ):
+        net[i] += fij * (t4[j] - t4[i])
+    for i, area in enumerate(exchange.areas.tolist()):
         r, c, _d = cells[i]
-        lwx[r][c] += _SIGMA * net * areas[i]
+        lwx[r][c] += _SIGMA * net[i] * area
     return lwx
 
 

@@ -4,9 +4,14 @@ Radiative flux assembly: exterior long-wave, interior exchange, and solar.
 Exterior surfaces exchange long-wave radiation with ground, sky, and air,
 weighted by tilt-dependent view factors with a sky correction
 (beta = sqrt(F_sky)) that shifts part of the sky exchange to air
-temperature. Interior surfaces exchange through a precomputed dense matrix
-of gray-body exchange factors; a convenience builder derives one for
-rectangular cavities with the 2D crossed-strings method. Solar fluxes are
+temperature. Interior surfaces exchange through gray-body exchange
+factors stored as flat within-zone surface pairs ``(i, j, F_ij)``: zones
+never exchange with each other, so neither the build nor the solve forms
+an S x S array. The dense matrix exists only in the delimited-text format
+and on request (``RadiationExchangeMatrix.coefficients``). A builder
+derives the factors with the 2D crossed-strings method; it needs
+rectangular zones and rejects any other with an ``OpenCavityError``
+naming the zone and its bounding box. Solar fluxes are
 split into an absorbed part on the envelope and a transmitted part
 deposited in the zone behind each window (or routed to the interior mass
 nodes when those are enabled).
@@ -21,8 +26,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import numpy as np
 from scipy.special import cosdg
@@ -43,7 +48,7 @@ _FACE_NAMES = ("east", "north", "west", "south")
 
 
 class OpenCavityError(ValueError):
-    """Raised when a zone is not fully enclosed by wall or window cells."""
+    """Raised when a zone is not a closed rectangular cavity of wall or window cells."""
 
 
 # =============================================================================
@@ -160,46 +165,106 @@ def assemble_exterior_lw_tensor(
 
 @dataclass
 class RadiationExchangeMatrix:
-    """Dense interior exchange factors between cavity surfaces.
+    """Interior exchange factors between cavity surfaces, stored as pairs.
 
-    ``coefficients[i, j]`` is the gray-body exchange factor from surface i
-    to surface j; the net flux density on surface i for temperatures T is
-    ``sigma * sum_j coefficients[i, j] (T_j^4 - T_i^4)``. Surfaces are
-    wall or window cell faces; ``surfaces[i] = (row, col, direction)``
-    names the face (direction points from the cell into the cavity) and
-    ``areas[i]`` is its face area [m^2].
+    Surfaces are wall or window cell faces; ``surfaces[i] = (row, col,
+    direction)`` names the face (direction points from the cell into the
+    cavity) and ``areas[i]`` is its face area [m^2]. ``pair_f[k]`` is the
+    gray-body exchange factor from surface ``pair_i[k]`` to surface
+    ``pair_j[k]``; the net flux density on surface i for temperatures T is
+    ``sigma * sum_k F_k (T_j^4 - T_i^4)`` over the pairs with ``i_k = i``.
+    Zones never exchange with each other, so a plan of S surfaces in zones
+    of S_z surfaces holds at most ``sum_z S_z (S_z - 1)`` pairs, not S^2.
+    Construction validates the arguments and sorts the pairs by ``(i, j)``;
+    ``surface_rows`` and ``surface_cols`` index each surface's cell.
     """
 
-    n_surfaces: int
-    coefficients: np.ndarray
     surfaces: List[Tuple[int, int, int]]
     areas: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_f: np.ndarray
+    surface_rows: np.ndarray = field(init=False, repr=False)
+    surface_cols: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.areas = np.asarray(self.areas, dtype=float)
+        self.pair_i = np.asarray(self.pair_i, dtype=np.intp)
+        self.pair_j = np.asarray(self.pair_j, dtype=np.intp)
+        self.pair_f = np.asarray(self.pair_f, dtype=float)
+        self.validate()
+        order = np.lexsort((self.pair_j, self.pair_i))
+        self.pair_i, self.pair_j, self.pair_f = (
+            self.pair_i[order], self.pair_j[order], self.pair_f[order]
+        )
+        self.surface_rows = np.array([s[0] for s in self.surfaces], dtype=np.intp)
+        self.surface_cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
+
+    @classmethod
+    def from_dense(
+        cls,
+        coefficients: np.ndarray,
+        surfaces: List[Tuple[int, int, int]],
+        areas: np.ndarray,
+    ) -> "RadiationExchangeMatrix":
+        """Pairs from the nonzero entries of a dense ``n x n`` factor matrix.
+
+        Every nonzero entry becomes a pair, cross-zone ones included, so
+        any matrix an external tool writes still works.
+        """
+        coefficients = np.asarray(coefficients, dtype=float)
+        n = len(surfaces)
+        if coefficients.shape != (n, n):
+            raise ValueError(
+                f"coefficient matrix shape {coefficients.shape} != ({n}, {n})"
+            )
+        pair_i, pair_j = np.nonzero(coefficients)
+        return cls(surfaces, areas, pair_i, pair_j, coefficients[pair_i, pair_j])
 
     @property
-    def surface_index(self) -> Dict[Tuple[int, int], List[int]]:
-        """Rows of the matrix belonging to each grid cell."""
-        index: Dict[Tuple[int, int], List[int]] = {}
-        for i, (r, c, _d) in enumerate(self.surfaces):
-            index.setdefault((r, c), []).append(i)
-        return index
+    def n_surfaces(self) -> int:
+        return len(self.surfaces)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Dense ``n x n`` factors, expanded anew on each access.
+
+        For the text format and for inspection; the solvers use the pairs.
+        """
+        dense = np.zeros((self.n_surfaces, self.n_surfaces))
+        dense[self.pair_i, self.pair_j] = self.pair_f
+        return dense
 
     def validate(self) -> None:
         n = self.n_surfaces
-        if self.coefficients.shape != (n, n):
-            raise ValueError(
-                f"coefficient matrix shape {self.coefficients.shape} != ({n}, {n})"
-            )
-        if len(self.surfaces) != n or self.areas.shape != (n,):
+        if self.areas.shape != (n,):
             raise ValueError("surface list and area vector must match n_surfaces")
-        row_sums = self.coefficients.sum(axis=1)
+        shapes = {self.pair_i.shape, self.pair_j.shape, self.pair_f.shape}
+        if len(shapes) != 1 or self.pair_f.ndim != 1:
+            raise ValueError("pair indices and factors must be 1-D arrays of one length")
+        outside = (self.pair_i < 0) | (self.pair_i >= n) | (self.pair_j < 0) | (self.pair_j >= n)
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            raise ValueError(
+                f"exchange pair ({self.pair_i[k]}, {self.pair_j[k]}) is outside "
+                f"surfaces [0, {n})"
+            )
+        bad = ~np.isfinite(self.pair_f) | (self.pair_f < 0.0)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            i, j = int(self.pair_i[k]), int(self.pair_j[k])
+            raise ValueError(
+                f"exchange factor F[{i}, {j}] = {self.pair_f[k]!r} between surface {i} "
+                f"at cell {self.surfaces[i][:2]} and surface {j} at cell "
+                f"{self.surfaces[j][:2]} is not finite and >= 0"
+            )
+        row_sums = np.bincount(self.pair_i, weights=self.pair_f, minlength=n)
         if np.any(row_sums > 1.0 + 1e-9):
             i = int(np.argmax(row_sums))
             raise ValueError(f"row {i} of exchange matrix sums to {row_sums[i]} > 1")
 
     def surface_temperatures(self, temperatures: np.ndarray) -> np.ndarray:
-        rows = np.array([s[0] for s in self.surfaces], dtype=np.intp)
-        cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
-        return temperatures[rows, cols]
+        return temperatures[self.surface_rows, self.surface_cols]
 
 
 def apply_interior_lw(
@@ -221,8 +286,10 @@ def apply_interior_lw(
     t4 = surface_temps**4
     # Differences before weighting, so an isothermal enclosure gives an
     # exactly zero vector.
-    pairwise = matrix.coefficients * (t4[None, :] - t4[:, None])
-    return STEFAN_BOLTZMANN * pairwise.sum(axis=1)
+    pairwise = matrix.pair_f * (t4[matrix.pair_j] - t4[matrix.pair_i])
+    return STEFAN_BOLTZMANN * np.bincount(
+        matrix.pair_i, weights=pairwise, minlength=matrix.n_surfaces
+    )
 
 
 def scatter_interior_lw(
@@ -233,24 +300,30 @@ def scatter_interior_lw(
     Each surface contributes its flux density times its face area to the
     owning cell, mirroring the exposed-face scaling of the exterior tensor.
     """
-    q_lwx = np.zeros((grid.rows, grid.cols))
-    rows = np.array([s[0] for s in matrix.surfaces], dtype=np.intp)
-    cols = np.array([s[1] for s in matrix.surfaces], dtype=np.intp)
-    np.add.at(q_lwx, (rows, cols), flux_density * matrix.areas)
-    return q_lwx
+    cells = np.ravel_multi_index(
+        (matrix.surface_rows, matrix.surface_cols), (grid.rows, grid.cols)
+    )
+    q_lwx = np.bincount(
+        cells, weights=flux_density * matrix.areas, minlength=grid.rows * grid.cols
+    )
+    return q_lwx.reshape(grid.rows, grid.cols)
 
 
 def build_exchange_matrix_2d(
     grid: BuildingGrid, mats: MaterialField
 ) -> RadiationExchangeMatrix:
-    """Exchange matrix for every air zone by the 2D crossed-strings method.
+    """Exchange factors for every air zone by the 2D crossed-strings method.
 
-    Each zone must be a closed cavity: every face of every air cell either
-    meets another air cell of the same zone or a wall/window cell. View
-    factors between the cavity's wall segments come from crossed strings,
-    rows are renormalized to close exactly, and emissivities are folded in
-    with the pairwise two-surface network approximation. Zones do not
-    exchange with each other, so the global matrix is block diagonal.
+    Each zone must be a closed rectangular cavity: every face of every air
+    cell either meets another air cell of the same zone or a wall/window
+    cell, and the zone's air cells fill their bounding box (on a grid, the
+    same as being convex, which unobstructed crossed strings needs). Zones
+    do not exchange with each other, so the work runs one zone at a time:
+    view factors between the zone's wall segments come from crossed
+    strings, rows are renormalized to close exactly, emissivities are
+    folded in with the pairwise two-surface network approximation, and
+    reciprocity is checked. The cost is O(sum_z S_z^2), and only the
+    nonzero within-zone pairs are kept.
     """
     if not (np.allclose(grid.u, grid.u.flat[0]) and np.allclose(grid.v, grid.v.flat[0])):
         raise ValueError("crossed-strings builder requires a uniform cell size")
@@ -293,13 +366,54 @@ def build_exchange_matrix_2d(
             eps_list.append(float(mats.emissivity[nr, nc]))
             zone_of_surface.append(zone)
 
-    n = len(surfaces)
-    if n == 0:
+    if not surfaces:
         raise OpenCavityError("no air zones found; nothing to enclose")
 
     a1 = np.array([seg[0] for seg in segments])
     a2 = np.array([seg[1] for seg in segments])
     lengths = np.linalg.norm(a2 - a1, axis=1)
+    areas = lengths * grid.z
+    eps = np.array(eps_list)
+    zone_of_surface = np.array(zone_of_surface)
+    air_zone = grid.zone_id[air_cells[:, 0], air_cells[:, 1]]
+
+    pair_i, pair_j, pair_f = [], [], []
+    for zone in range(grid.n_zones):
+        _check_rectangular(zone, air_cells[air_zone == zone])
+        members = np.flatnonzero(zone_of_surface == zone)
+        f = _crossed_strings(a1[members], a2[members], lengths[members])
+        row_sums = f.sum(axis=1)
+        if np.any(row_sums <= 0.0):
+            k = int(np.argmin(row_sums))
+            raise OpenCavityError(
+                f"surface {surfaces[members[k]]} of zone {zone} sees no other surface"
+            )
+        f /= row_sums[:, None]
+        folded = _fold_emissivity(f, eps[members], areas[members])
+        _check_reciprocity(zone, folded, areas[members])
+        rows, cols = np.nonzero(folded)
+        pair_i.append(members[rows])
+        pair_j.append(members[cols])
+        pair_f.append(folded[rows, cols])
+
+    return RadiationExchangeMatrix(
+        surfaces, areas, np.concatenate(pair_i), np.concatenate(pair_j), np.concatenate(pair_f)
+    )
+
+
+def _check_rectangular(zone: int, cells: np.ndarray) -> None:
+    """Reject a zone whose air cells do not fill their bounding box."""
+    (r0, c0), (r1, c1) = cells.min(axis=0), cells.max(axis=0)
+    if len(cells) != (r1 - r0 + 1) * (c1 - c0 + 1):
+        raise OpenCavityError(
+            f"zone {zone} is not rectangular: its {len(cells)} air cells do not fill "
+            f"their bounding box rows {r0}-{r1}, cols {c0}-{c1}; crossed-strings "
+            "exchange needs convex cavities"
+        )
+
+
+def _crossed_strings(a1: np.ndarray, a2: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """View factors between the segments ``a1[i]``-``a2[i]`` of one convex cavity."""
 
     def dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
@@ -309,27 +423,8 @@ def build_exchange_matrix_2d(
     straight = dist(a1, a1) + dist(a2, a2)
     crossed = dist(a1, a2) + dist(a2, a1)
     f = np.abs(crossed - straight) / (2.0 * lengths[:, None])
-
-    same_zone = np.equal.outer(zone_of_surface, zone_of_surface)
-    f = np.where(same_zone, f, 0.0)
     np.fill_diagonal(f, 0.0)
-
-    row_sums = f.sum(axis=1)
-    if np.any(row_sums <= 0.0):
-        i = int(np.argmin(row_sums))
-        raise OpenCavityError(f"surface {surfaces[i]} sees no other surface")
-    f /= row_sums[:, None]
-
-    areas = lengths * grid.z
-    eps = np.array(eps_list)
-    coefficients = _fold_emissivity(f, eps, areas)
-
-    matrix = RadiationExchangeMatrix(
-        n_surfaces=n, coefficients=coefficients, surfaces=surfaces, areas=areas
-    )
-    matrix.validate()
-    _check_reciprocity(matrix)
-    return matrix
+    return f
 
 
 def _fold_emissivity(f: np.ndarray, eps: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -338,7 +433,6 @@ def _fold_emissivity(f: np.ndarray, eps: np.ndarray, areas: np.ndarray) -> np.nd
     ``Fhat_ij = 1 / [(1 - e_i)/e_i + 1/F_ij + (A_i/A_j)(1 - e_j)/e_j]``;
     reduces to F for black surfaces and preserves reciprocity.
     """
-    n = f.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         r_self = np.where(eps > 0.0, (1.0 - eps) / np.where(eps > 0.0, eps, 1.0), np.inf)
         inv_f = np.where(f > 0.0, 1.0 / np.where(f > 0.0, f, 1.0), np.inf)
@@ -349,18 +443,21 @@ def _fold_emissivity(f: np.ndarray, eps: np.ndarray, areas: np.ndarray) -> np.nd
     return folded
 
 
-def _check_reciprocity(matrix: RadiationExchangeMatrix, tol: float = 1e-9) -> None:
-    weighted = matrix.areas[:, None] * matrix.coefficients
+def _check_reciprocity(
+    zone: int, factors: np.ndarray, areas: np.ndarray, tol: float = 1e-9
+) -> None:
+    weighted = areas[:, None] * factors
     asymmetry = np.abs(weighted - weighted.T).max()
     scale = max(np.abs(weighted).max(), 1e-30)
     if asymmetry > tol * scale:
         raise ValueError(
-            f"exchange matrix violates reciprocity: max asymmetry {asymmetry:.3e}"
+            f"exchange factors of zone {zone} violate reciprocity: "
+            f"max asymmetry {asymmetry:.3e}"
         )
 
 
 def save_exchange_matrix(matrix: RadiationExchangeMatrix) -> str:
-    """Serialize to delimited text: a surface-index header, then the matrix."""
+    """Serialize to delimited text: a surface-index header, then the dense matrix."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n_surfaces", matrix.n_surfaces])
@@ -368,8 +465,8 @@ def save_exchange_matrix(matrix: RadiationExchangeMatrix) -> str:
     for i, (r, c, d) in enumerate(matrix.surfaces):
         writer.writerow([i, r, c, _FACE_NAMES[d], repr(float(matrix.areas[i]))])
     writer.writerow(["matrix"])
-    for i in range(matrix.n_surfaces):
-        writer.writerow([repr(float(x)) for x in matrix.coefficients[i]])
+    for row in matrix.coefficients:
+        writer.writerow([repr(float(x)) for x in row])
     return out.getvalue()
 
 
@@ -391,11 +488,7 @@ def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
     coefficients = np.array(
         [[float(x) for x in rows[3 + n + i]] for i in range(n)], dtype=float
     )
-    matrix = RadiationExchangeMatrix(
-        n_surfaces=n, coefficients=coefficients, surfaces=surfaces, areas=areas
-    )
-    matrix.validate()
-    return matrix
+    return RadiationExchangeMatrix.from_dense(coefficients, surfaces, areas)
 
 
 # =============================================================================
@@ -446,23 +539,3 @@ def assemble_solar_tensors(
         else:
             q_tau[members] = share
     return q_alpha, q_tau, q_tau_mass
-
-
-@dataclass
-class FluxTensors:
-    """Per-cell flux tensors [W] entering the update numerator."""
-
-    q_lwr: np.ndarray
-    q_lwx: np.ndarray
-    q_sol_alpha: np.ndarray
-    q_sol_tau: np.ndarray
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "FluxTensors":
-        shape = (rows, cols)
-        return cls(
-            q_lwr=np.zeros(shape),
-            q_lwx=np.zeros(shape),
-            q_sol_alpha=np.zeros(shape),
-            q_sol_tau=np.zeros(shape),
-        )

@@ -13,6 +13,50 @@ import numpy as np
 import yaml
 
 import heatgrid as hg
+from heatgrid.cli import default_building_path
+
+
+def tiled_building_yaml(n_rows: int = 3, n_cols: int = 3, room: int = 4) -> str:
+    """Plan of ``n_rows`` x ``n_cols`` rooms, one air zone each.
+
+    Rooms of ``room`` x ``room`` air cells sit between 1-cell partitions
+    inside a 1-cell exterior wall ring. Each exterior side of a room gets a
+    one-cell window at its middle, so most zones mix wall and glass
+    emissivities. Materials, solver settings and site come from the
+    bundled plan.
+    """
+    bundled = yaml.safe_load(default_building_path().read_text(encoding="utf-8"))
+    rows = n_rows * (room + 1) + 1
+    cols = n_cols * (room + 1) + 1
+    zones = [
+        {"name": "shell", "cv_type": "exterior_wall", "rect": [0, 0, rows - 1, cols - 1]},
+        {"name": "air", "cv_type": "interior_air", "rect": [1, 1, rows - 2, cols - 2]},
+    ]
+    for i in range(1, n_rows):
+        r = i * (room + 1)
+        zones.append({"name": f"wall_row_{i}", "cv_type": "interior_wall",
+                      "rect": [r, 1, r, cols - 2]})
+    for j in range(1, n_cols):
+        c = j * (room + 1)
+        zones.append({"name": f"wall_col_{j}", "cv_type": "interior_wall",
+                      "rect": [1, c, rows - 2, c]})
+    middle = room // 2 + 1
+    windows = [(0, j * (room + 1) + middle) for j in range(n_cols)]
+    windows += [(rows - 1, j * (room + 1) + middle) for j in range(n_cols)]
+    windows += [(i * (room + 1) + middle, 0) for i in range(n_rows)]
+    windows += [(i * (room + 1) + middle, cols - 1) for i in range(n_rows)]
+    for r, c in windows:
+        zones.append({"name": f"win_{r}_{c}", "cv_type": "window", "rect": [r, c, r, c]})
+
+    doc = {
+        "grid": {"rows": rows, "cols": cols, "z": bundled["grid"]["z"],
+                 "cell_size": bundled["grid"]["cell_size"]},
+        "zones": zones,
+        "materials": bundled["materials"],
+        "simulation": bundled["simulation"],
+        "site": bundled["site"],
+    }
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def random_building_yaml(rng: np.random.Generator, epsilon: float = 1e-5) -> str:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
-from heatgrid.building import BuildingGrid, CvType, MaterialField
+from _factories import tiled_building_yaml
+from heatgrid.building import DIR_OFFSETS, BuildingGrid, CvType, MaterialField
+from heatgrid.oracle_solver import _interior_lw_terms
 from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN, exposure_scale
 from heatgrid.solar import PoaIrradiance
 
@@ -235,8 +238,7 @@ def test_isothermal_enclosure_flux_zero():
 
 def test_two_surface_antisymmetry():
     # symmetric coefficients and equal areas: q1 = -q2 * (A2 / A1)
-    matrix = hg.RadiationExchangeMatrix(
-        n_surfaces=2,
+    matrix = hg.RadiationExchangeMatrix.from_dense(
         coefficients=np.array([[0.0, 0.8], [0.8, 0.0]]),
         surfaces=[(0, 0, 3), (2, 0, 1)],
         areas=np.array([1.5, 1.5]),
@@ -314,6 +316,125 @@ def test_external_matrix_drops_into_a_run(canonical, canonical_weather):
     )
     for a, b in zip(snaps_a, snaps_b):
         assert np.array_equal(a.t, b.t)
+
+
+def edited_matrix_text(matrix, i, j, value):
+    """Saved text of ``matrix`` with dense entry ``[i, j]`` replaced by ``value``."""
+    lines = hg.save_exchange_matrix(matrix).splitlines()
+    row = 3 + matrix.n_surfaces + i
+    entries = lines[row].split(",")
+    entries[j] = value
+    lines[row] = ",".join(entries)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.05"])
+def test_bad_loaded_factor_rejected_naming_pair(canonical, value):
+    grid, mats, _ = canonical
+    matrix = hg.build_exchange_matrix_2d(grid, mats)
+    i, j = int(matrix.pair_i[7]), int(matrix.pair_j[7])
+    (ri, ci, _), (rj, cj, _) = matrix.surfaces[i], matrix.surfaces[j]
+    text = edited_matrix_text(matrix, i, j, value)
+    with pytest.raises(ValueError) as err:
+        hg.load_exchange_matrix(text)
+    message = str(err.value)
+    assert f"F[{i}, {j}]" in message
+    assert f"({ri}, {ci})" in message and f"({rj}, {cj})" in message
+
+
+def test_pair_indices_outside_surfaces_rejected():
+    surfaces = [(0, 0, 3), (2, 0, 1)]
+    for i, j in (([0, 1], [1, 2]), ([-1, 1], [1, 0])):
+        with pytest.raises(ValueError, match="outside surfaces"):
+            hg.RadiationExchangeMatrix(surfaces, np.ones(2), i, j, [0.5, 0.5])
+
+
+def test_row_sum_above_one_rejected():
+    with pytest.raises(ValueError, match="row 0 .* sums to"):
+        hg.RadiationExchangeMatrix.from_dense(
+            np.array([[0.0, 1.2], [0.8, 0.0]]), [(0, 0, 3), (2, 0, 1)], np.ones(2)
+        )
+
+
+def test_notched_zone_rejected_by_name(canonical_paths):
+    doc = yaml.safe_load(canonical_paths[0].read_text(encoding="utf-8"))
+    doc["zones"].append({"name": "notch", "cv_type": "interior_wall", "rect": [1, 1, 4, 4]})
+    grid, mats, _ = hg.load_building(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(OpenCavityError, match=r"zone 0 is not rectangular.*rows 1-10, cols 1-10"):
+        hg.build_exchange_matrix_2d(grid, mats)
+
+
+# -----------------------------------------------------------------------------
+# multi-zone plans: within-zone surface pairs
+# -----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tiled():
+    """3x3 rooms of 4x4 air cells: (grid, mats, exchange matrix)."""
+    grid, mats, _ = hg.load_building(tiled_building_yaml(3, 3, room=4))
+    return grid, mats, hg.build_exchange_matrix_2d(grid, mats)
+
+
+def test_tiled_pair_apply_matches_dense_sum(tiled, rng):
+    _, _, matrix = tiled
+    temps = rng.uniform(285.0, 315.0, matrix.n_surfaces)
+    t4 = temps**4
+    dense = matrix.coefficients
+    expected = STEFAN_BOLTZMANN * (dense * (t4[None, :] - t4[:, None])).sum(axis=1)
+    np.testing.assert_allclose(hg.apply_interior_lw(matrix, temps), expected, rtol=1e-12, atol=0.0)
+
+
+def test_tiled_isothermal_flux_exactly_zero(tiled):
+    _, _, matrix = tiled
+    q = hg.apply_interior_lw(matrix, np.full(matrix.n_surfaces, 296.5))
+    assert (q == 0.0).all()
+
+
+def test_tiled_pairs_are_the_within_zone_pairs(tiled):
+    grid, _, matrix = tiled
+    assert grid.n_zones == 9
+    zone = np.array([
+        grid.zone_id[r + DIR_OFFSETS[d][0], c + DIR_OFFSETS[d][1]]  # the air cell faced
+        for r, c, d in matrix.surfaces
+    ])
+    face = np.array([d for _r, _c, d in matrix.surfaces])
+    assert (zone[matrix.pair_i] == zone[matrix.pair_j]).all()
+    # sum_z S_z (S_z - 1), less the pairs of faces on one straight wall,
+    # which see each other with a crossed-strings factor of exactly zero
+    expected = 0
+    for z in range(grid.n_zones):
+        s_z = int((zone == z).sum())
+        expected += s_z * (s_z - 1)
+        for d in range(4):
+            n_d = int(((zone == z) & (face == d)).sum())
+            expected -= n_d * (n_d - 1)
+    assert matrix.pair_i.size == expected
+    assert np.array_equal(np.lexsort((matrix.pair_j, matrix.pair_i)), np.arange(expected))
+
+
+def test_tiled_matrix_holds_no_dense_array(tiled):
+    _, _, matrix = tiled
+    arrays = [v for v in vars(matrix).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    assert all(a.size < matrix.n_surfaces**2 for a in arrays)
+
+
+def test_tiled_matrix_text_round_trip(tiled):
+    _, _, matrix = tiled
+    back = hg.load_exchange_matrix(hg.save_exchange_matrix(matrix))
+    assert back.surfaces == matrix.surfaces
+    assert np.array_equal(back.areas, matrix.areas)
+    for name in ("pair_i", "pair_j", "pair_f"):
+        assert np.array_equal(getattr(back, name), getattr(matrix, name))
+
+
+def test_tiled_oracle_terms_match_vectorized(tiled, rng):
+    grid, _, matrix = tiled
+    t = rng.uniform(285.0, 315.0, (grid.rows, grid.cols))
+    flux = hg.apply_interior_lw(matrix, matrix.surface_temperatures(t))
+    tensor = hg.scatter_interior_lw(matrix, flux, grid)
+    scalar = np.array(_interior_lw_terms(matrix, t.tolist(), grid.rows, grid.cols))
+    np.testing.assert_allclose(tensor, scalar, rtol=1e-12, atol=1e-12 * np.abs(tensor).max())
 
 
 # -----------------------------------------------------------------------------
