@@ -39,6 +39,7 @@ from .radiation import (
     assemble_solar_tensors,
     build_exchange_matrix_2d,
     exterior_lw_flux,
+    exterior_lw_weights,
     load_exchange_matrix,
     save_exchange_matrix,
     scatter_interior_lw,
@@ -106,6 +107,7 @@ __all__ = [
     "classify_exposure",
     "energy_audit",
     "exterior_lw_flux",
+    "exterior_lw_weights",
     "init_mass",
     "load_building",
     "load_building_file",

@@ -24,7 +24,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 import yaml
-from scipy import ndimage
 
 from .weather import SitePosition
 
@@ -238,15 +237,31 @@ def classify_exposure(grid: BuildingGrid) -> BuildingGrid:
 def assign_zones(grid: BuildingGrid) -> BuildingGrid:
     """Label connected interior-air regions and map windows to their zones.
 
-    Zones are 4-connected components of interior-air cells. A window's zone
-    is found through its first interior-facing neighbor (marching inward
-    through envelope layers if needed).
+    Zones are 4-connected components of interior-air cells, numbered in
+    raster order of each zone's first cell. A window's zone is found
+    through its first interior-facing neighbor (marching inward through
+    envelope layers if needed).
     """
-    air = grid.cv_type == int(CvType.INTERIOR_AIR)
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, n_zones = ndimage.label(air, structure=structure)
-    grid.zone_id = labels.astype(np.int64) - 1
-    grid.n_zones = int(n_zones)
+    rows, cols = grid.rows, grid.cols
+    air_mask = grid.cv_type == int(CvType.INTERIOR_AIR)
+    air = air_mask.tolist()
+    labels = [[-1] * cols for _ in range(rows)]
+    n_zones = 0
+    for r0, c0 in np.argwhere(air_mask).tolist():  # raster order
+        if labels[r0][c0] >= 0:
+            continue
+        labels[r0][c0] = n_zones
+        stack = [(r0, c0)]
+        while stack:
+            r, c = stack.pop()
+            for dr, dc in DIR_OFFSETS:
+                nr, nc = r + dr, c + dc
+                if 0 <= nr < rows and 0 <= nc < cols and air[nr][nc] and labels[nr][nc] < 0:
+                    labels[nr][nc] = n_zones
+                    stack.append((nr, nc))
+        n_zones += 1
+    grid.zone_id = np.array(labels, dtype=np.int64).reshape(rows, cols)
+    grid.n_zones = n_zones
 
     grid.window_zone = {}
     windows = np.argwhere(grid.cv_type == int(CvType.WINDOW))

@@ -73,21 +73,16 @@ def default_weather_path() -> Path:
 
 
 def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
+    header = "row,col,cv_type,t" + (",t_mass" if with_mass else "")
+    kinds = grid.cv_type.tolist()
+    cells = [f"{r},{c},{kinds[r][c]}" for r in range(grid.rows) for c in range(grid.cols)]
     for snap in snapshots:
+        columns = [cells, map(repr, snap.t.ravel().tolist())]
+        if with_mass:
+            columns.append(map(repr, snap.mass.t_mass.ravel().tolist()))
+        body = "\n".join(map(",".join, zip(*columns)))
         path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
-        lines = ["row,col,cv_type,t" + (",t_mass" if with_mass else "")]
-        for r in range(grid.rows):
-            for c in range(grid.cols):
-                cells = [
-                    str(r),
-                    str(c),
-                    str(int(grid.cv_type[r, c])),
-                    repr(float(snap.t[r, c])),
-                ]
-                if with_mass:
-                    cells.append(repr(float(snap.mass.t_mass[r, c])))
-                lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(f"{header}\n{body}\n", encoding="utf-8")
 
 
 def _write_trace(out_dir: Path, reports) -> None:

@@ -172,7 +172,7 @@ def oracle_step(
     cap_rho = mats.volumetric_capacity().tolist()
     eps_cell = mats.emissivity.tolist()
     tilt_cell = mats.tilt.tolist()
-    t_prev = state.t_prev_step.tolist()
+    t_prev = state.t.tolist()
     q_x = boundary.q_x.tolist() if boundary.q_x is not None else None
     km = mass.k_mass_field.tolist() if config.enable_interior_mass else None
     t_mass_prev = mass.t_mass.tolist() if config.enable_interior_mass else None
@@ -288,6 +288,10 @@ def oracle_step(
                     f"non-positive balance denominator {denom} at cell ({r}, {c})"
                 )
             updated = numer / denom
+            if not math.isfinite(updated):
+                raise SolverError(
+                    f"sweep {sweeps}: temperature {updated} at cell ({r}, {c}) is not finite"
+                )
             change = abs(updated - temps[r][c])
             if change > max_delta:
                 max_delta = change
@@ -318,7 +322,6 @@ def oracle_step(
     final = np.array(temps)
     new_state = ThermalState(
         t=final,
-        t_prev_step=final.copy(),
         mass=new_mass,
         step_index=state.step_index + 1,
         sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,

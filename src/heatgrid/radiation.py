@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.special import cosdg
 
 from .building import (
     CvType,
@@ -82,7 +81,10 @@ def view_factors(tilt) -> ViewFactorSet:
     tilt_arr = np.asarray(tilt, dtype=float)
     if np.any((tilt_arr < 0.0) | (tilt_arr > 180.0)):
         raise ValueError(f"tilt {tilt!r} outside [0, 180] degrees")
-    cos_tilt = cosdg(tilt_arr)
+    # Degree-exact cosine: table values at 0, 90 and 180 degrees.
+    quarter_turns, rest = np.divmod(tilt_arr, 90.0)
+    exact = np.array([1.0, 0.0, -1.0])[quarter_turns.astype(np.intp)]
+    cos_tilt = np.where(rest == 0.0, exact, np.cos(np.radians(tilt_arr)))
     f_gnd = 0.5 * (1.0 - cos_tilt)
     f_sky = 0.5 * (1.0 + cos_tilt)
     beta = np.sqrt(f_sky)
@@ -119,7 +121,7 @@ def exterior_lw_flux(eps, vf: ViewFactorSet, t_surf, t_gnd, t_sky, t_air):
 
 
 def exposure_scale(grid: BuildingGrid, layer_divisor: int = 1) -> np.ndarray:
-    """Exterior-flux area scale [m^2] per cell.
+    """Exterior-flux area scale [m^2] per cell, zero off the envelope.
 
     Exposed envelope cells scale by their total exposed face length times
     floor height (corners therefore get twice the edge-cell scale on square
@@ -136,26 +138,36 @@ def exposure_scale(grid: BuildingGrid, layer_divisor: int = 1) -> np.ndarray:
     return scale
 
 
-def assemble_exterior_lw_tensor(
-    grid: BuildingGrid,
-    mats: MaterialField,
-    temperatures: np.ndarray,
-    t_gnd: float,
-    t_sky: float,
-    t_air: float,
-    layer_divisor: int = 1,
+def exterior_lw_weights(
+    grid: BuildingGrid, mats: MaterialField, layer_divisor: int
 ) -> np.ndarray:
-    """Exterior long-wave tensor [W per cell] over the whole grid.
+    """Exterior long-wave weights [W/K^4 per cell], shape ``(3, rows, cols)``.
 
-    Each envelope cell's surface temperature is its current cell
-    temperature; non-envelope cells get zero.
+    ``eps sigma A (F_gnd, beta F_sky, F_air)`` with ``A`` the exposure
+    scale, so every weight is zero off the envelope. They depend on the
+    plan alone; a step computes them once, outside its inner loop.
     """
-    envelope = grid.is_envelope()
     vf = view_factors(mats.tilt)
-    flux = exterior_lw_flux(
-        mats.emissivity, vf, temperatures, t_gnd, t_sky, t_air
+    area = mats.emissivity * STEFAN_BOLTZMANN * exposure_scale(grid, layer_divisor)
+    return np.stack((area * vf.f_gnd, area * vf.beta * vf.f_sky, area * vf.f_air))
+
+
+def assemble_exterior_lw_tensor(
+    weights: np.ndarray, temperatures: np.ndarray, t_gnd: float, t_sky: float, t_air: float
+) -> np.ndarray:
+    """Exterior long-wave tensor [W per cell] for one temperature field.
+
+    ``w_gnd (T_gnd^4 - T^4) + w_sky (T_sky^4 - T^4) + w_air (T_air^4 - T^4)``
+    with the weights of ``exterior_lw_weights``: each envelope cell's
+    surface temperature is its cell temperature, and cells off the
+    envelope get zero.
+    """
+    t4 = temperatures**4
+    return (
+        weights[0] * (t_gnd**4 - t4)
+        + weights[1] * (t_sky**4 - t4)
+        + weights[2] * (t_air**4 - t4)
     )
-    return np.where(envelope, exposure_scale(grid, layer_divisor) * flux, 0.0)
 
 
 # =============================================================================
@@ -273,7 +285,8 @@ def apply_interior_lw(
     """Net interior long-wave flux density [W/m^2] per surface.
 
     ``q_i = sigma sum_j F_ij (T_j^4 - T_i^4)``; with reciprocal exchange
-    factors the area-weighted fluxes sum to zero over the enclosure.
+    factors the area-weighted fluxes sum to zero over the enclosure. The
+    temperatures are not checked here: the solvers check every iterate.
     """
     surface_temps = np.asarray(surface_temps, dtype=float)
     if surface_temps.shape != (matrix.n_surfaces,):
@@ -281,8 +294,6 @@ def apply_interior_lw(
             f"got {surface_temps.shape[0] if surface_temps.ndim else 0} surface "
             f"temperatures for a {matrix.n_surfaces}-surface matrix"
         )
-    if np.any(surface_temps <= 0.0):
-        raise ValueError("surface temperatures must be > 0 K")
     t4 = surface_temps**4
     # Differences before weighting, so an isothermal enclosure gives an
     # exactly zero vector.
@@ -515,7 +526,7 @@ def assemble_solar_tensors(
     q_alpha = np.zeros(shape)
     tau_power = np.zeros(shape)
     window = grid.cv_type == int(CvType.WINDOW)
-    envelope = grid.is_envelope()
+    envelope = grid.delta_x > 0.0  # exactly the envelope cells with an exposed face
 
     for d in range(4):
         g = poa[DIR_ORIENTATION[d]]
@@ -524,18 +535,21 @@ def assemble_solar_tensors(
         q_alpha += np.where(exposed, mats.absorptivity * g * area, 0.0)
         tau_power += np.where(exposed & window, mats.transmissivity * g * area, 0.0)
 
-    zone_total = np.zeros(max(grid.n_zones, 1))
-    for (r, c), zone in grid.window_zone.items():
-        zone_total[zone] += tau_power[r, c]
+    # Pool each zone's windows in window_zone order (bincount adds in input
+    # order), then give every air cell of the zone an equal share.
+    windows = np.array(list(grid.window_zone), dtype=np.intp).reshape(-1, 2)
+    window_zones = np.fromiter(grid.window_zone.values(), dtype=np.intp)
+    zone_total = np.bincount(
+        window_zones, weights=tau_power[windows[:, 0], windows[:, 1]], minlength=grid.n_zones
+    )
+    air = grid.zone_id >= 0
+    air_zone = grid.zone_id[air]
+    share = (zone_total / np.bincount(air_zone, minlength=grid.n_zones))[air_zone]
 
     q_tau = np.zeros(shape)
     q_tau_mass = np.zeros(shape)
-    for zone in range(grid.n_zones):
-        members = grid.zone_id == zone
-        count = int(members.sum())
-        share = zone_total[zone] / count
-        if mass_enabled:
-            q_tau_mass[members] = share / (grid.u[members] * grid.v[members])
-        else:
-            q_tau[members] = share
+    if mass_enabled:
+        q_tau_mass[air] = share / (grid.u[air] * grid.v[air])
+    else:
+        q_tau[air] = share
     return q_alpha, q_tau, q_tau_mass

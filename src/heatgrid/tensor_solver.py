@@ -2,16 +2,19 @@
 Vectorized whole-grid temperature solver.
 
 Each timestep solves the nonlinear balance by Picard fixed-point
-iteration: radiative tensors are recomputed from the latest iterate
-(lagged, so each pass is linear), the balance numerator and denominator
-are evaluated element-wise over the whole grid, and the field updates as
-their ratio until the largest per-cell change drops below the convergence
-threshold. With every radiation feature and the mass coupling disabled a
-single pass reduces exactly to the bare conduction-convection update.
+iteration. A setup block computes once per step everything the iterate
+does not change: the face conductances, the balance denominator, the
+constant part of the numerator (heat source, convection, stored heat,
+mass coupling, solar) and the exterior long-wave weights. The inner loop
+adds only the iterate-dependent terms (shifted conduction and the lagged
+radiative tensors), divides element-wise over the whole grid, and repeats
+until the largest per-cell change drops below the convergence threshold.
+With every radiation feature and the mass coupling disabled a single pass
+reduces to the bare conduction-convection update.
 
 Temperatures shifted in from outside the grid carry the ambient value;
-boundary-padding cells are pinned to ambient and excluded from both the
-update and the convergence measure.
+boundary-padding cells are pinned to ambient, so they never change and
+drop out of the convergence measure.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .radiation import (
     assemble_exterior_lw_tensor,
     assemble_solar_tensors,
     build_exchange_matrix_2d,
+    exterior_lw_weights,
     scatter_interior_lw,
 )
 from .weather import SitePosition, WeatherRecord
@@ -50,28 +54,33 @@ class SolverError(RuntimeError):
     """Raised on numerical degeneracy or invalid solver inputs."""
 
 
+def _check_temperatures(t: np.ndarray, context: str) -> None:
+    """Raise ``SolverError`` naming the first cell of ``t`` not finite and > 0 K."""
+    if not (t.min() > 0.0 and t.max() < np.inf):
+        r, c = np.argwhere(~((t > 0.0) & (t < np.inf)))[0]
+        raise SolverError(
+            f"{context}: temperature {t[r, c]} at cell ({r}, {c}) is not finite and > 0 K"
+        )
+
+
 @dataclass
 class ThermalState:
     """Temperature field state between steps.
 
-    ``t`` is the current field, ``t_prev_step`` the converged field of the
-    previous step (they coincide between steps), ``mass`` the optional
-    interior mass nodes.
+    ``t`` is the current field (the converged field of the last step),
+    ``mass`` the optional interior mass nodes.
     """
 
     t: np.ndarray
-    t_prev_step: np.ndarray
     mass: Optional[MassState] = None
     step_index: int = 0
     sim_clock: Optional[datetime] = None
 
     def validate(self, grid: BuildingGrid) -> None:
         shape = (grid.rows, grid.cols)
-        if self.t.shape != shape or self.t_prev_step.shape != shape:
+        if self.t.shape != shape:
             raise SolverError(f"state shape {self.t.shape} does not match grid {shape}")
-        if np.any(self.t <= 0.0):
-            r, c = np.argwhere(self.t <= 0.0)[0]
-            raise SolverError(f"temperature {self.t[r, c]} <= 0 K at cell ({r}, {c})")
+        _check_temperatures(self.t, "state")
 
 
 @dataclass(frozen=True)
@@ -102,18 +111,15 @@ def shift_fields(temperatures: np.ndarray, t_inf: float) -> ShiftedFields:
     """One-cell shifts of the field in each cardinal direction.
 
     ``t1[i, j]`` is the east neighbor ``T[i, j+1]`` and so on; cells whose
-    neighbor falls outside the grid read the ambient temperature.
+    neighbor falls outside the grid read the ambient temperature. The four
+    fields are views into one ambient-padded copy of the field.
     """
     t = np.asarray(temperatures, dtype=float)
-    t1 = np.full_like(t, t_inf)
-    t1[:, :-1] = t[:, 1:]
-    t2 = np.full_like(t, t_inf)
-    t2[1:, :] = t[:-1, :]
-    t3 = np.full_like(t, t_inf)
-    t3[:, 1:] = t[:, :-1]
-    t4 = np.full_like(t, t_inf)
-    t4[:-1, :] = t[1:, :]
-    return ShiftedFields(t1=t1, t2=t2, t3=t3, t4=t4)
+    pad = np.full((t.shape[0] + 2, t.shape[1] + 2), t_inf)
+    pad[1:-1, 1:-1] = t
+    return ShiftedFields(
+        t1=pad[1:-1, 2:], t2=pad[:-2, 1:-1], t3=pad[1:-1, :-2], t4=pad[2:, 1:-1]
+    )
 
 
 def step(
@@ -126,101 +132,76 @@ def step(
 ) -> Tuple[ThermalState, StepReport]:
     """Advance the field one timestep; returns the new state and a report.
 
-    The inner loop re-derives the radiative tensors from the current
-    iterate, evaluates the balance element-wise, and repeats until the
-    maximum temperature change falls below ``config.convergence_epsilon``
-    or the iteration budget runs out (reported, never silent). A
-    non-positive balance denominator on any live cell aborts with the cell
-    named.
+    Iterates until the maximum temperature change falls below
+    ``config.convergence_epsilon`` or the budget runs out (reported, never
+    silent). A non-positive balance denominator on a live cell, or an
+    iterate that is not finite and > 0 K, aborts with the cell named.
     """
     started = time.perf_counter()
     state.validate(grid)
     if config.enable_interior_lw and exchange is None:
         raise SolverError("interior long-wave exchange enabled but no exchange matrix given")
-
-    u, v, z = grid.u, grid.v, grid.z
-    k = mats.k_face
-    h = mats.h_face
     t_inf = boundary.t_inf
-    active = grid.cv_type != int(CvType.BOUNDARY)
-    q_x = boundary.q_x if boundary.q_x is not None else 0.0
+    for name in ("t_inf", "t_gnd", "t_sky"):
+        value = getattr(boundary, name)
+        if not 0.0 < value < np.inf:
+            raise SolverError(f"boundary {name}={value} is not finite and > 0 K")
 
+    # Setup: everything the iterate does not change.
+    u, v, z = grid.u, grid.v, grid.z
+    k, h = mats.k_face, mats.h_face
+    active = grid.cv_type != int(CvType.BOUNDARY)
     mass = state.mass
     if config.enable_interior_mass and mass is None:
         mass = init_mass(grid, config, state.t)
 
+    # Face conductances [W/K] in shifted-field order: east, north, west, south.
+    g_ew, g_ns = v * z / u, u * z / v
+    g = (g_ew * k[DIR_EAST], g_ns * k[DIR_NORTH], g_ew * k[DIR_WEST], g_ns * k[DIR_SOUTH])
+    convection = v * z * (h[DIR_EAST] + h[DIR_WEST]) + u * z * (h[DIR_NORTH] + h[DIR_SOUTH])
     capacity = mats.volumetric_capacity() * u * v * z / config.dt
-
-    denom = (
-        v * z * (k[DIR_EAST] / u + h[DIR_EAST] + k[DIR_WEST] / u + h[DIR_WEST])
-        + u * z * (k[DIR_NORTH] / v + h[DIR_NORTH] + k[DIR_SOUTH] / v + h[DIR_SOUTH])
-        + capacity
-    )
+    denom = g[0] + g[1] + g[2] + g[3] + convection + capacity
+    const = convection * t_inf + capacity * state.t
+    if boundary.q_x is not None:
+        const = const + boundary.q_x
     if config.enable_interior_mass:
-        denom = denom + mass.k_mass_field * u * v / z
+        coupling = mass.k_mass_field * u * v / z
+        denom = denom + coupling
+        const = const + coupling * mass.t_mass
     bad = active & (denom <= 0.0)
     if np.any(bad):
         r, c = np.argwhere(bad)[0]
         raise SolverError(
             f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
         )
-
+    q_tau_mass = np.zeros((grid.rows, grid.cols))
     if config.enable_solar:
         q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
             grid, mats, boundary.poa, config.enable_interior_mass
         )
-    else:
-        q_sol_alpha = q_sol_tau = q_tau_mass = np.zeros((grid.rows, grid.cols))
+        const = const + q_sol_alpha + q_sol_tau
+    if config.enable_exterior_lw:
+        weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
 
-    t_iter = state.t.copy()
-    t_iter[~active] = t_inf
-
+    t_iter = np.where(active, state.t, t_inf)
     converged = False
     max_delta = np.inf
     iterations = 0
     for iterations in range(1, config.max_inner_iterations + 1):
-        shifted = shift_fields(t_iter, t_inf)
-        numer = (
-            q_x
-            + v
-            * z
-            * (
-                k[DIR_EAST] / u * shifted.t1
-                + h[DIR_EAST] * t_inf
-                + k[DIR_WEST] / u * shifted.t3
-                + h[DIR_WEST] * t_inf
-            )
-            + u
-            * z
-            * (
-                k[DIR_NORTH] / v * shifted.t2
-                + h[DIR_NORTH] * t_inf
-                + k[DIR_SOUTH] / v * shifted.t4
-                + h[DIR_SOUTH] * t_inf
-            )
-            + capacity * state.t_prev_step
-        )
-        if config.enable_interior_mass:
-            numer = numer + mass.k_mass_field * u * v / z * mass.t_mass
+        s = shift_fields(t_iter, t_inf)  # neighbor temperatures
+        numer = const + g[0] * s.t1 + g[1] * s.t2 + g[2] * s.t3 + g[3] * s.t4
         if config.enable_exterior_lw:
-            numer = numer + assemble_exterior_lw_tensor(
-                grid,
-                mats,
-                t_iter,
-                boundary.t_gnd,
-                boundary.t_sky,
-                boundary.t_inf,
-                config.envelope_layer_divisor,
+            numer += assemble_exterior_lw_tensor(
+                weights, t_iter, boundary.t_gnd, boundary.t_sky, t_inf
             )
         if config.enable_interior_lw:
             flux = apply_interior_lw(exchange, exchange.surface_temperatures(t_iter))
-            numer = numer + scatter_interior_lw(exchange, flux, grid)
-        if config.enable_solar:
-            numer = numer + q_sol_alpha + q_sol_tau
+            numer += scatter_interior_lw(exchange, flux, grid)
 
         t_new = np.full_like(t_iter, t_inf)
         np.divide(numer, denom, out=t_new, where=active)
-        max_delta = float(np.abs(np.where(active, t_new - t_iter, 0.0)).max())
+        _check_temperatures(t_new, f"iteration {iterations}")
+        max_delta = float(np.abs(t_new - t_iter).max())
         t_iter = t_new
         if max_delta < config.convergence_epsilon:
             converged = True
@@ -232,7 +213,6 @@ def step(
 
     new_state = ThermalState(
         t=t_iter,
-        t_prev_step=t_iter.copy(),
         mass=new_mass,
         step_index=state.step_index + 1,
         sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
@@ -258,7 +238,6 @@ def make_initial_state(
     mass = init_mass(grid, config, t) if config.enable_interior_mass else None
     return ThermalState(
         t=t,
-        t_prev_step=t.copy(),
         mass=mass,
         step_index=0,
         sim_clock=records[0].timestamp if records else None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -106,6 +107,18 @@ def _temperature_unit(tag: str, column: str) -> str:
     return unit
 
 
+def _parse_number(raw: str, column: str, line_no: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise WeatherFormatError(
+            f"line {line_no}: non-numeric {column!r} value {raw!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise WeatherFormatError(f"line {line_no}: non-finite {column!r} value {raw!r}")
+    return value
+
+
 def load_weather(csv_text: str) -> List[WeatherRecord]:
     """Parse weather CSV text into validated, time-ordered records.
 
@@ -139,12 +152,7 @@ def load_weather(csv_text: str) -> List[WeatherRecord]:
             if column == "t_sky":
                 return None
             raise WeatherFormatError(f"line {line_no}: empty value for {column!r}")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise WeatherFormatError(
-                f"line {line_no}: non-numeric {column!r} value {raw!r}"
-            ) from None
+        value = _parse_number(raw, column, line_no)
         if temp_units[column] == "C":
             value += KELVIN_OFFSET
         return value
@@ -156,13 +164,7 @@ def load_weather(csv_text: str) -> List[WeatherRecord]:
         stamp = _parse_timestamp(row[index["timestamp"]], line_no)
 
         def number(column: str) -> float:
-            raw = row[index[column]].strip()
-            try:
-                return float(raw)
-            except ValueError:
-                raise WeatherFormatError(
-                    f"line {line_no}: non-numeric {column!r} value {raw!r}"
-                ) from None
+            return _parse_number(row[index[column]].strip(), column, line_no)
 
         record = WeatherRecord(
             timestamp=stamp,

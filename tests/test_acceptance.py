@@ -109,7 +109,7 @@ def test_reduction_to_bare_update():
         q_x = rng.uniform(-100.0, 100.0, (rows, cols))
         t_inf = float(rng.uniform(260.0, 310.0))
         config = bare_config(max_inner_iterations=1)
-        state = hg.ThermalState(t=t.copy(), t_prev_step=t.copy())
+        state = hg.ThermalState(t=t.copy())
         new, _ = hg.step(state, grid, mats, config, dark_boundary(t_inf, q_x=q_x))
         direct = baseline_update(t, t, grid, mats, config.dt, t_inf, q_x)
         rel = float((np.abs(new.t - direct) / np.abs(direct)).max())

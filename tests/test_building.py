@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -266,3 +271,36 @@ def test_save_requires_loaded_building():
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
     with pytest.raises(ValueError):
         hg.save_building(grid)
+
+
+def test_zones_numbered_in_raster_order_of_first_cell():
+    # A U-shaped air region wraps one room and sits beside another; its
+    # arms are first met on row 1, before either room.
+    plan = [
+        "WWWWWWWWW",
+        "WAWAWAWAW",
+        "WAWAWAWAW",
+        "WAWWWAWAW",
+        "WAAAAAWWW",
+        "WWWWWWWWW",
+    ]
+    kind = {"W": int(CvType.INTERIOR_WALL), "A": int(CvType.INTERIOR_AIR)}
+    cv = np.array([[kind[ch] for ch in line] for line in plan])
+    grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
+    expected = np.full(cv.shape, -1)
+    for r, c in [(1, 1), (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5),
+                 (3, 5), (2, 5), (1, 5)]:
+        expected[r, c] = 0
+    expected[1:3, 3] = 1
+    expected[1:4, 7] = 2
+    assert grid.n_zones == 3
+    assert np.array_equal(grid.zone_id, expected)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, heatgrid.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(hg.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

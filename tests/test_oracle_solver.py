@@ -60,7 +60,7 @@ def conduction_config(**overrides):
 def test_uniform_equilibrium_converges_in_one_sweep(rng):
     grid, mats = conduction_case(rng)
     t = np.full((5, 5), 288.0)
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     new, report = hg.oracle_step(
         state, grid, mats, conduction_config(convergence_epsilon=1e-3), dark_boundary(288.0)
     )
@@ -74,7 +74,7 @@ def test_converged_sweep_matches_dense_linear_solve(rng):
     config = conduction_config()
     t0 = rng.uniform(280.0, 310.0, (rows, cols))
     t_inf = 275.0
-    state = hg.ThermalState(t=t0.copy(), t_prev_step=t0.copy())
+    state = hg.ThermalState(t=t0.copy())
     new, report = hg.oracle_step(state, grid, mats, config, dark_boundary(t_inf))
     assert report.converged
 
@@ -112,10 +112,10 @@ def test_sweep_order_independence(rng):
     t0 = rng.uniform(280.0, 310.0, (6, 7))
     bc = dark_boundary(276.0)
     forward, _ = hg.oracle_step(
-        hg.ThermalState(t=t0.copy(), t_prev_step=t0.copy()), grid, mats, config, bc
+        hg.ThermalState(t=t0.copy()), grid, mats, config, bc
     )
     backward, _ = hg.oracle_step(
-        hg.ThermalState(t=t0.copy(), t_prev_step=t0.copy()),
+        hg.ThermalState(t=t0.copy()),
         grid, mats, config, bc, reverse_sweep=True,
     )
     assert np.abs(forward.t - backward.t).max() <= 10.0 * config.convergence_epsilon
@@ -202,6 +202,6 @@ def test_audit_detects_tampered_field(rng):
     state = hg.make_initial_state(grid, config, records)
     bc = hg.boundary_for_time(records, config.site, state.sim_clock)
     new, _ = hg.oracle_step(state, grid, mats, config, bc, exchange)
-    broken = hg.ThermalState(t=new.t + 0.5, t_prev_step=new.t_prev_step, mass=new.mass)
+    broken = hg.ThermalState(t=new.t + 0.5, mass=new.mass)
     audit = hg.energy_audit(state, broken, grid, mats, config, bc, exchange)
     assert audit["rel_imbalance"] > 1e-6

@@ -108,14 +108,14 @@ def ring_building(rows=5, cols=6, cell=0.5):
 def test_equilibrium_tensor_is_zero():
     grid, mats = ring_building()
     t = np.full((grid.rows, grid.cols), 293.0)
-    q = hg.assemble_exterior_lw_tensor(grid, mats, t, 293.0, 293.0, 293.0)
+    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 293.0, 293.0, 293.0)
     assert (q == 0.0).all()
 
 
 def test_corner_entry_is_twice_edge_entry():
     grid, mats = ring_building()
     t = np.full((grid.rows, grid.cols), 300.0)
-    q = hg.assemble_exterior_lw_tensor(grid, mats, t, 290.0, 270.0, 285.0)
+    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 290.0, 270.0, 285.0)
     assert q[0, 0] == 2.0 * q[0, 2]
     air = grid.cv_type == int(CvType.INTERIOR_AIR)
     assert (q[air] == 0.0).all()
@@ -130,7 +130,7 @@ def test_single_envelope_cell_matches_scalar_path():
     mats = MaterialField.zeros(3, 4)
     mats.emissivity[0, 1] = 0.85
     t = np.full((3, 4), 305.0)
-    q = hg.assemble_exterior_lw_tensor(grid, mats, t, 288.0, 260.0, 283.0)
+    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 288.0, 260.0, 283.0)
     scalar = hg.exterior_lw_flux(0.85, hg.view_factors(90.0), 305.0, 288.0, 260.0, 283.0)
     assert q[0, 1] == pytest.approx(grid.delta_x[0, 1] * grid.z * scalar, rel=1e-14)
     assert (np.delete(q.ravel(), 1) == 0.0).all()

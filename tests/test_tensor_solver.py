@@ -114,7 +114,7 @@ def test_single_iteration_reduces_to_bare_update(rng):
         q_x = rng.uniform(-100.0, 100.0, (rows, cols))
         t_inf = float(rng.uniform(260.0, 310.0))
         config = bare_config(max_inner_iterations=1)
-        state = hg.ThermalState(t=t.copy(), t_prev_step=t.copy())
+        state = hg.ThermalState(t=t.copy())
         new, _ = hg.step(state, grid, mats, config, dark_boundary(t_inf, q_x=q_x))
         direct = baseline_update(t, t, grid, mats, config.dt, t_inf, q_x)
         rel = np.abs(new.t - direct) / np.abs(direct)
@@ -129,7 +129,7 @@ def test_uniform_state_is_fixed_point_in_one_iteration(rng):
     grid, mats = random_raw_case(rng, 5, 5)
     config = bare_config()
     t = np.full((5, 5), 288.0)
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     new, report = hg.step(state, grid, mats, config, dark_boundary(288.0))
     assert report.converged and report.inner_iterations == 1
     assert np.abs(new.t - 288.0).max() < 1e-10
@@ -142,7 +142,7 @@ def test_degenerate_denominator_names_cell(rng):
     mats.density[2, 1] = 0.0
     config = bare_config()
     t = np.full((4, 4), 290.0)
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     with pytest.raises(SolverError, match=r"\(2, 1\)"):
         hg.step(state, grid, mats, config, dark_boundary(290.0))
 
@@ -151,7 +151,7 @@ def test_nonconvergence_reported_not_raised(rng):
     grid, mats = random_raw_case(rng, 5, 5)
     config = bare_config(max_inner_iterations=2, convergence_epsilon=1e-12)
     t = rng.uniform(280.0, 300.0, (5, 5))
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     new, report = hg.step(state, grid, mats, config, dark_boundary(250.0))
     assert not report.converged
     assert report.inner_iterations == 2
@@ -161,7 +161,7 @@ def test_nonconvergence_reported_not_raised(rng):
 def test_interior_lw_requires_matrix(canonical):
     grid, mats, config = canonical
     t = np.full((grid.rows, grid.cols), 293.0)
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     with pytest.raises(SolverError, match="exchange"):
         hg.step(state, grid, mats, config, dark_boundary(293.0))
 
@@ -169,7 +169,7 @@ def test_interior_lw_requires_matrix(canonical):
 def test_state_shape_mismatch_rejected(canonical):
     grid, mats, config = canonical
     t = np.full((3, 3), 293.0)
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     with pytest.raises(SolverError, match="shape"):
         hg.step(state, grid, mats, config, dark_boundary(293.0))
 
@@ -186,7 +186,7 @@ def test_boundary_cells_pinned_to_ambient():
     mats.density[:] = 1500.0
     mats.density[cv == int(CvType.BOUNDARY)] = 0.0
     t = np.full((5, 5), 300.0)
-    state = hg.ThermalState(t=t, t_prev_step=t.copy())
+    state = hg.ThermalState(t=t)
     new, report = hg.step(state, grid, mats, bare_config(), dark_boundary(270.0))
     boundary_cells = grid.cv_type == int(CvType.BOUNDARY)
     assert (new.t[boundary_cells] == 270.0).all()
@@ -208,10 +208,10 @@ def test_hot_cell_decay_is_symmetric_and_matches_oracle(rng):
     config = bare_config(convergence_epsilon=1e-9, max_inner_iterations=5000)
     t = np.full((rows, cols), 290.0)
     t[3, 3] = 320.0
-    state = hg.ThermalState(t=t.copy(), t_prev_step=t.copy())
+    state = hg.ThermalState(t=t.copy())
     bc = dark_boundary(290.0)
     new_t, _ = hg.step(state, grid, mats, config, bc)
-    state_o = hg.ThermalState(t=t.copy(), t_prev_step=t.copy())
+    state_o = hg.ThermalState(t=t.copy())
     new_o, _ = hg.oracle_step(state_o, grid, mats, config, bc)
 
     field = new_t.t
@@ -272,3 +272,38 @@ def test_long_constant_weather_approaches_steady_state(canonical):
     moves = [r.max_delta for r in reports]
     # per-step change settles monotonically after the initial transient
     assert moves[-1] < moves[5] < moves[0] or moves[-1] < config.convergence_epsilon
+
+
+# -----------------------------------------------------------------------------
+# non-finite values
+# -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "stepper, first_pass",
+    [(hg.step, "iteration 1"), (hg.oracle_step, "sweep 1")],
+    ids=["tensor", "oracle"],
+)
+def test_nan_heat_source_raises_naming_cell(canonical, canonical_weather, stepper, first_pass):
+    grid, mats, config = canonical
+    exchange = hg.build_exchange_matrix_2d(grid, mats)
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    q_x = np.zeros((grid.rows, grid.cols))
+    q_x[5, 5] = np.nan
+    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock, q_x=q_x)
+    with pytest.raises(SolverError, match=rf"{first_pass}: temperature nan at cell \(5, 5\)"):
+        stepper(state, grid, mats, config, bc, exchange)
+
+
+def test_non_finite_state_rejected_naming_cell(rng):
+    grid, mats = random_raw_case(rng, 4, 4)
+    t = np.full((4, 4), 290.0)
+    t[1, 3] = np.nan
+    with pytest.raises(SolverError, match=r"state: temperature nan at cell \(1, 3\)"):
+        hg.step(hg.ThermalState(t=t), grid, mats, bare_config(), dark_boundary(290.0))
+
+
+def test_non_finite_boundary_temperature_rejected(rng):
+    grid, mats = random_raw_case(rng, 4, 4)
+    t = np.full((4, 4), 290.0)
+    with pytest.raises(SolverError, match="t_sky=nan"):
+        hg.step(hg.ThermalState(t=t), grid, mats, bare_config(), dark_boundary(290.0, t_sky=np.nan))

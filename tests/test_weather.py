@@ -117,3 +117,16 @@ def test_single_record_holds_forever():
     records = hourly_records(1)
     base = records[0].timestamp
     assert hg.record_at(records, base + timedelta(days=365)) is records[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["t_air", "dni"])
+def test_non_finite_value_rejected_naming_line_and_column(column, value):
+    fields = {"t_air": "303.15", "dni": "700"}
+    fields[column] = value
+    text = (
+        HEADER + UNITS_K + "2021-06-21T11:00Z,303.15,298.15,,800,700,150\n"
+        f"2021-06-21T12:00Z,{fields['t_air']},298.15,,800,{fields['dni']},150\n"
+    )
+    with pytest.raises(WeatherFormatError, match=rf"line 4: non-finite '{column}'"):
+        hg.load_weather(text)
