@@ -5,10 +5,12 @@ Exterior surfaces exchange long-wave radiation with ground, sky, and air,
 weighted by tilt-dependent view factors with a sky correction
 (beta = sqrt(F_sky)) that shifts part of the sky exchange to air
 temperature. Interior surfaces exchange through gray-body exchange
-factors stored as flat within-zone surface pairs ``(i, j, F_ij)``: zones
-never exchange with each other, so neither the build nor the solve forms
-an S x S array. The dense matrix exists only in the delimited-text format
-and on request (``RadiationExchangeMatrix.coefficients``). A builder
+factors stored as flat surface pairs ``(i, j, F_ij)`` and applied as dense
+blocks, one per group of surfaces that exchange with each other (for a
+built plan, one per zone). Zones never exchange with each other, so
+neither the build nor the solve of a built plan forms an S x S array. The
+dense matrix exists only in the delimited-text format and on request
+(``RadiationExchangeMatrix.coefficients``). A builder
 derives the factors with the 2D crossed-strings method; it needs
 rectangular zones and rejects any other with an ``OpenCavityError``
 naming the zone and its bounding box. Solar fluxes are
@@ -27,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -175,6 +177,20 @@ def assemble_exterior_lw_tensor(
 # =============================================================================
 
 
+class ExchangeBlock(NamedTuple):
+    """Dense exchange factors of ``Z`` groups of surfaces, padded to ``M``.
+
+    ``index[b]`` lists the surfaces of group ``b`` followed by padding slots
+    that hold ``n_surfaces``, ``factors[b, p, q]`` is the factor from
+    surface ``index[b, p]`` to ``index[b, q]`` (zero for a padding slot) and
+    ``row_sums[b, p]`` the sum of row ``p``.
+    """
+
+    index: np.ndarray  # (Z, M)
+    factors: np.ndarray  # (Z, M, M)
+    row_sums: np.ndarray  # (Z, M)
+
+
 @dataclass
 class RadiationExchangeMatrix:
     """Interior exchange factors between cavity surfaces, stored as pairs.
@@ -189,6 +205,17 @@ class RadiationExchangeMatrix:
     of S_z surfaces holds at most ``sum_z S_z (S_z - 1)`` pairs, not S^2.
     Construction validates the arguments and sorts the pairs by ``(i, j)``;
     ``surface_rows`` and ``surface_cols`` index each surface's cell.
+
+    The pairs are the canonical storage. For the solver, construction also
+    lays them out as ``blocks``: the connected components of the pair graph
+    (for a built plan, its zones; a loaded matrix with cross-zone entries
+    merges the zones they link), grouped into size classes of one
+    ``ExchangeBlock`` each. A class takes the largest component left and
+    every other of at least half its surface count, padded to the largest,
+    so there are O(log(largest / smallest)) classes whatever the mix of
+    sizes. A block is dense over its component: with zones of one size a
+    built plan holds ``sum_z S_z^2`` factors, and padding at most
+    quadruples that.
     """
 
     surfaces: List[Tuple[int, int, int]]
@@ -198,6 +225,7 @@ class RadiationExchangeMatrix:
     pair_f: np.ndarray
     surface_rows: np.ndarray = field(init=False, repr=False)
     surface_cols: np.ndarray = field(init=False, repr=False)
+    blocks: List[ExchangeBlock] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.areas = np.asarray(self.areas, dtype=float)
@@ -211,6 +239,7 @@ class RadiationExchangeMatrix:
         )
         self.surface_rows = np.array([s[0] for s in self.surfaces], dtype=np.intp)
         self.surface_cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
+        self.blocks = _exchange_blocks(self.n_surfaces, self.pair_i, self.pair_j, self.pair_f)
 
     @classmethod
     def from_dense(
@@ -279,14 +308,103 @@ class RadiationExchangeMatrix:
         return temperatures[self.surface_rows, self.surface_cols]
 
 
+def _components(n: int, pair_i: np.ndarray, pair_j: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Connected-component label of each of ``n`` surfaces, and the sweeps taken.
+
+    A pair links its two surfaces in either direction; the label is the
+    smallest surface index of the component. Hook and shortcut: each sweep
+    hooks every tree root to the smallest label next to its tree, then
+    pointer jumping flattens the trees to stars. Within two sweeps every
+    tree that has a neighbour hooks or is hooked to (a root with no smaller
+    neighbour sees all its neighbours hook, then hooks itself), so the tree
+    count at least halves and the sweeps number at most
+    ``2 ceil(log2 n) + 1``, the last one finding nothing to hook. Minima
+    are taken with ``reduceat`` over sorted runs, not with ``ufunc.at``.
+    """
+    # Each pair direction in runs of equal first surface; pair_i is sorted.
+    by_j = np.argsort(pair_j, kind="stable")
+    runs = []
+    for first, second in ((pair_i, pair_j), (pair_j[by_j], pair_i[by_j])):
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        runs.append((first[starts], second, starts))
+    label = np.arange(n)
+    sweeps = 0
+    while True:
+        sweeps += 1
+        # The smallest label next to each surface, its own included.
+        near = label.copy()
+        for owners, second, starts in runs:
+            if len(starts):
+                near[owners] = np.minimum(near[owners], np.minimum.reduceat(label[second], starts))
+        by_tree = np.argsort(label, kind="stable")
+        roots = np.flatnonzero(np.diff(label[by_tree], prepend=-1))
+        hooked = label.copy()
+        hooked[label[by_tree[roots]]] = np.minimum.reduceat(near[by_tree], roots)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, label):
+            return label, sweeps
+        label = hooked
+
+
+def _exchange_blocks(
+    n: int, pair_i: np.ndarray, pair_j: np.ndarray, pair_f: np.ndarray
+) -> List[ExchangeBlock]:
+    """Lay the pairs out as dense blocks, one per component, in size classes.
+
+    A class takes the largest component left and every other of at least
+    half its size; all are padded to the largest with slot ``n``.
+    """
+    if n == 0:
+        return []
+    label, _ = _components(n, pair_i, pair_j)
+    size = np.bincount(label, minlength=n)[label]
+    # Largest components first, each one's surfaces in index order (lexsort is stable).
+    order = np.lexsort((label, -size))
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = size[order[starts]]
+    component = np.empty(n, dtype=np.intp)
+    component[order] = np.repeat(np.arange(len(starts)), sizes)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n) - np.repeat(starts, sizes)
+    bounds = np.append(starts, n)
+    pair_component = component[pair_i]  # a pair lies within one component
+    blocks = []
+    first = 0
+    while first < len(sizes):
+        m = sizes[first]
+        stop = first + np.count_nonzero(2 * sizes[first:] >= m)
+        members = order[bounds[first] : bounds[stop]]
+        index = np.full((stop - first, m), n)
+        index[component[members] - first, position[members]] = members
+        mine = (pair_component >= first) & (pair_component < stop)
+        # Flat position of each pair in the (Z, M, M) factors, built in place.
+        flat = pair_component[mine] - first
+        flat *= m
+        flat += position[pair_i[mine]]
+        flat *= m
+        flat += position[pair_j[mine]]
+        factors = np.bincount(flat, weights=pair_f[mine], minlength=index.size * m)
+        factors = factors.reshape(len(index), m, m)
+        blocks.append(ExchangeBlock(index, factors, factors.sum(axis=2)))
+        first = stop
+    return blocks
+
+
 def apply_interior_lw(
     matrix: RadiationExchangeMatrix, surface_temps: np.ndarray
 ) -> np.ndarray:
     """Net interior long-wave flux density [W/m^2] per surface.
 
     ``q_i = sigma sum_j F_ij (T_j^4 - T_i^4)``; with reciprocal exchange
-    factors the area-weighted fluxes sum to zero over the enclosure. The
-    temperatures are not checked here: the solvers check every iterate.
+    factors the area-weighted fluxes sum to zero over the enclosure. One
+    batched matmul per block computes ``sum_j F_ij u_j - (sum_j F_ij) u_i``
+    with ``u`` the fourth powers less those of the block's first surface,
+    so an isothermal enclosure gives ``u = 0`` and an exactly zero vector.
+    Padding slots read and write one spare entry past the surfaces; their
+    factors are zero, so they change no surface's flux.
+    The temperatures are not checked here: the solvers check every iterate.
     """
     surface_temps = np.asarray(surface_temps, dtype=float)
     if surface_temps.shape != (matrix.n_surfaces,):
@@ -294,13 +412,13 @@ def apply_interior_lw(
             f"got {surface_temps.shape[0] if surface_temps.ndim else 0} surface "
             f"temperatures for a {matrix.n_surfaces}-surface matrix"
         )
-    t4 = surface_temps**4
-    # Differences before weighting, so an isothermal enclosure gives an
-    # exactly zero vector.
-    pairwise = matrix.pair_f * (t4[matrix.pair_j] - t4[matrix.pair_i])
-    return STEFAN_BOLTZMANN * np.bincount(
-        matrix.pair_i, weights=pairwise, minlength=matrix.n_surfaces
-    )
+    padded = np.append(surface_temps, 0.0)
+    q = np.empty(matrix.n_surfaces + 1)
+    for index, factors, row_sums in matrix.blocks:
+        t4 = padded[index] ** 4
+        u = t4 - t4[:, :1]
+        q[index] = np.matmul(factors, u[:, :, None])[:, :, 0] - row_sums * u
+    return STEFAN_BOLTZMANN * q[:-1]
 
 
 def scatter_interior_lw(

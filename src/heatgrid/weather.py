@@ -210,16 +210,17 @@ def record_at(records: Sequence[WeatherRecord], when: datetime) -> WeatherRecord
     """
     if not records:
         raise WeatherFormatError("empty weather series")
-    stamps = [record.timestamp for record in records]
-    if when < stamps[0]:
+    first = records[0].timestamp
+    if when < first:
         raise WeatherFormatError(
-            f"{when.isoformat()} precedes the first weather record {stamps[0].isoformat()}"
+            f"{when.isoformat()} precedes the first weather record {first.isoformat()}"
         )
     if len(records) > 1:
-        horizon = stamps[-1] + (stamps[-1] - stamps[-2])
+        last = records[-1].timestamp
+        horizon = last + (last - records[-2].timestamp)
         if when > horizon:
             raise WeatherFormatError(
                 f"{when.isoformat()} is beyond the weather horizon {horizon.isoformat()}"
             )
-    position = bisect_right(stamps, when) - 1
+    position = bisect_right(records, when, key=lambda record: record.timestamp) - 1
     return records[position]

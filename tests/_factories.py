@@ -17,34 +17,38 @@ from heatgrid.cli import default_building_path
 
 
 def tiled_building_yaml(n_rows: int = 3, n_cols: int = 3, room: int = 4) -> str:
-    """Plan of ``n_rows`` x ``n_cols`` rooms, one air zone each.
+    """Plan of ``n_rows`` x ``n_cols`` rooms of ``room`` x ``room`` air cells."""
+    return rooms_building_yaml([room] * n_rows, [room] * n_cols)
 
-    Rooms of ``room`` x ``room`` air cells sit between 1-cell partitions
-    inside a 1-cell exterior wall ring. Each exterior side of a room gets a
-    one-cell window at its middle, so most zones mix wall and glass
-    emissivities. Materials, solver settings and site come from the
-    bundled plan.
+
+def rooms_building_yaml(row_sizes, col_sizes) -> str:
+    """Plan of ``len(row_sizes)`` x ``len(col_sizes)`` rooms, one air zone each.
+
+    Room ``(i, j)`` has ``row_sizes[i]`` x ``col_sizes[j]`` air cells. Rooms
+    sit between 1-cell partitions inside a 1-cell exterior wall ring. Each
+    exterior side of a room gets a one-cell window at its middle, so most
+    zones mix wall and glass emissivities. Materials, solver settings and
+    site come from the bundled plan.
     """
     bundled = yaml.safe_load(default_building_path().read_text(encoding="utf-8"))
-    rows = n_rows * (room + 1) + 1
-    cols = n_cols * (room + 1) + 1
+    # Offsets of each room's first air row/column; partitions sit just before them.
+    row_starts = np.cumsum([1] + [size + 1 for size in row_sizes])
+    col_starts = np.cumsum([1] + [size + 1 for size in col_sizes])
+    rows, cols = int(row_starts[-1]), int(col_starts[-1])
     zones = [
         {"name": "shell", "cv_type": "exterior_wall", "rect": [0, 0, rows - 1, cols - 1]},
         {"name": "air", "cv_type": "interior_air", "rect": [1, 1, rows - 2, cols - 2]},
     ]
-    for i in range(1, n_rows):
-        r = i * (room + 1)
+    for i, r in enumerate(row_starts[1:-1], start=1):
         zones.append({"name": f"wall_row_{i}", "cv_type": "interior_wall",
-                      "rect": [r, 1, r, cols - 2]})
-    for j in range(1, n_cols):
-        c = j * (room + 1)
+                      "rect": [int(r) - 1, 1, int(r) - 1, cols - 2]})
+    for j, c in enumerate(col_starts[1:-1], start=1):
         zones.append({"name": f"wall_col_{j}", "cv_type": "interior_wall",
-                      "rect": [1, c, rows - 2, c]})
-    middle = room // 2 + 1
-    windows = [(0, j * (room + 1) + middle) for j in range(n_cols)]
-    windows += [(rows - 1, j * (room + 1) + middle) for j in range(n_cols)]
-    windows += [(i * (room + 1) + middle, 0) for i in range(n_rows)]
-    windows += [(i * (room + 1) + middle, cols - 1) for i in range(n_rows)]
+                      "rect": [1, int(c) - 1, rows - 2, int(c) - 1]})
+    col_middles = [int(c) + size // 2 for c, size in zip(col_starts, col_sizes)]
+    row_middles = [int(r) + size // 2 for r, size in zip(row_starts, row_sizes)]
+    windows = [(0, c) for c in col_middles] + [(rows - 1, c) for c in col_middles]
+    windows += [(r, 0) for r in row_middles] + [(r, cols - 1) for r in row_middles]
     for r, c in windows:
         zones.append({"name": f"win_{r}_{c}", "cv_type": "window", "rect": [r, c, r, c]})
 

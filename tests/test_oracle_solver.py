@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
 from heatgrid.building import (
@@ -11,7 +14,7 @@ from heatgrid.building import (
 from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 
-from _factories import random_case
+from _factories import random_case, rooms_building_yaml
 
 
 def dark_boundary(t_inf):
@@ -205,3 +208,26 @@ def test_audit_detects_tampered_field(rng):
     broken = hg.ThermalState(t=new.t + 0.5, mass=new.mass)
     audit = hg.energy_audit(state, broken, grid, mats, config, bc, exchange)
     assert audit["rel_imbalance"] > 1e-6
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    row_sizes=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    col_sizes=st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True),
+    heat=st.floats(0.0, 500.0),
+    t0=st.floats(285.0, 300.0),
+)
+def test_multi_room_plans_agree_with_oracle(canonical_weather, row_sizes, col_sizes, heat, t0):
+    # rooms of unequal sizes give exchange blocks of several sizes
+    grid, mats, config = hg.load_building(rooms_building_yaml(row_sizes, col_sizes))
+    config = dataclasses.replace(
+        config, convergence_epsilon=1e-5, max_inner_iterations=5000, initial_temperature=t0
+    )
+    q_x = np.zeros((grid.rows, grid.cols))
+    q_x[1, 1] = heat
+    tensor, _ = hg.run_episode(grid, mats, config, canonical_weather, 2, q_x=q_x)
+    oracle, _ = hg.run_episode(
+        grid, mats, config, canonical_weather, 2, stepper=hg.oracle_step, q_x=q_x
+    )
+    for a, b in zip(tensor, oracle):
+        assert float((np.abs(a.t - b.t) / np.abs(b.t)).max()) <= 1e-5

@@ -6,9 +6,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
-from _factories import tiled_building_yaml
+from _factories import rooms_building_yaml, tiled_building_yaml
 from heatgrid.building import DIR_OFFSETS, BuildingGrid, CvType, MaterialField
 from heatgrid.oracle_solver import _interior_lw_terms
+from heatgrid import radiation
 from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN, exposure_scale
 from heatgrid.solar import PoaIrradiance
 
@@ -417,6 +418,7 @@ def test_tiled_matrix_holds_no_dense_array(tiled):
     arrays = [v for v in vars(matrix).values() if isinstance(v, np.ndarray)]
     assert arrays
     assert all(a.size < matrix.n_surfaces**2 for a in arrays)
+    assert sum(b.factors.size for b in matrix.blocks) < matrix.n_surfaces**2
 
 
 def test_tiled_matrix_text_round_trip(tiled):
@@ -435,6 +437,116 @@ def test_tiled_oracle_terms_match_vectorized(tiled, rng):
     tensor = hg.scatter_interior_lw(matrix, flux, grid)
     scalar = np.array(_interior_lw_terms(matrix, t.tolist(), grid.rows, grid.cols))
     np.testing.assert_allclose(tensor, scalar, rtol=1e-12, atol=1e-12 * np.abs(tensor).max())
+
+
+# -----------------------------------------------------------------------------
+# dense exchange blocks, one per connected group of surfaces
+# -----------------------------------------------------------------------------
+
+def assert_blocks_apply_dense_sum(matrix, rng):
+    """Every surface in one block; flux equals the dense difference sum."""
+    n = matrix.n_surfaces
+    covered = np.concatenate([b.index.ravel() for b in matrix.blocks])
+    assert np.array_equal(np.sort(covered[covered < n]), np.arange(n))
+    for index, factors, row_sums in matrix.blocks:
+        padding = index == n
+        assert not padding[:, 0].any()
+        assert (factors[padding] == 0.0).all()
+        assert (factors.transpose(0, 2, 1)[padding] == 0.0).all()
+        assert (row_sums[padding] == 0.0).all()
+    temps = rng.uniform(285.0, 315.0, n)
+    t4 = temps**4
+    expected = STEFAN_BOLTZMANN * (matrix.coefficients * (t4[None, :] - t4[:, None])).sum(axis=1)
+    np.testing.assert_allclose(hg.apply_interior_lw(matrix, temps), expected, rtol=1e-12, atol=0.0)
+    assert (hg.apply_interior_lw(matrix, np.full(n, 301.25)) == 0.0).all()
+
+
+def test_blocks_group_zones_by_surface_count(rng):
+    # rooms of 2x2 and 8x2 air cells: zones of 8 and 20 surfaces, two classes
+    grid, mats, _ = hg.load_building(rooms_building_yaml([2, 8], [2, 2]))
+    matrix = hg.build_exchange_matrix_2d(grid, mats)
+    assert sorted(b.index.shape for b in matrix.blocks) == [(2, 8), (2, 20)]
+    assert_blocks_apply_dense_sum(matrix, rng)
+
+
+def test_zones_of_near_sizes_share_one_padded_block(rng):
+    # rooms of 3x4 and 5x4 air cells: zones of 14 and 18 surfaces, one class
+    grid, mats, _ = hg.load_building(rooms_building_yaml([3, 5], [4, 4]))
+    matrix = hg.build_exchange_matrix_2d(grid, mats)
+    [block] = matrix.blocks
+    assert block.index.shape == (4, 18)
+    assert (block.index == matrix.n_surfaces).sum() == 2 * 4
+    assert_blocks_apply_dense_sum(matrix, rng)
+
+
+def test_many_component_sizes_need_few_classes(rng):
+    # one component of each size 2..40: 39 sizes in four classes, 20-40,
+    # 10-19, 5-9 and 2-4
+    sizes = range(2, 41)
+    n = sum(sizes)
+    dense = np.zeros((n, n))
+    offset = 0
+    for m in sizes:
+        block = rng.uniform(0.0, 0.5 / m, (m, m))
+        np.fill_diagonal(block, 0.0)
+        dense[offset : offset + m, offset : offset + m] = block + block.T
+        offset += m
+    matrix = hg.RadiationExchangeMatrix.from_dense(
+        dense, [(k, 0, 0) for k in range(n)], np.ones(n)
+    )
+    assert [b.index.shape for b in matrix.blocks] == [(21, 40), (10, 19), (5, 9), (3, 4)]
+    assert_blocks_apply_dense_sum(matrix, rng)
+
+
+def test_cross_zone_entry_merges_zones_into_one_block(canonical, rng):
+    grid, mats, _ = canonical
+    built = hg.build_exchange_matrix_2d(grid, mats)
+    assert sorted(b.index.shape for b in built.blocks) == [(2, 40)]
+    dense = built.coefficients
+    zone = np.array([
+        grid.zone_id[r + DIR_OFFSETS[d][0], c + DIR_OFFSETS[d][1]] for r, c, d in built.surfaces
+    ])
+    i = int(np.argmin(np.where(zone == 0, dense.sum(axis=1), np.inf)))
+    j = int(np.flatnonzero(zone == 1)[0])
+    dense[i, j] = 1e-3
+    merged = hg.RadiationExchangeMatrix.from_dense(dense, built.surfaces, built.areas)
+    assert [b.index.shape for b in merged.blocks] == [(1, 80)]
+    assert_blocks_apply_dense_sum(merged, rng)
+
+
+def test_path_graph_components_in_log_sweeps(rng):
+    # a chain of 200 surfaces numbered in random order: label propagation
+    # without shortcuts would need about as many sweeps as the chain is long
+    n = 200
+    chain = rng.permutation(n)
+    dense = np.zeros((n, n))
+    dense[chain[:-1], chain[1:]] = 0.3
+    dense[chain[1:], chain[:-1]] = 0.3
+    matrix = hg.RadiationExchangeMatrix.from_dense(
+        dense, [(k, 0, 0) for k in range(n)], np.ones(n)
+    )
+    label, sweeps = radiation._components(n, matrix.pair_i, matrix.pair_j)
+    assert (label == 0).all()
+    assert sweeps <= 2 * math.ceil(math.log2(n)) + 1
+    assert [b.index.shape for b in matrix.blocks] == [(1, n)]
+    assert_blocks_apply_dense_sum(matrix, rng)
+
+
+def test_one_way_pairs_link_components():
+    # pairs listed in one direction only still join their surfaces
+    n = 6
+    label, _ = radiation._components(n, np.array([0, 1, 3]), np.array([5, 4, 2]))
+    assert label.tolist() == [0, 1, 2, 2, 1, 0]
+
+
+def test_surfaces_without_pairs_are_padded_into_the_smallest_class():
+    _, _, matrix = square_cavity()
+    lone = hg.RadiationExchangeMatrix(
+        matrix.surfaces, matrix.areas, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5])
+    )
+    assert [b.index.tolist() for b in lone.blocks] == [[[0, 1], [2, 4], [3, 4]]]
+    q = hg.apply_interior_lw(lone, np.array([310.0, 290.0, 350.0, 250.0]))
+    assert q[2] == 0.0 and q[3] == 0.0 and q[0] < 0.0 < q[1]
 
 
 # -----------------------------------------------------------------------------

@@ -113,6 +113,25 @@ def test_record_at_out_of_range():
         hg.record_at(records, base + timedelta(hours=5))
 
 
+def test_record_at_on_a_year_of_hourly_records():
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    lines = [HEADER.strip(), UNITS_K.strip()]
+    for h in range(8760):
+        stamp = (start + timedelta(hours=h)).strftime("%Y-%m-%dT%H:%M:%SZ")
+        lines.append(f"{stamp},{280 + h % 30},285,,0,0,0")
+    records = hg.load_weather("\n".join(lines) + "\n")
+    assert hg.record_at(records, start) is records[0]
+    assert hg.record_at(records, records[-1].timestamp) is records[-1]
+    for h in (0, 1, 4379, 8758):
+        middle = start + timedelta(hours=h, minutes=30)
+        assert hg.record_at(records, middle) is records[h]
+        assert hg.record_at(records, middle + timedelta(minutes=30)) is records[h + 1]
+    horizon = start + timedelta(hours=8760)
+    assert hg.record_at(records, horizon) is records[-1]
+    with pytest.raises(WeatherFormatError, match="beyond the weather horizon"):
+        hg.record_at(records, horizon + timedelta(seconds=1))
+
+
 def test_single_record_holds_forever():
     records = hourly_records(1)
     base = records[0].timestamp
