@@ -2,8 +2,12 @@
 
 Runs the vectorized solver at 300-second steps across the 24-hour synthetic
 weather file and prints an hourly digest of zone air temperatures, the mass
-nodes, and convergence effort. Writes the final field to single_day_final.csv.
+nodes, and convergence effort. Writes the final field to single_day_final.csv
+in a new temporary directory and prints its path.
 """
+
+import tempfile
+from pathlib import Path
 
 import heatgrid as hg
 from heatgrid.cli import default_building_path, default_weather_path
@@ -33,11 +37,12 @@ for hour in range(24):
           f"{t_mass:>11.2f} {report.inner_iterations:>6}")
 
 final = snapshots[-1]
-with open("single_day_final.csv", "w") as handle:
+out_path = Path(tempfile.mkdtemp(prefix="heatgrid_demo_")) / "single_day_final.csv"
+with open(out_path, "w") as handle:
     handle.write("row,col,cv_type,t\n")
     for r in range(grid.rows):
         for c in range(grid.cols):
             handle.write(f"{r},{c},{int(grid.cv_type[r, c])},{final.t[r, c]!r}\n")
-print("\nfinal field -> single_day_final.csv")
+print(f"\nfinal field -> {out_path}")
 print(f"field span: {final.t.min() - 273.15:.2f} .. {final.t.max() - 273.15:.2f} C")
 print(f"total inner iterations: {sum(r.inner_iterations for r in reports)}")

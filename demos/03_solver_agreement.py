@@ -3,8 +3,11 @@
 Both solvers advance the bundled building through identical inputs with
 every feature enabled. The per-step maximum relative difference stays
 within five significant figures; the two implementations share no
-numerical kernels, so this agreement is the correctness argument.
+numerical kernels, so this agreement is the correctness argument. Exits
+with status 1 when the difference leaves that band.
 """
+
+import sys
 
 import numpy as np
 
@@ -35,3 +38,4 @@ for i, (a, b) in enumerate(zip(snaps_tensor, snaps_oracle), start=1):
 
 print(f"\nworst per-cell relative difference: {worst:.3e} "
       f"({'within' if worst <= 1e-5 else 'OUTSIDE'} five significant figures)")
+sys.exit(0 if worst <= 1e-5 else 1)

@@ -120,15 +120,17 @@ def _solar_terms(grid, mats, boundary, mass_enabled: bool):
 def _interior_lw_terms(
     exchange: RadiationExchangeMatrix, temps: List[List[float]], rows: int, cols: int
 ) -> List[List[float]]:
-    """Per-cell interior exchange [W] by direct summation over the surface pairs."""
+    """Per-cell interior exchange [W], summing each block's nonzero factors row by row."""
     lwx = [[0.0] * cols for _ in range(rows)]
     cells = exchange.surfaces
     t4 = [temps[r][c] ** 4 for (r, c, _d) in cells]
     net = [0.0] * len(cells)
-    for i, j, fij in zip(
-        exchange.pair_i.tolist(), exchange.pair_j.tolist(), exchange.pair_f.tolist()
-    ):
-        net[i] += fij * (t4[j] - t4[i])
+    for index, factors, _row_sums in exchange.blocks:
+        for members, block in zip(index.tolist(), factors.tolist()):
+            for i, row in zip(members, block):
+                for j, fij in zip(members, row):
+                    if fij:
+                        net[i] += fij * (t4[j] - t4[i])
     for i, area in enumerate(exchange.areas.tolist()):
         r, c, _d = cells[i]
         lwx[r][c] += _SIGMA * net[i] * area
@@ -156,6 +158,12 @@ def oracle_step(
         raise SolverError("interior long-wave exchange enabled but no exchange matrix given")
 
     rows, cols = grid.rows, grid.cols
+    if config.enable_interior_lw:
+        for i, (r, c, _d) in enumerate(exchange.surfaces):
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise SolverError(
+                    f"exchange surface {i} at cell ({r}, {c}) lies off the {rows}x{cols} grid"
+                )
     t_inf = boundary.t_inf
     dt = config.dt
     z = grid.z

@@ -5,12 +5,13 @@ Exterior surfaces exchange long-wave radiation with ground, sky, and air,
 weighted by tilt-dependent view factors with a sky correction
 (beta = sqrt(F_sky)) that shifts part of the sky exchange to air
 temperature. Interior surfaces exchange through gray-body exchange
-factors stored as flat surface pairs ``(i, j, F_ij)`` and applied as dense
-blocks, one per group of surfaces that exchange with each other (for a
-built plan, one per zone). Zones never exchange with each other, so
-neither the build nor the solve of a built plan forms an S x S array. The
-dense matrix exists only in the delimited-text format and on request
-(``RadiationExchangeMatrix.coefficients``). A builder
+factors held in one form only: dense blocks, one per group of surfaces
+that exchange with each other (for a built plan, one per zone), padded
+into a few size classes. Zones never exchange with each other, so neither
+the build nor the solve of a built plan forms an S x S array. The dense
+matrix exists only in the delimited-text format and on request
+(``RadiationExchangeMatrix.coefficients``); loading it finds the groups
+again as the connected components of its nonzero entries. A builder
 derives the factors with the 2D crossed-strings method; it needs
 rectangular zones and rejects any other with an ``OpenCavityError``
 naming the zone and its bounding box. Solar fluxes are
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -193,53 +194,42 @@ class ExchangeBlock(NamedTuple):
 
 @dataclass
 class RadiationExchangeMatrix:
-    """Interior exchange factors between cavity surfaces, stored as pairs.
+    """Interior exchange factors between cavity surfaces, stored as dense blocks.
 
     Surfaces are wall or window cell faces; ``surfaces[i] = (row, col,
     direction)`` names the face (direction points from the cell into the
-    cavity) and ``areas[i]`` is its face area [m^2]. ``pair_f[k]`` is the
-    gray-body exchange factor from surface ``pair_i[k]`` to surface
-    ``pair_j[k]``; the net flux density on surface i for temperatures T is
-    ``sigma * sum_k F_k (T_j^4 - T_i^4)`` over the pairs with ``i_k = i``.
-    Zones never exchange with each other, so a plan of S surfaces in zones
-    of S_z surfaces holds at most ``sum_z S_z (S_z - 1)`` pairs, not S^2.
-    Construction validates the arguments and sorts the pairs by ``(i, j)``;
-    ``surface_rows`` and ``surface_cols`` index each surface's cell.
+    cavity), ``areas[i]`` is its face area [m^2], and ``surface_rows`` and
+    ``surface_cols`` index each surface's cell. ``groups`` partitions the
+    surfaces into groups ``(members, factors)`` that exchange only among
+    themselves: ``factors[p, q]`` is the gray-body exchange factor from
+    surface ``members[p]`` to ``members[q]``, and the net flux density on
+    surface i is ``sigma * sum_j F_ij (T_j^4 - T_i^4)``. For a built plan a
+    group is a zone, so S surfaces in zones of S_z hold ``sum_z S_z^2``
+    factors, not S^2.
 
-    The pairs are the canonical storage. For the solver, construction also
-    lays them out as ``blocks``: the connected components of the pair graph
-    (for a built plan, its zones; a loaded matrix with cross-zone entries
-    merges the zones they link), grouped into size classes of one
-    ``ExchangeBlock`` each. A class takes the largest component left and
-    every other of at least half its surface count, padded to the largest,
-    so there are O(log(largest / smallest)) classes whatever the mix of
-    sizes. A block is dense over its component: with zones of one size a
-    built plan holds ``sum_z S_z^2`` factors, and padding at most
-    quadruples that.
+    Construction validates the groups and packs them into ``blocks``, size
+    classes of one ``ExchangeBlock`` each, and keeps no other copy. A class
+    takes the largest group left and every other of at least half its
+    surface count, padded to the largest, so there are O(log(largest /
+    smallest)) classes whatever the mix of sizes, and padding at most
+    quadruples a class's factors.
     """
 
     surfaces: List[Tuple[int, int, int]]
     areas: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    pair_f: np.ndarray
+    groups: InitVar[Sequence[Tuple[np.ndarray, np.ndarray]]]
     surface_rows: np.ndarray = field(init=False, repr=False)
     surface_cols: np.ndarray = field(init=False, repr=False)
     blocks: List[ExchangeBlock] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, groups: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
         self.areas = np.asarray(self.areas, dtype=float)
-        self.pair_i = np.asarray(self.pair_i, dtype=np.intp)
-        self.pair_j = np.asarray(self.pair_j, dtype=np.intp)
-        self.pair_f = np.asarray(self.pair_f, dtype=float)
-        self.validate()
-        order = np.lexsort((self.pair_j, self.pair_i))
-        self.pair_i, self.pair_j, self.pair_f = (
-            self.pair_i[order], self.pair_j[order], self.pair_f[order]
-        )
+        if self.areas.shape != (self.n_surfaces,):
+            raise ValueError("surface list and area vector must match n_surfaces")
+        groups = [(np.asarray(m, dtype=np.intp), np.asarray(f, dtype=float)) for m, f in groups]
         self.surface_rows = np.array([s[0] for s in self.surfaces], dtype=np.intp)
         self.surface_cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
-        self.blocks = _exchange_blocks(self.n_surfaces, self.pair_i, self.pair_j, self.pair_f)
+        self.blocks = _pack_blocks(self.surfaces, groups)
 
     @classmethod
     def from_dense(
@@ -248,10 +238,13 @@ class RadiationExchangeMatrix:
         surfaces: List[Tuple[int, int, int]],
         areas: np.ndarray,
     ) -> "RadiationExchangeMatrix":
-        """Pairs from the nonzero entries of a dense ``n x n`` factor matrix.
+        """Groups from a dense ``n x n`` factor matrix.
 
-        Every nonzero entry becomes a pair, cross-zone ones included, so
-        any matrix an external tool writes still works.
+        The groups are the connected components of the nonzero pattern, an
+        entry linking its surfaces both ways, so cross-zone entries merge
+        zones and a surface with no factors is a group of one. Each grows
+        from its lowest surface a frontier at a time, reading each row of
+        the pattern once: O(n^2), as parsing the dense text is.
         """
         coefficients = np.asarray(coefficients, dtype=float)
         n = len(surfaces)
@@ -259,8 +252,19 @@ class RadiationExchangeMatrix:
             raise ValueError(
                 f"coefficient matrix shape {coefficients.shape} != ({n}, {n})"
             )
-        pair_i, pair_j = np.nonzero(coefficients)
-        return cls(surfaces, areas, pair_i, pair_j, coefficients[pair_i, pair_j])
+        linked = coefficients != 0.0
+        linked |= linked.T
+        label = np.full(n, -1)
+        for seed in range(n):
+            if label[seed] >= 0:
+                continue
+            frontier = [seed]
+            while len(frontier):
+                label[frontier] = seed
+                frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
+        order = np.argsort(label, kind="stable")
+        members = np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if n else []
+        return cls(surfaces, areas, [(m, coefficients[np.ix_(m, m)]) for m in members])
 
     @property
     def n_surfaces(self) -> int:
@@ -268,126 +272,71 @@ class RadiationExchangeMatrix:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Dense ``n x n`` factors, expanded anew on each access.
+        """Dense ``n x n`` factors, expanded from the blocks on each access.
 
-        For the text format and for inspection; the solvers use the pairs.
+        For the text format and for inspection; the solvers use the blocks.
         """
-        dense = np.zeros((self.n_surfaces, self.n_surfaces))
-        dense[self.pair_i, self.pair_j] = self.pair_f
-        return dense
-
-    def validate(self) -> None:
         n = self.n_surfaces
-        if self.areas.shape != (n,):
-            raise ValueError("surface list and area vector must match n_surfaces")
-        shapes = {self.pair_i.shape, self.pair_j.shape, self.pair_f.shape}
-        if len(shapes) != 1 or self.pair_f.ndim != 1:
-            raise ValueError("pair indices and factors must be 1-D arrays of one length")
-        outside = (self.pair_i < 0) | (self.pair_i >= n) | (self.pair_j < 0) | (self.pair_j >= n)
-        if np.any(outside):
-            k = int(np.argmax(outside))
-            raise ValueError(
-                f"exchange pair ({self.pair_i[k]}, {self.pair_j[k]}) is outside "
-                f"surfaces [0, {n})"
-            )
-        bad = ~np.isfinite(self.pair_f) | (self.pair_f < 0.0)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            i, j = int(self.pair_i[k]), int(self.pair_j[k])
-            raise ValueError(
-                f"exchange factor F[{i}, {j}] = {self.pair_f[k]!r} between surface {i} "
-                f"at cell {self.surfaces[i][:2]} and surface {j} at cell "
-                f"{self.surfaces[j][:2]} is not finite and >= 0"
-            )
-        row_sums = np.bincount(self.pair_i, weights=self.pair_f, minlength=n)
-        if np.any(row_sums > 1.0 + 1e-9):
-            i = int(np.argmax(row_sums))
-            raise ValueError(f"row {i} of exchange matrix sums to {row_sums[i]} > 1")
+        dense = np.zeros((n + 1, n + 1))  # row and column n take the padding slots
+        for index, factors, _ in self.blocks:
+            dense[index[:, :, None], index[:, None, :]] = factors
+        return dense[:n, :n]
 
     def surface_temperatures(self, temperatures: np.ndarray) -> np.ndarray:
         return temperatures[self.surface_rows, self.surface_cols]
 
 
-def _components(n: int, pair_i: np.ndarray, pair_j: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Connected-component label of each of ``n`` surfaces, and the sweeps taken.
-
-    A pair links its two surfaces in either direction; the label is the
-    smallest surface index of the component. Hook and shortcut: each sweep
-    hooks every tree root to the smallest label next to its tree, then
-    pointer jumping flattens the trees to stars. Within two sweeps every
-    tree that has a neighbour hooks or is hooked to (a root with no smaller
-    neighbour sees all its neighbours hook, then hooks itself), so the tree
-    count at least halves and the sweeps number at most
-    ``2 ceil(log2 n) + 1``, the last one finding nothing to hook. Minima
-    are taken with ``reduceat`` over sorted runs, not with ``ufunc.at``.
-    """
-    # Each pair direction in runs of equal first surface; pair_i is sorted.
-    by_j = np.argsort(pair_j, kind="stable")
-    runs = []
-    for first, second in ((pair_i, pair_j), (pair_j[by_j], pair_i[by_j])):
-        starts = np.flatnonzero(np.diff(first, prepend=-1))
-        runs.append((first[starts], second, starts))
-    label = np.arange(n)
-    sweeps = 0
-    while True:
-        sweeps += 1
-        # The smallest label next to each surface, its own included.
-        near = label.copy()
-        for owners, second, starts in runs:
-            if len(starts):
-                near[owners] = np.minimum(near[owners], np.minimum.reduceat(label[second], starts))
-        by_tree = np.argsort(label, kind="stable")
-        roots = np.flatnonzero(np.diff(label[by_tree], prepend=-1))
-        hooked = label.copy()
-        hooked[label[by_tree[roots]]] = np.minimum.reduceat(near[by_tree], roots)
-        jumped = hooked[hooked]
-        while not np.array_equal(jumped, hooked):
-            hooked, jumped = jumped, jumped[jumped]
-        if np.array_equal(hooked, label):
-            return label, sweeps
-        label = hooked
-
-
-def _exchange_blocks(
-    n: int, pair_i: np.ndarray, pair_j: np.ndarray, pair_f: np.ndarray
+def _pack_blocks(
+    surfaces: List[Tuple[int, int, int]], groups: List[Tuple[np.ndarray, np.ndarray]]
 ) -> List[ExchangeBlock]:
-    """Lay the pairs out as dense blocks, one per component, in size classes.
+    """Validate the groups and pad them into size classes with slot ``n``.
 
-    A class takes the largest component left and every other of at least
-    half its size; all are padded to the largest with slot ``n``.
+    Classes run largest first, and groups of one size in the order of
+    their lowest surface.
     """
-    if n == 0:
-        return []
-    label, _ = _components(n, pair_i, pair_j)
-    size = np.bincount(label, minlength=n)[label]
-    # Largest components first, each one's surfaces in index order (lexsort is stable).
-    order = np.lexsort((label, -size))
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    sizes = size[order[starts]]
-    component = np.empty(n, dtype=np.intp)
-    component[order] = np.repeat(np.arange(len(starts)), sizes)
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n) - np.repeat(starts, sizes)
-    bounds = np.append(starts, n)
-    pair_component = component[pair_i]  # a pair lies within one component
+    n = len(surfaces)
+    for g, (members, factors) in enumerate(groups):
+        if members.ndim != 1 or not members.size or factors.shape != (members.size,) * 2:
+            raise ValueError(
+                f"exchange group {g} has members of shape {members.shape} and factors of "
+                f"shape {factors.shape}; it needs a square block over at least one surface"
+            )
+    listed = np.concatenate([m for m, _ in groups] or [np.zeros(0, dtype=np.intp)])
+    outside = (listed < 0) | (listed >= n)
+    if np.any(outside):
+        raise ValueError(f"exchange surface {listed[outside][0]} is outside surfaces [0, {n})")
+    count = np.bincount(listed, minlength=n)
+    if np.any(count != 1):
+        i = int(np.argmax(count != 1))
+        raise ValueError(
+            f"surface {i} at cell {surfaces[i][:2]} lies in {count[i]} exchange groups, "
+            "not exactly one"
+        )
+    groups = sorted(groups, key=lambda g: (-g[0].size, g[0].min()))
     blocks = []
     first = 0
-    while first < len(sizes):
-        m = sizes[first]
-        stop = first + np.count_nonzero(2 * sizes[first:] >= m)
-        members = order[bounds[first] : bounds[stop]]
+    while first < len(groups):
+        m = groups[first][0].size
+        stop = first + sum(2 * g[0].size >= m for g in groups[first:])
         index = np.full((stop - first, m), n)
-        index[component[members] - first, position[members]] = members
-        mine = (pair_component >= first) & (pair_component < stop)
-        # Flat position of each pair in the (Z, M, M) factors, built in place.
-        flat = pair_component[mine] - first
-        flat *= m
-        flat += position[pair_i[mine]]
-        flat *= m
-        flat += position[pair_j[mine]]
-        factors = np.bincount(flat, weights=pair_f[mine], minlength=index.size * m)
-        factors = factors.reshape(len(index), m, m)
-        blocks.append(ExchangeBlock(index, factors, factors.sum(axis=2)))
+        factors = np.zeros((stop - first, m, m))
+        for b, (members, f) in enumerate(groups[first:stop]):
+            index[b, : members.size] = members
+            factors[b, : members.size, : members.size] = f
+        bad = ~np.isfinite(factors) | (factors < 0.0)
+        if np.any(bad):
+            b, p, q = np.argwhere(bad)[0]
+            i, j = index[b, p], index[b, q]
+            raise ValueError(
+                f"exchange factor F[{i}, {j}] = {float(factors[b, p, q])!r} between surface {i} "
+                f"at cell {surfaces[i][:2]} and surface {j} at cell "
+                f"{surfaces[j][:2]} is not finite and >= 0"
+            )
+        row_sums = factors.sum(axis=2)
+        if np.any(row_sums > 1.0 + 1e-9):
+            b, p = np.unravel_index(np.argmax(row_sums), row_sums.shape)
+            raise ValueError(f"row {index[b, p]} of exchange matrix sums to {row_sums[b, p]} > 1")
+        blocks.append(ExchangeBlock(index, factors, row_sums))
         first = stop
     return blocks
 
@@ -451,8 +400,8 @@ def build_exchange_matrix_2d(
     view factors between the zone's wall segments come from crossed
     strings, rows are renormalized to close exactly, emissivities are
     folded in with the pairwise two-surface network approximation, and
-    reciprocity is checked. The cost is O(sum_z S_z^2), and only the
-    nonzero within-zone pairs are kept.
+    reciprocity is checked. The cost is O(sum_z S_z^2), and each zone's
+    dense block becomes one exchange group.
     """
     if not (np.allclose(grid.u, grid.u.flat[0]) and np.allclose(grid.v, grid.v.flat[0])):
         raise ValueError("crossed-strings builder requires a uniform cell size")
@@ -506,7 +455,7 @@ def build_exchange_matrix_2d(
     zone_of_surface = np.array(zone_of_surface)
     air_zone = grid.zone_id[air_cells[:, 0], air_cells[:, 1]]
 
-    pair_i, pair_j, pair_f = [], [], []
+    groups = []
     for zone in range(grid.n_zones):
         _check_rectangular(zone, air_cells[air_zone == zone])
         members = np.flatnonzero(zone_of_surface == zone)
@@ -520,14 +469,9 @@ def build_exchange_matrix_2d(
         f /= row_sums[:, None]
         folded = _fold_emissivity(f, eps[members], areas[members])
         _check_reciprocity(zone, folded, areas[members])
-        rows, cols = np.nonzero(folded)
-        pair_i.append(members[rows])
-        pair_j.append(members[cols])
-        pair_f.append(folded[rows, cols])
+        groups.append((members, folded))
 
-    return RadiationExchangeMatrix(
-        surfaces, areas, np.concatenate(pair_i), np.concatenate(pair_j), np.concatenate(pair_f)
-    )
+    return RadiationExchangeMatrix(surfaces, areas, groups)
 
 
 def _check_rectangular(zone: int, cells: np.ndarray) -> None:
@@ -600,24 +544,44 @@ def save_exchange_matrix(matrix: RadiationExchangeMatrix) -> str:
 
 
 def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows or rows[0][0] != "n_surfaces":
+    """Parse ``save_exchange_matrix`` text; a malformed field raises naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or rows[0][1][0] != "n_surfaces":
         raise ValueError("exchange matrix text must start with an n_surfaces row")
-    n = int(rows[0][1])
+    n = _field(rows[0], 1, "n_surfaces", int)
+    if n < 0:
+        raise ValueError(f"line {rows[0][0]}: n_surfaces {n} is negative")
     if len(rows) < 2 + n + 1 + n:
         raise ValueError(f"exchange matrix text truncated for n_surfaces={n}")
-    surfaces: List[Tuple[int, int, int]] = []
-    areas = np.zeros(n)
-    for i in range(n):
-        row = rows[2 + i]
-        surfaces.append((int(row[1]), int(row[2]), _FACE_NAMES.index(row[3])))
-        areas[i] = float(row[4])
-    if rows[2 + n][0] != "matrix":
+    listed = rows[2 : 2 + n]
+    surfaces = []
+    for e in listed:
+        r, c = _field(e, 1, "row", int), _field(e, 2, "col", int)
+        surfaces.append((r, c, _field(e, 3, "face", _FACE_NAMES.index)))
+    areas = np.array([_field(e, 4, "area", float) for e in listed])
+    if rows[2 + n][1][0] != "matrix":
         raise ValueError("missing matrix marker row")
-    coefficients = np.array(
-        [[float(x) for x in rows[3 + n + i]] for i in range(n)], dtype=float
-    )
+    coefficients = np.zeros((n, n))
+    for i, (line, row) in enumerate(rows[3 + n : 3 + 2 * n]):
+        if len(row) != n:
+            raise ValueError(f"line {line}: matrix row {i} has {len(row)} entries, expected {n}")
+        try:
+            coefficients[i] = [float(x) for x in row]
+        except ValueError as exc:
+            raise ValueError(f"line {line}: matrix row {i}: {exc}") from None
     return RadiationExchangeMatrix.from_dense(coefficients, surfaces, areas)
+
+
+def _field(entry: Tuple[int, List[str]], k: int, name: str, parse):
+    """Field ``k`` of a ``(line, row)`` text entry; a missing or bad one raises naming both."""
+    line, row = entry
+    if k >= len(row):
+        raise ValueError(f"line {line}: no {name} (field {k + 1})")
+    try:
+        return parse(row[k])
+    except ValueError:
+        raise ValueError(f"line {line}: {row[k]!r} is not a valid {name}") from None
 
 
 # =============================================================================

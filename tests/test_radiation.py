@@ -9,7 +9,6 @@ import heatgrid as hg
 from _factories import rooms_building_yaml, tiled_building_yaml
 from heatgrid.building import DIR_OFFSETS, BuildingGrid, CvType, MaterialField
 from heatgrid.oracle_solver import _interior_lw_terms
-from heatgrid import radiation
 from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN, exposure_scale
 from heatgrid.solar import PoaIrradiance
 
@@ -333,7 +332,7 @@ def edited_matrix_text(matrix, i, j, value):
 def test_bad_loaded_factor_rejected_naming_pair(canonical, value):
     grid, mats, _ = canonical
     matrix = hg.build_exchange_matrix_2d(grid, mats)
-    i, j = int(matrix.pair_i[7]), int(matrix.pair_j[7])
+    i, j = (int(k[7]) for k in np.nonzero(matrix.coefficients))
     (ri, ci, _), (rj, cj, _) = matrix.surfaces[i], matrix.surfaces[j]
     text = edited_matrix_text(matrix, i, j, value)
     with pytest.raises(ValueError) as err:
@@ -345,9 +344,64 @@ def test_bad_loaded_factor_rejected_naming_pair(canonical, value):
 
 def test_pair_indices_outside_surfaces_rejected():
     surfaces = [(0, 0, 3), (2, 0, 1)]
-    for i, j in (([0, 1], [1, 2]), ([-1, 1], [1, 0])):
+    block = np.array([[0.0, 0.5], [0.5, 0.0]])
+    for members in ([0, 2], [-1, 1]):
         with pytest.raises(ValueError, match="outside surfaces"):
-            hg.RadiationExchangeMatrix(surfaces, np.ones(2), i, j, [0.5, 0.5])
+            hg.RadiationExchangeMatrix(surfaces, np.ones(2), [(members, block)])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (("0,0,0,south", "0,0,0,up"), r"line 3: 'up' is not a valid face"),
+        (("0,0,0,south,1.0", "0,0,0,south"), r"line 3: no area \(field 5\)"),
+        (("0.0,0.5\n", "0.0\n"), r"line 6: matrix row 0 has 1 entries, expected 2"),
+        (("0.0,0.5\n", "0.0,half\n"), r"line 6: matrix row 0: .*'half'"),
+        (("n_surfaces,2", "n_surfaces,two"), r"line 1: 'two' is not a valid n_surfaces"),
+        (("n_surfaces,2", "n_surfaces,-1"), r"line 1: n_surfaces -1 is negative"),
+        (("0,0,0,south", "0,top,0,south"), r"line 3: 'top' is not a valid row"),
+    ],
+    ids=["face", "no-area", "short-row", "bad-entry", "count-word", "count-negative", "row-word"],
+)
+def test_malformed_matrix_text_names_line_and_field(edit, message):
+    matrix = hg.RadiationExchangeMatrix.from_dense(
+        np.array([[0.0, 0.5], [0.5, 0.0]]), [(0, 0, 3), (2, 0, 1)], np.ones(2)
+    )
+    text = hg.save_exchange_matrix(matrix)
+    assert edit[0] in text
+    with pytest.raises(ValueError, match=message):
+        hg.load_exchange_matrix(text.replace(edit[0], edit[1], 1))
+
+
+@pytest.mark.parametrize(
+    "members, count",
+    [(([0, 1], [2], [2, 3]), 2), (([0, 1], [3]), 0)],
+    ids=["in-two-groups", "in-no-group"],
+)
+def test_surface_not_in_exactly_one_group_rejected(members, count):
+    _, _, matrix = square_cavity()
+    groups = [(m, np.full((len(m), len(m)), 0.1)) for m in members]
+    with pytest.raises(ValueError, match=rf"surface 2 at cell \(1, 0\) lies in {count} exchange"):
+        hg.RadiationExchangeMatrix(matrix.surfaces, matrix.areas, groups)
+
+
+def test_text_round_trip_keeps_apply_bit_identical(rng):
+    # zones of 2, 3 and 5 surfaces plus one surface with no factors, numbered
+    # in random order
+    n = 11
+    dense = np.zeros((n, n))
+    order = rng.permutation(n)
+    for group in (order[:2], order[2:5], order[5:10]):
+        block = rng.uniform(0.0, 0.2, (group.size, group.size))
+        np.fill_diagonal(block, 0.0)
+        dense[np.ix_(group, group)] = block
+    matrix = hg.RadiationExchangeMatrix.from_dense(
+        dense, [(k, 1, k % 4) for k in range(n)], rng.uniform(0.5, 2.0, n)
+    )
+    back = hg.load_exchange_matrix(hg.save_exchange_matrix(matrix))
+    assert np.array_equal(back.coefficients, dense)
+    temps = rng.uniform(285.0, 315.0, n)
+    assert np.array_equal(hg.apply_interior_lw(back, temps), hg.apply_interior_lw(matrix, temps))
 
 
 def test_row_sum_above_one_rejected():
@@ -399,7 +453,8 @@ def test_tiled_pairs_are_the_within_zone_pairs(tiled):
         for r, c, d in matrix.surfaces
     ])
     face = np.array([d for _r, _c, d in matrix.surfaces])
-    assert (zone[matrix.pair_i] == zone[matrix.pair_j]).all()
+    pair_i, pair_j = np.nonzero(matrix.coefficients)
+    assert (zone[pair_i] == zone[pair_j]).all()
     # sum_z S_z (S_z - 1), less the pairs of faces on one straight wall,
     # which see each other with a crossed-strings factor of exactly zero
     expected = 0
@@ -409,8 +464,7 @@ def test_tiled_pairs_are_the_within_zone_pairs(tiled):
         for d in range(4):
             n_d = int(((zone == z) & (face == d)).sum())
             expected -= n_d * (n_d - 1)
-    assert matrix.pair_i.size == expected
-    assert np.array_equal(np.lexsort((matrix.pair_j, matrix.pair_i)), np.arange(expected))
+    assert pair_i.size == expected
 
 
 def test_tiled_matrix_holds_no_dense_array(tiled):
@@ -426,8 +480,10 @@ def test_tiled_matrix_text_round_trip(tiled):
     back = hg.load_exchange_matrix(hg.save_exchange_matrix(matrix))
     assert back.surfaces == matrix.surfaces
     assert np.array_equal(back.areas, matrix.areas)
-    for name in ("pair_i", "pair_j", "pair_f"):
-        assert np.array_equal(getattr(back, name), getattr(matrix, name))
+    assert len(back.blocks) == len(matrix.blocks)
+    for ours, theirs in zip(back.blocks, matrix.blocks):
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a, b)
 
 
 def test_tiled_oracle_terms_match_vectorized(tiled, rng):
@@ -514,9 +570,8 @@ def test_cross_zone_entry_merges_zones_into_one_block(canonical, rng):
     assert_blocks_apply_dense_sum(merged, rng)
 
 
-def test_path_graph_components_in_log_sweeps(rng):
-    # a chain of 200 surfaces numbered in random order: label propagation
-    # without shortcuts would need about as many sweeps as the chain is long
+def test_path_graph_is_one_block(rng):
+    # a chain of 200 surfaces numbered in random order is one group
     n = 200
     chain = rng.permutation(n)
     dense = np.zeros((n, n))
@@ -525,25 +580,28 @@ def test_path_graph_components_in_log_sweeps(rng):
     matrix = hg.RadiationExchangeMatrix.from_dense(
         dense, [(k, 0, 0) for k in range(n)], np.ones(n)
     )
-    label, sweeps = radiation._components(n, matrix.pair_i, matrix.pair_j)
-    assert (label == 0).all()
-    assert sweeps <= 2 * math.ceil(math.log2(n)) + 1
     assert [b.index.shape for b in matrix.blocks] == [(1, n)]
     assert_blocks_apply_dense_sum(matrix, rng)
 
 
 def test_one_way_pairs_link_components():
-    # pairs listed in one direction only still join their surfaces
+    # entries listed in one direction only still join their surfaces
     n = 6
-    label, _ = radiation._components(n, np.array([0, 1, 3]), np.array([5, 4, 2]))
-    assert label.tolist() == [0, 1, 2, 2, 1, 0]
+    dense = np.zeros((n, n))
+    dense[[0, 1, 3], [5, 4, 2]] = 0.5
+    matrix = hg.RadiationExchangeMatrix.from_dense(
+        dense, [(k, 0, 0) for k in range(n)], np.ones(n)
+    )
+    [block] = matrix.blocks
+    assert block.index.tolist() == [[0, 5], [1, 4], [2, 3]]
+    assert np.array_equal(matrix.coefficients, dense)
 
 
 def test_surfaces_without_pairs_are_padded_into_the_smallest_class():
     _, _, matrix = square_cavity()
-    lone = hg.RadiationExchangeMatrix(
-        matrix.surfaces, matrix.areas, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5])
-    )
+    dense = np.zeros((4, 4))
+    dense[[0, 1], [1, 0]] = 0.5
+    lone = hg.RadiationExchangeMatrix.from_dense(dense, matrix.surfaces, matrix.areas)
     assert [b.index.tolist() for b in lone.blocks] == [[[0, 1], [2, 4], [3, 4]]]
     q = hg.apply_interior_lw(lone, np.array([310.0, 290.0, 350.0, 250.0]))
     assert q[2] == 0.0 and q[3] == 0.0 and q[0] < 0.0 < q[1]

@@ -294,6 +294,23 @@ def test_nan_heat_source_raises_naming_cell(canonical, canonical_weather, steppe
         stepper(state, grid, mats, config, bc, exchange)
 
 
+@pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
+@pytest.mark.parametrize("row", [-1, 17])
+def test_exchange_surface_off_grid_raises_naming_it(canonical, canonical_weather, stepper, row):
+    # a loaded matrix may name any cell; one off the grid must not wrap or
+    # escape as an IndexError
+    grid, mats, config = canonical
+    built = hg.build_exchange_matrix_2d(grid, mats)
+    surfaces = list(built.surfaces)
+    _r, c, d = surfaces[3]
+    surfaces[3] = (row, c, d)
+    exchange = hg.RadiationExchangeMatrix.from_dense(built.coefficients, surfaces, built.areas)
+    with pytest.raises(SolverError, match=rf"step 0: exchange surface 3 at cell \({row}, {c}\)"):
+        hg.run_episode(
+            grid, mats, config, canonical_weather, 1, exchange=exchange, stepper=stepper
+        )
+
+
 def test_non_finite_state_rejected_naming_cell(rng):
     grid, mats = random_raw_case(rng, 4, 4)
     t = np.full((4, 4), 290.0)
