@@ -55,11 +55,12 @@ from .solar import (
     solar_position,
 )
 from .tensor_solver import (
-    ShiftedFields,
+    Plan,
     SolverError,
     StepReport,
     ThermalState,
     make_initial_state,
+    prepare,
     run_episode,
     shift_fields,
     step,
@@ -82,10 +83,10 @@ __all__ = [
     "MassState",
     "MaterialField",
     "OpenCavityError",
+    "Plan",
     "PoaIrradiance",
     "RadiationExchangeMatrix",
     "STEFAN_BOLTZMANN",
-    "ShiftedFields",
     "SimulationConfig",
     "SitePosition",
     "SolarGeometry",
@@ -118,6 +119,7 @@ __all__ = [
     "oracle_step",
     "poa_for_orientations",
     "poa_irradiance",
+    "prepare",
     "record_at",
     "run_episode",
     "save_building",

@@ -404,6 +404,18 @@ class SimulationConfig:
     site: Optional[SitePosition] = None
 
     def validate(self) -> None:
+        for key, value in (
+            ("dt", self.dt),
+            ("convergence_epsilon", self.convergence_epsilon),
+            ("initial_temperature", self.initial_temperature),
+            ("mass_params.k_mass", self.mass_params.k_mass),
+            ("mass_params.rho_mass", self.mass_params.rho_mass),
+            ("mass_params.c_mass", self.mass_params.c_mass),
+        ):
+            if not np.isfinite(value):
+                raise ValidationError(f"{key}={value} must be finite")
+        if self.site is not None:
+            self.site.validate()
         if self.dt <= 0.0:
             raise ValidationError(f"dt={self.dt} must be positive")
         if self.convergence_epsilon <= 0.0:
@@ -537,7 +549,6 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
             longitude=float(_require(site_sec, "longitude", "site section")),
             albedo=float(site_sec.get("albedo", 0.2)),
         )
-        config.site.validate()
     config.validate()
 
     mats = _build_materials(doc, grid)

@@ -38,12 +38,13 @@ class MassState:
     t0_mass: np.ndarray
     k_mass_field: np.ndarray
 
-    def copy(self) -> "MassState":
-        return MassState(
-            t_mass=self.t_mass.copy(),
-            t0_mass=self.t0_mass,
-            k_mass_field=self.k_mass_field,
-        )
+
+def mass_conductivity(grid: BuildingGrid, config: SimulationConfig) -> np.ndarray:
+    """Coupling conductivity [W/(m K)]: ``k_mass`` on interior-air cells, zero elsewhere."""
+    k_mass = config.mass_params.k_mass
+    if k_mass <= 0.0:
+        raise ValueError(f"k_mass={k_mass} must be > 0 when mass is enabled")
+    return np.where(grid.cv_type == int(CvType.INTERIOR_AIR), k_mass, 0.0)
 
 
 def init_mass(
@@ -55,14 +56,12 @@ def init_mass(
     flux exactly zero, so enabling mass introduces no startup transient.
     """
     params = config.mass_params
-    if params.k_mass <= 0.0:
-        raise ValueError(f"k_mass={params.k_mass} must be > 0 when mass is enabled")
-    air = grid.cv_type == int(CvType.INTERIOR_AIR)
+    k_mass_field = mass_conductivity(grid, config)
     t0_value = params.rho_mass * params.c_mass * grid.z**2 / (params.k_mass * config.dt)
     return MassState(
         t_mass=np.array(initial_temperature, dtype=float, copy=True),
-        t0_mass=np.where(air, t0_value, 0.0),
-        k_mass_field=np.where(air, params.k_mass, 0.0),
+        t0_mass=np.where(k_mass_field > 0.0, t0_value, 0.0),
+        k_mass_field=k_mass_field,
     )
 
 

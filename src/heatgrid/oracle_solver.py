@@ -9,10 +9,12 @@ rule the vectorized solver applies per iteration, so both converge to the
 same fixed point.
 
 It deliberately shares no numerical kernels with the vectorized solver;
-only data types, grid geometry, and configuration are common. That
-independence is what makes agreement between the two solvers meaningful,
-so keep this implementation plain: scalar loops, no vectorization, no
-shortcuts borrowed from the other module.
+only data types, grid geometry, and configuration are common. From a
+``Plan`` it reads the inputs alone (grid, materials, config and exchange
+matrix), never an array the plan derives from them. That independence is
+what makes agreement between the two solvers meaningful, so keep this
+implementation plain: scalar loops, no vectorization, no shortcuts
+borrowed from the other module.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from __future__ import annotations
 import math
 import time
 from datetime import timedelta
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .building import BuildingGrid, CvType, MaterialField, SimulationConfig
+from .building import CvType
 from .conditions import StepBoundary
 from .mass import MassState, init_mass
 from .radiation import RadiationExchangeMatrix
-from .tensor_solver import SolverError, StepReport, ThermalState
+from .tensor_solver import Plan, SolverError, StepReport, ThermalState
 
 _SIGMA = 5.670374419e-8  # W/(m^2 K^4)
 
@@ -138,13 +140,7 @@ def _interior_lw_terms(
 
 
 def oracle_step(
-    state: ThermalState,
-    grid: BuildingGrid,
-    mats: MaterialField,
-    config: SimulationConfig,
-    boundary: StepBoundary,
-    exchange: Optional[RadiationExchangeMatrix] = None,
-    reverse_sweep: bool = False,
+    state: ThermalState, plan: Plan, boundary: StepBoundary, reverse_sweep: bool = False
 ) -> Tuple[ThermalState, StepReport]:
     """One timestep by sequential node-by-node sweeps.
 
@@ -153,17 +149,9 @@ def oracle_step(
     convergence.
     """
     started = time.perf_counter()
+    grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
     state.validate(grid)
-    if config.enable_interior_lw and exchange is None:
-        raise SolverError("interior long-wave exchange enabled but no exchange matrix given")
-
     rows, cols = grid.rows, grid.cols
-    if config.enable_interior_lw:
-        for i, (r, c, _d) in enumerate(exchange.surfaces):
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise SolverError(
-                    f"exchange surface {i} at cell ({r}, {c}) lies off the {rows}x{cols} grid"
-                )
     t_inf = boundary.t_inf
     dt = config.dt
     z = grid.z
@@ -344,13 +332,7 @@ def oracle_step(
 
 
 def energy_audit(
-    state_before: ThermalState,
-    state_after: ThermalState,
-    grid: BuildingGrid,
-    mats: MaterialField,
-    config: SimulationConfig,
-    boundary: StepBoundary,
-    exchange: Optional[RadiationExchangeMatrix] = None,
+    state_before: ThermalState, state_after: ThermalState, plan: Plan, boundary: StepBoundary
 ) -> dict:
     """Balance the step's stored-energy change against its source terms.
 
@@ -360,6 +342,7 @@ def energy_audit(
     stored power, the summed source power, per-group totals, and the
     imbalance relative to the gross flux magnitude.
     """
+    grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     z = grid.z
@@ -374,8 +357,6 @@ def energy_audit(
     else:
         q_alpha = q_tau = [[0.0] * cols for _ in range(rows)]
     if config.enable_interior_lw:
-        if exchange is None:
-            raise SolverError("interior exchange enabled but no matrix for the audit")
         lwx = _interior_lw_terms(exchange, temps, rows, cols)
     else:
         lwx = None

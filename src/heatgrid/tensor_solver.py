@@ -1,16 +1,17 @@
 """
 Vectorized whole-grid temperature solver.
 
-Each timestep solves the nonlinear balance by Picard fixed-point
-iteration. A setup block computes once per step everything the iterate
-does not change: the face conductances, the balance denominator, the
-constant part of the numerator (heat source, convection, stored heat,
-mass coupling, solar) and the exterior long-wave weights. The inner loop
-adds only the iterate-dependent terms (shifted conduction and the lagged
-radiative tensors), divides element-wise over the whole grid, and repeats
-until the largest per-cell change drops below the convergence threshold.
-With every radiation feature and the mass coupling disabled a single pass
-reduces to the bare conduction-convection update.
+``prepare`` computes once per run everything no step changes: the face
+conductances, the balance denominator, the mass coupling and the exterior
+long-wave weights. Each ``step(state, plan, boundary)`` then solves the
+nonlinear balance by Picard fixed-point iteration. It forms the constant
+part of the numerator (heat source, convection, stored heat, mass
+coupling, solar) once; each inner pass adds only the iterate-dependent
+terms (shifted conduction and the lagged radiative tensors), divides
+element-wise over the whole grid, and repeats until the largest per-cell
+change drops below the convergence threshold. With every radiation
+feature and the mass coupling disabled a single pass reduces to the bare
+conduction-convection update.
 
 Temperatures shifted in from outside the grid carry the ambient value;
 boundary-padding cells are pinned to ambient, so they never change and
@@ -37,7 +38,7 @@ from .building import (
     SimulationConfig,
 )
 from .conditions import StepBoundary, boundary_for_time
-from .mass import MassState, init_mass, update_mass
+from .mass import MassState, init_mass, mass_conductivity, update_mass
 from .radiation import (
     RadiationExchangeMatrix,
     apply_interior_lw,
@@ -47,7 +48,7 @@ from .radiation import (
     exterior_lw_weights,
     scatter_interior_lw,
 )
-from .weather import SitePosition, WeatherRecord
+from .weather import WeatherRecord
 
 
 class SolverError(RuntimeError):
@@ -84,20 +85,6 @@ class ThermalState:
 
 
 @dataclass(frozen=True)
-class ShiftedFields:
-    """Neighbor temperature fields in the four cardinal directions.
-
-    ``t1`` east, ``t2`` north, ``t3`` west, ``t4`` south; entries shifted
-    in from outside the grid hold the ambient temperature.
-    """
-
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-    t4: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepReport:
     """Outcome of one timestep's inner iteration."""
 
@@ -107,114 +94,146 @@ class StepReport:
     wall_time: float
 
 
-def shift_fields(temperatures: np.ndarray, t_inf: float) -> ShiftedFields:
-    """One-cell shifts of the field in each cardinal direction.
+@dataclass(frozen=True)
+class Plan:
+    """A run's inputs and the arrays every step reuses; built by ``prepare``.
 
-    ``t1[i, j]`` is the east neighbor ``T[i, j+1]`` and so on; cells whose
-    neighbor falls outside the grid read the ambient temperature. The four
-    fields are views into one ambient-padded copy of the field.
+    No solver writes to a plan, so one serves any number of states on the
+    same building. Conductances [W/K]: ``g`` per face in shift order (east,
+    north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
+    ``coupling`` to the mass nodes (None with mass off); ``denom`` is their
+    sum. ``active`` marks the cells that are not boundary padding, and
+    ``exterior_weights`` is None with exterior long-wave off.
     """
-    t = np.asarray(temperatures, dtype=float)
-    pad = np.full((t.shape[0] + 2, t.shape[1] + 2), t_inf)
-    pad[1:-1, 1:-1] = t
-    return ShiftedFields(
-        t1=pad[1:-1, 2:], t2=pad[:-2, 1:-1], t3=pad[1:-1, :-2], t4=pad[2:, 1:-1]
-    )
+
+    grid: BuildingGrid
+    mats: MaterialField
+    config: SimulationConfig
+    exchange: Optional[RadiationExchangeMatrix]
+    active: np.ndarray
+    g: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    convection: np.ndarray
+    capacity: np.ndarray
+    coupling: Optional[np.ndarray]
+    denom: np.ndarray
+    exterior_weights: Optional[np.ndarray]
 
 
-def step(
-    state: ThermalState,
+def prepare(
     grid: BuildingGrid,
     mats: MaterialField,
     config: SimulationConfig,
-    boundary: StepBoundary,
     exchange: Optional[RadiationExchangeMatrix] = None,
-) -> Tuple[ThermalState, StepReport]:
-    """Advance the field one timestep; returns the new state and a report.
+) -> Plan:
+    """Check a run's inputs and compute everything its steps share, once.
 
-    Iterates until the maximum temperature change falls below
-    ``config.convergence_epsilon`` or the budget runs out (reported, never
-    silent). A non-positive balance denominator on a live cell, or an
-    iterate that is not finite and > 0 K, aborts with the cell named.
+    Builds the interior exchange matrix when interior long-wave is on and
+    none is given. A config value out of range, an exchange surface whose
+    cell lies off the grid, or a non-positive balance denominator on a
+    live cell raises, naming the key, the surface or the cell.
     """
-    started = time.perf_counter()
-    state.validate(grid)
-    if config.enable_interior_lw and exchange is None:
-        raise SolverError("interior long-wave exchange enabled but no exchange matrix given")
-    t_inf = boundary.t_inf
-    for name in ("t_inf", "t_gnd", "t_sky"):
-        value = getattr(boundary, name)
-        if not 0.0 < value < np.inf:
-            raise SolverError(f"boundary {name}={value} is not finite and > 0 K")
-
-    # Setup: everything the iterate does not change.
-    u, v, z = grid.u, grid.v, grid.z
-    k, h = mats.k_face, mats.h_face
-    active = grid.cv_type != int(CvType.BOUNDARY)
-    mass = state.mass
-    if config.enable_interior_mass and mass is None:
-        mass = init_mass(grid, config, state.t)
-
-    # Face conductances [W/K] in shifted-field order: east, north, west, south.
-    g_ew, g_ns = v * z / u, u * z / v
-    g = (g_ew * k[DIR_EAST], g_ns * k[DIR_NORTH], g_ew * k[DIR_WEST], g_ns * k[DIR_SOUTH])
-    convection = v * z * (h[DIR_EAST] + h[DIR_WEST]) + u * z * (h[DIR_NORTH] + h[DIR_SOUTH])
-    capacity = mats.volumetric_capacity() * u * v * z / config.dt
-    denom = g[0] + g[1] + g[2] + g[3] + convection + capacity
-    const = convection * t_inf + capacity * state.t
-    if boundary.q_x is not None:
-        const = const + boundary.q_x
-    if config.enable_interior_mass:
-        coupling = mass.k_mass_field * u * v / z
-        denom = denom + coupling
-        const = const + coupling * mass.t_mass
-    bad = active & (denom <= 0.0)
-    if np.any(bad):
-        r, c = np.argwhere(bad)[0]
-        raise SolverError(
-            f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
-        )
-    q_tau_mass = np.zeros((grid.rows, grid.cols))
-    if config.enable_solar:
-        q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
-            grid, mats, boundary.poa, config.enable_interior_mass
-        )
-        const = const + q_sol_alpha + q_sol_tau
-    if config.enable_exterior_lw:
-        weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
-    if config.enable_interior_lw and exchange.n_surfaces:
-        # Reductions, not boolean masks, on the normal path: four mask
-        # temporaries slowed a 6k-cell step by 2-7 %, far more than their
-        # own 10 us, apparently through glibc trimming and regrowing the heap.
+    config.validate()
+    if config.enable_interior_lw:
+        if exchange is None:
+            exchange = build_exchange_matrix_2d(grid, mats)
         s_rows, s_cols = exchange.surface_rows, exchange.surface_cols
-        if not (
-            0 <= s_rows.min() and s_rows.max() < grid.rows
-            and 0 <= s_cols.min() and s_cols.max() < grid.cols
-        ):
-            off = (s_rows < 0) | (s_rows >= grid.rows) | (s_cols < 0) | (s_cols >= grid.cols)
+        off = (s_rows < 0) | (s_rows >= grid.rows) | (s_cols < 0) | (s_cols >= grid.cols)
+        if off.any():
             i = int(np.argmax(off))
             raise SolverError(
                 f"exchange surface {i} at cell ({s_rows[i]}, {s_cols[i]}) lies off "
                 f"the {grid.rows}x{grid.cols} grid"
             )
 
-    t_iter = np.where(active, state.t, t_inf)
+    u, v, z = grid.u, grid.v, grid.z
+    k, h = mats.k_face, mats.h_face
+    g_ew, g_ns = v * z / u, u * z / v
+    g = (g_ew * k[DIR_EAST], g_ns * k[DIR_NORTH], g_ew * k[DIR_WEST], g_ns * k[DIR_SOUTH])
+    convection = v * z * (h[DIR_EAST] + h[DIR_WEST]) + u * z * (h[DIR_NORTH] + h[DIR_SOUTH])
+    capacity = mats.volumetric_capacity() * u * v * z / config.dt
+    denom = g[0] + g[1] + g[2] + g[3] + convection + capacity
+    coupling = None
+    if config.enable_interior_mass:
+        coupling = mass_conductivity(grid, config) * u * v / z
+        denom = denom + coupling
+    active = grid.cv_type != int(CvType.BOUNDARY)
+    bad = active & (denom <= 0.0)
+    if np.any(bad):
+        r, c = np.argwhere(bad)[0]
+        raise SolverError(
+            f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
+        )
+    weights = None
+    if config.enable_exterior_lw:
+        weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
+    return Plan(grid, mats, config, exchange, active, g, convection, capacity, coupling,
+                denom, weights)
+
+
+def shift_fields(pad: np.ndarray, temperatures: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Neighbor fields ``(east, north, west, south)`` of ``temperatures``.
+
+    ``pad`` is a buffer one cell wider than the field on every side whose
+    border holds the ambient temperature. The field is written into its
+    interior and the four shifted views are returned, so ``east[i, j]`` is
+    ``T[i, j+1]`` and a neighbor outside the grid reads ambient.
+    """
+    pad[1:-1, 1:-1] = temperatures
+    return pad[1:-1, 2:], pad[:-2, 1:-1], pad[1:-1, :-2], pad[2:, 1:-1]
+
+
+def step(
+    state: ThermalState, plan: Plan, boundary: StepBoundary
+) -> Tuple[ThermalState, StepReport]:
+    """Advance the field one timestep; returns the new state and a report.
+
+    Iterates until the maximum temperature change falls below
+    ``config.convergence_epsilon`` or the budget runs out (reported, never
+    silent). An iterate that is not finite and > 0 K aborts naming the cell.
+    """
+    started = time.perf_counter()
+    grid, config, exchange, g = plan.grid, plan.config, plan.exchange, plan.g
+    state.validate(grid)
+    t_inf = boundary.t_inf
+    for name in ("t_inf", "t_gnd", "t_sky"):
+        value = getattr(boundary, name)
+        if not 0.0 < value < np.inf:
+            raise SolverError(f"boundary {name}={value} is not finite and > 0 K")
+
+    # The constant part of the numerator: everything the iterate does not change.
+    mass = state.mass
+    if config.enable_interior_mass and mass is None:
+        mass = init_mass(grid, config, state.t)
+    const = plan.convection * t_inf + plan.capacity * state.t
+    if boundary.q_x is not None:
+        const = const + boundary.q_x
+    if config.enable_interior_mass:
+        const = const + plan.coupling * mass.t_mass
+    q_tau_mass = np.zeros((grid.rows, grid.cols))
+    if config.enable_solar:
+        q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
+            grid, plan.mats, boundary.poa, config.enable_interior_mass
+        )
+        const = const + q_sol_alpha + q_sol_tau
+
+    pad = np.full((grid.rows + 2, grid.cols + 2), t_inf)
+    t_iter = np.where(plan.active, state.t, t_inf)
     converged = False
     max_delta = np.inf
     iterations = 0
     for iterations in range(1, config.max_inner_iterations + 1):
-        s = shift_fields(t_iter, t_inf)  # neighbor temperatures
-        numer = const + g[0] * s.t1 + g[1] * s.t2 + g[2] * s.t3 + g[3] * s.t4
+        east, north, west, south = shift_fields(pad, t_iter)
+        numer = const + g[0] * east + g[1] * north + g[2] * west + g[3] * south
         if config.enable_exterior_lw:
             numer += assemble_exterior_lw_tensor(
-                weights, t_iter, boundary.t_gnd, boundary.t_sky, t_inf
+                plan.exterior_weights, t_iter, boundary.t_gnd, boundary.t_sky, t_inf
             )
         if config.enable_interior_lw:
             flux = apply_interior_lw(exchange, exchange.surface_temperatures(t_iter))
             numer += scatter_interior_lw(exchange, flux, grid)
 
         t_new = np.full_like(t_iter, t_inf)
-        np.divide(numer, denom, out=t_new, where=active)
+        np.divide(numer, plan.denom, out=t_new, where=plan.active)
         _check_temperatures(t_new, f"iteration {iterations}")
         max_delta = float(np.abs(t_new - t_iter).max())
         t_iter = t_new
@@ -224,7 +243,7 @@ def step(
 
     new_mass = None
     if config.enable_interior_mass:
-        new_mass = update_mass(mass, t_iter, q_tau_mass, z)
+        new_mass = update_mass(mass, t_iter, q_tau_mass, grid.z)
 
     new_state = ThermalState(
         t=t_iter,
@@ -265,8 +284,6 @@ def run_episode(
     config: SimulationConfig,
     records: Sequence[WeatherRecord],
     n_steps: int,
-    site: Optional[SitePosition] = None,
-    initial_state: Optional[ThermalState] = None,
     stepper: Callable = step,
     exchange: Optional[RadiationExchangeMatrix] = None,
     q_x: Optional[np.ndarray] = None,
@@ -274,29 +291,28 @@ def run_episode(
 ) -> Tuple[List[ThermalState], List[StepReport]]:
     """Run ``n_steps`` timesteps and collect state snapshots and reports.
 
-    Drives any solver exposing the common step signature (the vectorized
-    one by default). The weather series must cover the whole horizon;
-    failures carry the step index.
+    Prepares one plan and drives any solver exposing the common
+    ``(state, plan, boundary)`` step signature (the vectorized one by
+    default) from the uniform initial state. The weather series must cover
+    the whole horizon; failures carry the step index.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps={n_steps} must be >= 1")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    site = site if site is not None else config.site
-    state = initial_state if initial_state is not None else make_initial_state(
-        grid, config, records
-    )
-    if exchange is None and config.enable_interior_lw:
-        exchange = build_exchange_matrix_2d(grid, mats)
+    if q_x is not None and np.shape(q_x) != (grid.rows, grid.cols):
+        raise ValueError(f"q_x shape {np.shape(q_x)} != grid shape {(grid.rows, grid.cols)}")
+    plan = prepare(grid, mats, config, exchange)
+    state = make_initial_state(grid, config, records)
 
     snapshots: List[ThermalState] = []
     reports: List[StepReport] = []
     for index in range(n_steps):
         try:
             bc = boundary_for_time(
-                records, site, state.sim_clock, want_solar=config.enable_solar, q_x=q_x
+                records, config.site, state.sim_clock, want_solar=config.enable_solar, q_x=q_x
             )
-            state, report = stepper(state, grid, mats, config, bc, exchange)
+            state, report = stepper(state, plan, bc)
         except (SolverError, ValueError) as exc:
             raise SolverError(f"step {index}: {exc}") from exc
         reports.append(report)

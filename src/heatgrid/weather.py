@@ -78,6 +78,9 @@ class SitePosition:
     albedo: float = 0.2
 
     def validate(self) -> None:
+        for key in ("latitude", "longitude", "albedo"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"site.{key}={getattr(self, key)} must be finite")
         if abs(self.latitude) > 90.0:
             raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
         if not 0.0 <= self.albedo <= 1.0:

@@ -110,7 +110,7 @@ def test_reduction_to_bare_update():
         t_inf = float(rng.uniform(260.0, 310.0))
         config = bare_config(max_inner_iterations=1)
         state = hg.ThermalState(t=t.copy())
-        new, _ = hg.step(state, grid, mats, config, dark_boundary(t_inf, q_x=q_x))
+        new, _ = hg.step(state, hg.prepare(grid, mats, config), dark_boundary(t_inf, q_x=q_x))
         direct = baseline_update(t, t, grid, mats, config.dt, t_inf, q_x)
         rel = float((np.abs(new.t - direct) / np.abs(direct)).max())
         worst = max(worst, rel)
@@ -149,13 +149,13 @@ def test_equilibrium_fixed_point_both_solvers(canonical):
     grid, mats, config = canonical
     t0 = 295.0
     records = constant_weather(t_air=t0, t_gnd=t0, t_sky=t0)
-    exchange = hg.build_exchange_matrix_2d(grid, mats)
+    plan = hg.prepare(grid, mats, config)
     worst = 0.0
     for stepper in (hg.step, hg.oracle_step):
         state = hg.make_initial_state(grid, config, records, temperature=t0)
         for _ in range(100):
             bc = hg.boundary_for_time(records, config.site, state.sim_clock)
-            new, _ = stepper(state, grid, mats, config, bc, exchange)
+            new, _ = stepper(state, plan, bc)
             worst = max(worst, float(np.abs(new.t - state.t).max()))
             state = new
     _report(
@@ -174,12 +174,12 @@ def test_energy_audit_on_random_configurations():
     worst = 0.0
     for case in range(20):
         grid, mats, config, records, q_x = random_case(rng, n_steps=1, epsilon=1e-10)
-        exchange = hg.build_exchange_matrix_2d(grid, mats)
+        plan = hg.prepare(grid, mats, config)
         state = hg.make_initial_state(grid, config, records)
         bc = hg.boundary_for_time(records, config.site, state.sim_clock, q_x=q_x)
-        new, report = hg.oracle_step(state, grid, mats, config, bc, exchange)
+        new, report = hg.oracle_step(state, plan, bc)
         assert report.converged
-        audit = hg.energy_audit(state, new, grid, mats, config, bc, exchange)
+        audit = hg.energy_audit(state, new, plan, bc)
         worst = max(worst, audit["rel_imbalance"])
         assert audit["rel_imbalance"] <= 1e-6, f"case {case}"
     _report(

@@ -65,7 +65,8 @@ def test_uniform_equilibrium_converges_in_one_sweep(rng):
     t = np.full((5, 5), 288.0)
     state = hg.ThermalState(t=t)
     new, report = hg.oracle_step(
-        state, grid, mats, conduction_config(convergence_epsilon=1e-3), dark_boundary(288.0)
+        state, hg.prepare(grid, mats, conduction_config(convergence_epsilon=1e-3)),
+        dark_boundary(288.0),
     )
     assert report.converged and report.inner_iterations == 1
     assert np.abs(new.t - 288.0).max() < 1e-10
@@ -78,7 +79,7 @@ def test_converged_sweep_matches_dense_linear_solve(rng):
     t0 = rng.uniform(280.0, 310.0, (rows, cols))
     t_inf = 275.0
     state = hg.ThermalState(t=t0.copy())
-    new, report = hg.oracle_step(state, grid, mats, config, dark_boundary(t_inf))
+    new, report = hg.oracle_step(state, hg.prepare(grid, mats, config), dark_boundary(t_inf))
     assert report.converged
 
     n = rows * cols
@@ -115,11 +116,11 @@ def test_sweep_order_independence(rng):
     t0 = rng.uniform(280.0, 310.0, (6, 7))
     bc = dark_boundary(276.0)
     forward, _ = hg.oracle_step(
-        hg.ThermalState(t=t0.copy()), grid, mats, config, bc
+        hg.ThermalState(t=t0.copy()), hg.prepare(grid, mats, config), bc
     )
     backward, _ = hg.oracle_step(
         hg.ThermalState(t=t0.copy()),
-        grid, mats, config, bc, reverse_sweep=True,
+        hg.prepare(grid, mats, config), bc, reverse_sweep=True,
     )
     assert np.abs(forward.t - backward.t).max() <= 10.0 * config.convergence_epsilon
 
@@ -190,23 +191,23 @@ def test_solvers_agree_on_multilayer_walls_and_tilted_envelope():
 
 def test_energy_audit_balances_on_tight_convergence(rng):
     grid, mats, config, records, q_x = random_case(rng, n_steps=1, epsilon=1e-10)
-    exchange = hg.build_exchange_matrix_2d(grid, mats)
+    plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, records)
     bc = hg.boundary_for_time(records, config.site, state.sim_clock, q_x=q_x)
-    new, report = hg.oracle_step(state, grid, mats, config, bc, exchange)
+    new, report = hg.oracle_step(state, plan, bc)
     assert report.converged
-    audit = hg.energy_audit(state, new, grid, mats, config, bc, exchange)
+    audit = hg.energy_audit(state, new, plan, bc)
     assert audit["rel_imbalance"] <= 1e-6
 
 
 def test_audit_detects_tampered_field(rng):
     grid, mats, config, records, _ = random_case(rng, n_steps=1, epsilon=1e-10)
-    exchange = hg.build_exchange_matrix_2d(grid, mats)
+    plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, records)
     bc = hg.boundary_for_time(records, config.site, state.sim_clock)
-    new, _ = hg.oracle_step(state, grid, mats, config, bc, exchange)
+    new, _ = hg.oracle_step(state, plan, bc)
     broken = hg.ThermalState(t=new.t + 0.5, mass=new.mass)
-    audit = hg.energy_audit(state, broken, grid, mats, config, bc, exchange)
+    audit = hg.energy_audit(state, broken, plan, bc)
     assert audit["rel_imbalance"] > 1e-6
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
 import heatgrid as hg
 from heatgrid.building import BuildingGrid, CvType, MaterialField, SimulationConfig
@@ -78,26 +81,25 @@ def baseline_update(t, t_prev, grid, mats, dt, t_inf, q_x):
 
 def test_shift_uniform_field():
     t = np.full((3, 4), 7.0)
-    s = hg.shift_fields(t, 2.0)
-    assert (s.t1[:, :-1] == 7.0).all() and (s.t1[:, -1] == 2.0).all()
-    assert (s.t2[1:, :] == 7.0).all() and (s.t2[0, :] == 2.0).all()
-    assert (s.t3[:, 1:] == 7.0).all() and (s.t3[:, 0] == 2.0).all()
-    assert (s.t4[:-1, :] == 7.0).all() and (s.t4[-1, :] == 2.0).all()
+    t1, t2, t3, t4 = hg.shift_fields(np.full((5, 6), 2.0), t)
+    assert (t1[:, :-1] == 7.0).all() and (t1[:, -1] == 2.0).all()
+    assert (t2[1:, :] == 7.0).all() and (t2[0, :] == 2.0).all()
+    assert (t3[:, 1:] == 7.0).all() and (t3[:, 0] == 2.0).all()
+    assert (t4[:-1, :] == 7.0).all() and (t4[-1, :] == 2.0).all()
 
 
 def test_shift_two_by_two_manual():
     t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    s = hg.shift_fields(t, 9.0)
-    assert np.array_equal(s.t1, [[2.0, 9.0], [4.0, 9.0]])  # east neighbor
-    assert np.array_equal(s.t2, [[9.0, 9.0], [1.0, 2.0]])  # north neighbor
-    assert np.array_equal(s.t3, [[9.0, 1.0], [9.0, 3.0]])  # west neighbor
-    assert np.array_equal(s.t4, [[3.0, 4.0], [9.0, 9.0]])  # south neighbor
+    t1, t2, t3, t4 = hg.shift_fields(np.full((4, 4), 9.0), t)
+    assert np.array_equal(t1, [[2.0, 9.0], [4.0, 9.0]])  # east neighbor
+    assert np.array_equal(t2, [[9.0, 9.0], [1.0, 2.0]])  # north neighbor
+    assert np.array_equal(t3, [[9.0, 1.0], [9.0, 3.0]])  # west neighbor
+    assert np.array_equal(t4, [[3.0, 4.0], [9.0, 9.0]])  # south neighbor
 
 
 def test_shift_homogeneous_case():
     t = np.full((4, 4), 5.0)
-    s = hg.shift_fields(t, 5.0)
-    for f in (s.t1, s.t2, s.t3, s.t4):
+    for f in hg.shift_fields(np.full((6, 6), 5.0), t):
         assert (f == 5.0).all()
 
 
@@ -115,7 +117,7 @@ def test_single_iteration_reduces_to_bare_update(rng):
         t_inf = float(rng.uniform(260.0, 310.0))
         config = bare_config(max_inner_iterations=1)
         state = hg.ThermalState(t=t.copy())
-        new, _ = hg.step(state, grid, mats, config, dark_boundary(t_inf, q_x=q_x))
+        new, _ = hg.step(state, hg.prepare(grid, mats, config), dark_boundary(t_inf, q_x=q_x))
         direct = baseline_update(t, t, grid, mats, config.dt, t_inf, q_x)
         rel = np.abs(new.t - direct) / np.abs(direct)
         assert rel.max() <= 1e-12
@@ -130,7 +132,7 @@ def test_uniform_state_is_fixed_point_in_one_iteration(rng):
     config = bare_config()
     t = np.full((5, 5), 288.0)
     state = hg.ThermalState(t=t)
-    new, report = hg.step(state, grid, mats, config, dark_boundary(288.0))
+    new, report = hg.step(state, hg.prepare(grid, mats, config), dark_boundary(288.0))
     assert report.converged and report.inner_iterations == 1
     assert np.abs(new.t - 288.0).max() < 1e-10
 
@@ -144,7 +146,7 @@ def test_degenerate_denominator_names_cell(rng):
     t = np.full((4, 4), 290.0)
     state = hg.ThermalState(t=t)
     with pytest.raises(SolverError, match=r"\(2, 1\)"):
-        hg.step(state, grid, mats, config, dark_boundary(290.0))
+        hg.step(state, hg.prepare(grid, mats, config), dark_boundary(290.0))
 
 
 def test_nonconvergence_reported_not_raised(rng):
@@ -152,18 +154,19 @@ def test_nonconvergence_reported_not_raised(rng):
     config = bare_config(max_inner_iterations=2, convergence_epsilon=1e-12)
     t = rng.uniform(280.0, 300.0, (5, 5))
     state = hg.ThermalState(t=t)
-    new, report = hg.step(state, grid, mats, config, dark_boundary(250.0))
+    new, report = hg.step(state, hg.prepare(grid, mats, config), dark_boundary(250.0))
     assert not report.converged
     assert report.inner_iterations == 2
     assert report.max_delta >= config.convergence_epsilon
 
 
-def test_interior_lw_requires_matrix(canonical):
+def test_prepare_builds_exchange_matrix_when_none_given(canonical):
     grid, mats, config = canonical
-    t = np.full((grid.rows, grid.cols), 293.0)
-    state = hg.ThermalState(t=t)
-    with pytest.raises(SolverError, match="exchange"):
-        hg.step(state, grid, mats, config, dark_boundary(293.0))
+    built = hg.build_exchange_matrix_2d(grid, mats)
+    plan = hg.prepare(grid, mats, config)
+    assert plan.exchange.surfaces == built.surfaces
+    assert np.array_equal(plan.exchange.coefficients, built.coefficients)
+    assert hg.prepare(grid, mats, config, built).exchange is built
 
 
 def test_state_shape_mismatch_rejected(canonical):
@@ -171,7 +174,7 @@ def test_state_shape_mismatch_rejected(canonical):
     t = np.full((3, 3), 293.0)
     state = hg.ThermalState(t=t)
     with pytest.raises(SolverError, match="shape"):
-        hg.step(state, grid, mats, config, dark_boundary(293.0))
+        hg.step(state, hg.prepare(grid, mats, config), dark_boundary(293.0))
 
 
 def test_boundary_cells_pinned_to_ambient():
@@ -187,7 +190,7 @@ def test_boundary_cells_pinned_to_ambient():
     mats.density[cv == int(CvType.BOUNDARY)] = 0.0
     t = np.full((5, 5), 300.0)
     state = hg.ThermalState(t=t)
-    new, report = hg.step(state, grid, mats, bare_config(), dark_boundary(270.0))
+    new, report = hg.step(state, hg.prepare(grid, mats, bare_config()), dark_boundary(270.0))
     boundary_cells = grid.cv_type == int(CvType.BOUNDARY)
     assert (new.t[boundary_cells] == 270.0).all()
     assert (new.t[~boundary_cells] < 300.0).all()  # cooling toward ambient
@@ -210,9 +213,9 @@ def test_hot_cell_decay_is_symmetric_and_matches_oracle(rng):
     t[3, 3] = 320.0
     state = hg.ThermalState(t=t.copy())
     bc = dark_boundary(290.0)
-    new_t, _ = hg.step(state, grid, mats, config, bc)
+    new_t, _ = hg.step(state, hg.prepare(grid, mats, config), bc)
     state_o = hg.ThermalState(t=t.copy())
-    new_o, _ = hg.oracle_step(state_o, grid, mats, config, bc)
+    new_o, _ = hg.oracle_step(state_o, hg.prepare(grid, mats, config), bc)
 
     field = new_t.t
     assert np.allclose(field, field.T, atol=1e-9)
@@ -230,6 +233,32 @@ def test_trajectories_bit_identical(canonical, canonical_weather):
     for a, b in zip(*runs):
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.mass.t_mass, b.mass.t_mass)
+
+
+def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
+    # NaN in every derived float array: the oracle must not notice, the
+    # vectorized step must fail
+    grid, mats, config = canonical
+    plan = hg.prepare(grid, mats, config)
+    poison = {}
+    for f in dataclasses.fields(plan):
+        value = getattr(plan, f.name)
+        if isinstance(value, tuple):
+            poison[f.name] = tuple(np.full_like(a, np.nan) for a in value)
+        elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+            poison[f.name] = np.full_like(value, np.nan)
+    assert set(poison) == {
+        "g", "convection", "capacity", "coupling", "denom", "exterior_weights"
+    }
+    poisoned = dataclasses.replace(plan, **poison)
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    clean, _ = hg.oracle_step(state, plan, bc)
+    dirty, _ = hg.oracle_step(state, poisoned, bc)
+    assert np.array_equal(clean.t, dirty.t)
+    assert np.array_equal(clean.mass.t_mass, dirty.mass.t_mass)
+    with pytest.raises(SolverError, match="iteration 1: temperature nan"):
+        hg.step(state, poisoned, bc)
 
 
 # -----------------------------------------------------------------------------
@@ -285,13 +314,13 @@ def test_long_constant_weather_approaches_steady_state(canonical):
 )
 def test_nan_heat_source_raises_naming_cell(canonical, canonical_weather, stepper, first_pass):
     grid, mats, config = canonical
-    exchange = hg.build_exchange_matrix_2d(grid, mats)
+    plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, canonical_weather)
     q_x = np.zeros((grid.rows, grid.cols))
     q_x[5, 5] = np.nan
     bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock, q_x=q_x)
     with pytest.raises(SolverError, match=rf"{first_pass}: temperature nan at cell \(5, 5\)"):
-        stepper(state, grid, mats, config, bc, exchange)
+        stepper(state, plan, bc)
 
 
 @pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
@@ -305,7 +334,9 @@ def test_exchange_surface_off_grid_raises_naming_it(canonical, canonical_weather
     _r, c, d = surfaces[3]
     surfaces[3] = (row, c, d)
     exchange = hg.RadiationExchangeMatrix.from_dense(built.coefficients, surfaces, built.areas)
-    with pytest.raises(SolverError, match=rf"step 0: exchange surface 3 at cell \({row}, {c}\)"):
+    with pytest.raises(
+        SolverError, match=rf"exchange surface 3 at cell \({row}, {c}\) lies off the 12x23 grid"
+    ):
         hg.run_episode(
             grid, mats, config, canonical_weather, 1, exchange=exchange, stepper=stepper
         )
@@ -316,11 +347,57 @@ def test_non_finite_state_rejected_naming_cell(rng):
     t = np.full((4, 4), 290.0)
     t[1, 3] = np.nan
     with pytest.raises(SolverError, match=r"state: temperature nan at cell \(1, 3\)"):
-        hg.step(hg.ThermalState(t=t), grid, mats, bare_config(), dark_boundary(290.0))
+        hg.step(hg.ThermalState(t=t), hg.prepare(grid, mats, bare_config()), dark_boundary(290.0))
 
 
 def test_non_finite_boundary_temperature_rejected(rng):
     grid, mats = random_raw_case(rng, 4, 4)
     t = np.full((4, 4), 290.0)
     with pytest.raises(SolverError, match="t_sky=nan"):
-        hg.step(hg.ThermalState(t=t), grid, mats, bare_config(), dark_boundary(290.0, t_sky=np.nan))
+        hg.step(
+            hg.ThermalState(t=t),
+            hg.prepare(grid, mats, bare_config()),
+            dark_boundary(290.0, t_sky=np.nan),
+        )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "dt",
+        "convergence_epsilon",
+        "initial_temperature",
+        "mass_params.k_mass",
+        "mass_params.rho_mass",
+        "mass_params.c_mass",
+        "site.latitude",
+        "site.longitude",
+        "site.albedo",
+    ],
+)
+def test_non_finite_config_value_fails_naming_key(canonical, canonical_paths, key, value):
+    grid, mats, config = canonical
+    section, _, name = key.rpartition(".")
+    if section:
+        part = dataclasses.replace(getattr(config, section), **{name: value})
+        config = dataclasses.replace(config, **{section: part})
+    else:
+        config = dataclasses.replace(config, **{name: value})
+    message = rf"{key}={value} must be finite"
+    with pytest.raises(ValueError, match=message):
+        hg.prepare(grid, mats, config)
+    doc = yaml.safe_load(canonical_paths[0].read_text(encoding="utf-8"))
+    sections = {"": doc["simulation"], "mass_params": doc["simulation"]["mass_params"],
+                "site": doc["site"]}
+    sections[section][name] = value
+    with pytest.raises(ValueError, match=message):
+        hg.load_building(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
+def test_mis_shaped_heat_source_rejected_naming_shapes(canonical, canonical_weather, stepper):
+    grid, mats, config = canonical
+    q_x = np.full(grid.cols, 50.0)
+    with pytest.raises(ValueError, match=r"q_x shape \(23,\) != grid shape \(12, 23\)"):
+        hg.run_episode(grid, mats, config, canonical_weather, 1, stepper=stepper, q_x=q_x)
