@@ -33,6 +33,7 @@ from .radiation import (
     OpenCavityError,
     RadiationExchangeMatrix,
     STEFAN_BOLTZMANN,
+    SolarBasis,
     ViewFactorSet,
     apply_interior_lw,
     assemble_exterior_lw_tensor,
@@ -43,6 +44,7 @@ from .radiation import (
     load_exchange_matrix,
     save_exchange_matrix,
     scatter_interior_lw,
+    solar_basis,
     view_factors,
 )
 from .solar import (
@@ -89,6 +91,7 @@ __all__ = [
     "STEFAN_BOLTZMANN",
     "SimulationConfig",
     "SitePosition",
+    "SolarBasis",
     "SolarGeometry",
     "SolverError",
     "StepBoundary",
@@ -127,6 +130,7 @@ __all__ = [
     "scatter_interior_lw",
     "shift_fields",
     "sky_temperature",
+    "solar_basis",
     "solar_fluxes",
     "solar_position",
     "step",

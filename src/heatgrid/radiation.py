@@ -19,10 +19,14 @@ split into an absorbed part on the envelope and a transmitted part
 deposited in the zone behind each window (or routed to the interior mass
 nodes when those are enabled).
 
-Every flux tensor is expressed in watts per cell. Envelope cells scale the
-surface flux density [W/m^2] by their exposed face area: one face length
-times floor height on straight runs, the sum of both face lengths at
-corners.
+Every returned flux tensor is expressed in watts per cell. Envelope cells
+scale the surface flux density [W/m^2] by their exposed face area: one
+face length times floor height on straight runs, the sum of both face
+lengths at corners. Only envelope cells radiate to the exterior, so the
+per-step work runs on envelope vectors: the solver evaluates exterior
+long-wave on the columns of the weights that are non-zero, and
+``solar_basis`` keeps, once per plan, the cells, windows and air cells
+that a step's solar tensors touch.
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def exterior_lw_weights(
 
     ``eps sigma A (F_gnd, beta F_sky, F_air)`` with ``A`` the exposure
     scale, so every weight is zero off the envelope. They depend on the
-    plan alone; a step computes them once, outside its inner loop.
+    plan alone; ``prepare`` computes them once per run.
     """
     vf = view_factors(mats.tilt)
     area = mats.emissivity * STEFAN_BOLTZMANN * exposure_scale(grid, layer_divisor)
@@ -163,7 +167,9 @@ def assemble_exterior_lw_tensor(
     ``w_gnd (T_gnd^4 - T^4) + w_sky (T_sky^4 - T^4) + w_air (T_air^4 - T^4)``
     with the weights of ``exterior_lw_weights``: each envelope cell's
     surface temperature is its cell temperature, and cells off the
-    envelope get zero.
+    envelope get zero. Element-wise, so it takes the full ``(3, rows,
+    cols)`` weights with a field, or the ``(3, n)`` columns of ``n`` cells
+    with their temperatures.
     """
     t4 = temperatures**4
     return (
@@ -589,11 +595,63 @@ def _field(entry: Tuple[int, List[str]], k: int, name: str, parse):
 # =============================================================================
 
 
+@dataclass(frozen=True)
+class SolarBasis:
+    """Step-invariant solar geometry of a plan; built by ``solar_basis``.
+
+    Cells are flat indices into the ``shape`` grid. ``cells`` are the
+    envelope cells with an exposed face, with their ``absorptivity`` and
+    ``areas[d]``, the exposed face area [m^2] in direction ``d`` (zero where
+    that face is unexposed). ``transmissivity``, ``window_areas`` and
+    ``window_zone`` hold the same for the windows, in ``grid.window_zone``
+    order. ``air`` are the air cells with their ``air_zone`` and
+    ``plan_area`` [m^2], and ``zone_cells`` counts the air cells of each zone.
+    """
+
+    shape: Tuple[int, int]
+    cells: np.ndarray
+    absorptivity: np.ndarray
+    areas: np.ndarray  # (4, len(cells))
+    transmissivity: np.ndarray
+    window_areas: np.ndarray  # (4, len(window_zone))
+    window_zone: np.ndarray
+    air: np.ndarray
+    air_zone: np.ndarray
+    plan_area: np.ndarray
+    zone_cells: np.ndarray
+
+
+def solar_basis(grid: BuildingGrid, mats: MaterialField) -> SolarBasis:
+    """The solar geometry of a plan, which depends on no step's irradiance."""
+    shape = (grid.rows, grid.cols)
+    envelope = grid.delta_x > 0.0  # exactly the envelope cells with an exposed face
+    area = np.stack([
+        np.where(grid.exposed_mask[d] & envelope, face_length(grid.u, grid.v, d) * grid.z, 0.0)
+        for d in range(4)
+    ]).reshape(4, -1)
+    cells = np.flatnonzero(envelope)
+    windows = np.ravel_multi_index(
+        np.array(list(grid.window_zone), dtype=np.intp).reshape(-1, 2).T, shape
+    )
+    air = np.flatnonzero(grid.zone_id >= 0)
+    air_zone = grid.zone_id.reshape(-1)[air]
+    return SolarBasis(
+        shape=shape,
+        cells=cells,
+        absorptivity=mats.absorptivity.reshape(-1)[cells],
+        areas=area[:, cells],
+        transmissivity=mats.transmissivity.reshape(-1)[windows],
+        window_areas=area[:, windows],
+        window_zone=np.fromiter(grid.window_zone.values(), dtype=np.intp),
+        air=air,
+        air_zone=air_zone,
+        plan_area=(grid.u * grid.v).reshape(-1)[air],
+        zone_cells=np.bincount(air_zone, minlength=grid.n_zones),
+    )
+
+
 def assemble_solar_tensors(
-    grid: BuildingGrid,
-    mats: MaterialField,
-    poa: PoaIrradiance,
-    mass_enabled: bool,
+    basis: SolarBasis, poa: PoaIrradiance, mass_enabled: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Absorbed and transmitted solar tensors for one step's irradiance.
 
@@ -604,34 +662,24 @@ def assemble_solar_tensors(
     is disabled, or into ``q_tau_mass`` [W/m^2 of plan area] for the mass
     nodes when enabled (the air-balance tensor then stays zero).
     """
-    shape = (grid.rows, grid.cols)
-    q_alpha = np.zeros(shape)
-    tau_power = np.zeros(shape)
-    window = grid.cv_type == int(CvType.WINDOW)
-    envelope = grid.delta_x > 0.0  # exactly the envelope cells with an exposed face
-
+    alpha = np.zeros(basis.cells.size)
+    tau_power = np.zeros(basis.window_zone.size)
     for d in range(4):
         g = poa[DIR_ORIENTATION[d]]
-        area = face_length(grid.u, grid.v, d) * grid.z
-        exposed = grid.exposed_mask[d] & envelope
-        q_alpha += np.where(exposed, mats.absorptivity * g * area, 0.0)
-        tau_power += np.where(exposed & window, mats.transmissivity * g * area, 0.0)
+        alpha += basis.absorptivity * g * basis.areas[d]
+        tau_power += basis.transmissivity * g * basis.window_areas[d]
 
-    # Pool each zone's windows in window_zone order (bincount adds in input
+    # Pool each zone's windows in window order (bincount adds in input
     # order), then give every air cell of the zone an equal share.
-    windows = np.array(list(grid.window_zone), dtype=np.intp).reshape(-1, 2)
-    window_zones = np.fromiter(grid.window_zone.values(), dtype=np.intp)
     zone_total = np.bincount(
-        window_zones, weights=tau_power[windows[:, 0], windows[:, 1]], minlength=grid.n_zones
+        basis.window_zone, weights=tau_power, minlength=basis.zone_cells.size
     )
-    air = grid.zone_id >= 0
-    air_zone = grid.zone_id[air]
-    share = (zone_total / np.bincount(air_zone, minlength=grid.n_zones))[air_zone]
+    share = (zone_total / basis.zone_cells)[basis.air_zone]
 
-    q_tau = np.zeros(shape)
-    q_tau_mass = np.zeros(shape)
+    q_alpha, q_tau, q_tau_mass = (np.zeros(basis.shape) for _ in range(3))
+    q_alpha.reshape(-1)[basis.cells] = alpha
     if mass_enabled:
-        q_tau_mass[air] = share / (grid.u[air] * grid.v[air])
+        q_tau_mass.reshape(-1)[basis.air] = share / basis.plan_area
     else:
-        q_tau[air] = share
+        q_tau.reshape(-1)[basis.air] = share
     return q_alpha, q_tau, q_tau_mass

@@ -2,16 +2,17 @@
 Vectorized whole-grid temperature solver.
 
 ``prepare`` computes once per run everything no step changes: the face
-conductances, the balance denominator, the mass coupling and the exterior
-long-wave weights. Each ``step(state, plan, boundary)`` then solves the
-nonlinear balance by Picard fixed-point iteration. It forms the constant
-part of the numerator (heat source, convection, stored heat, mass
-coupling, solar) once; each inner pass adds only the iterate-dependent
-terms (shifted conduction and the lagged radiative tensors), divides
-element-wise over the whole grid, and repeats until the largest per-cell
-change drops below the convergence threshold. With every radiation
-feature and the mass coupling disabled a single pass reduces to the bare
-conduction-convection update.
+conductances, the balance denominator, the mass coupling, the envelope
+index with its exterior long-wave weights, and the solar basis. Each
+``step(state, plan, boundary)`` then solves the nonlinear balance by
+Picard fixed-point iteration. It forms the constant part of the numerator
+(heat source, convection, stored heat, mass coupling, solar) once; each
+inner pass adds only the iterate-dependent terms (shifted conduction, the
+lagged exterior long-wave of the envelope cells scattered in by index, and
+the lagged interior exchange), divides element-wise over the whole grid,
+and repeats until the largest per-cell change drops below the convergence
+threshold. With every radiation feature and the mass coupling disabled a
+single pass reduces to the bare conduction-convection update.
 
 Temperatures shifted in from outside the grid carry the ambient value;
 boundary-padding cells are pinned to ambient, so they never change and
@@ -41,12 +42,14 @@ from .conditions import StepBoundary, boundary_for_time
 from .mass import MassState, init_mass, mass_conductivity, update_mass
 from .radiation import (
     RadiationExchangeMatrix,
+    SolarBasis,
     apply_interior_lw,
     assemble_exterior_lw_tensor,
     assemble_solar_tensors,
     build_exchange_matrix_2d,
     exterior_lw_weights,
     scatter_interior_lw,
+    solar_basis,
 )
 from .weather import WeatherRecord
 
@@ -102,8 +105,11 @@ class Plan:
     same building. Conductances [W/K]: ``g`` per face in shift order (east,
     north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
     ``coupling`` to the mass nodes (None with mass off); ``denom`` is their
-    sum. ``active`` marks the cells that are not boundary padding, and
-    ``exterior_weights`` is None with exterior long-wave off.
+    sum. ``active`` marks the cells that are not boundary padding.
+    ``exterior_cells`` are the flat indices of the cells with a non-zero
+    exterior long-wave weight, inner envelope layers included, and
+    ``exterior_weights`` their ``(3, n)`` weights; ``solar`` is the solar
+    basis. Each is None with its feature off.
     """
 
     grid: BuildingGrid
@@ -116,7 +122,9 @@ class Plan:
     capacity: np.ndarray
     coupling: Optional[np.ndarray]
     denom: np.ndarray
+    exterior_cells: Optional[np.ndarray]
     exterior_weights: Optional[np.ndarray]
+    solar: Optional[SolarBasis]
 
 
 def prepare(
@@ -163,11 +171,14 @@ def prepare(
         raise SolverError(
             f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
         )
-    weights = None
+    cells = weights = None
     if config.enable_exterior_lw:
         weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
+        cells = np.flatnonzero(weights.any(axis=0))
+        weights = weights.reshape(3, -1)[:, cells]
+    solar = solar_basis(grid, mats) if config.enable_solar else None
     return Plan(grid, mats, config, exchange, active, g, convection, capacity, coupling,
-                denom, weights)
+                denom, cells, weights, solar)
 
 
 def shift_fields(pad: np.ndarray, temperatures: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -212,7 +223,7 @@ def step(
     q_tau_mass = np.zeros((grid.rows, grid.cols))
     if config.enable_solar:
         q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
-            grid, plan.mats, boundary.poa, config.enable_interior_mass
+            plan.solar, boundary.poa, config.enable_interior_mass
         )
         const = const + q_sol_alpha + q_sol_tau
 
@@ -225,8 +236,10 @@ def step(
         east, north, west, south = shift_fields(pad, t_iter)
         numer = const + g[0] * east + g[1] * north + g[2] * west + g[3] * south
         if config.enable_exterior_lw:
-            numer += assemble_exterior_lw_tensor(
-                plan.exterior_weights, t_iter, boundary.t_gnd, boundary.t_sky, t_inf
+            cells = plan.exterior_cells
+            numer.reshape(-1)[cells] += assemble_exterior_lw_tensor(
+                plan.exterior_weights, t_iter.reshape(-1)[cells],
+                boundary.t_gnd, boundary.t_sky, t_inf,
             )
         if config.enable_interior_lw:
             flux = apply_interior_lw(exchange, exchange.surface_temperatures(t_iter))

@@ -63,6 +63,50 @@ def rooms_building_yaml(row_sizes, col_sizes) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
+def layered_sloped_building_yaml() -> str:
+    """One room inside a double-thickness shell, part of it tilted.
+
+    The inner shell layer has no exposed face, yet with
+    ``envelope_layer_divisor: 2`` it carries exterior long-wave weight. Part
+    of the north wall is tilted 35 degrees, and the south wall holds a
+    two-cell window.
+    """
+    doc = {
+        "grid": {"rows": 7, "cols": 8, "z": 3.0, "cell_size": 0.5},
+        "zones": [
+            {"name": "shell", "cv_type": "exterior_wall", "rect": [0, 0, 6, 7]},
+            {"name": "inner_shell", "cv_type": "exterior_wall", "rect": [1, 1, 5, 6]},
+            {"name": "air", "cv_type": "interior_air", "rect": [2, 2, 4, 5]},
+            {"name": "win", "cv_type": "window", "rect": [6, 3, 6, 4]},
+        ],
+        "materials": [
+            {"name": "wall", "cv_type": "exterior_wall",
+             "properties": {"conductivity": 1.2, "h_exterior": 14.0,
+                            "specific_heat": 900.0, "density": 2200.0,
+                            "emissivity": 0.9, "absorptivity": 0.5,
+                            "transmissivity": 0.0}},
+            {"name": "glass", "cv_type": "window",
+             "properties": {"conductivity": 0.8, "h_exterior": 14.0,
+                            "specific_heat": 840.0, "density": 2500.0,
+                            "emissivity": 0.88, "absorptivity": 0.1,
+                            "transmissivity": 0.65}},
+            {"name": "air", "cv_type": "interior_air",
+             "properties": {"conductivity": 0.12, "specific_heat": 1005.0,
+                            "density": 1.2}},
+            {"name": "sloped", "rect": [0, 2, 0, 5],
+             "properties": {"conductivity": 1.2, "h_exterior": 14.0,
+                            "specific_heat": 900.0, "density": 2200.0,
+                            "emissivity": 0.9, "absorptivity": 0.5,
+                            "transmissivity": 0.0, "tilt": 35.0}},
+        ],
+        "simulation": {"dt": 240.0, "convergence_epsilon": 1e-5,
+                       "max_inner_iterations": 5000, "envelope_layer_divisor": 2,
+                       "initial_temperature": 292.0},
+        "site": {"latitude": 45.0, "longitude": 10.0, "albedo": 0.25},
+    }
+    return yaml.safe_dump(doc)
+
+
 def random_building_yaml(rng: np.random.Generator, epsilon: float = 1e-5) -> str:
     rows = int(rng.integers(4, 9))
     cols = int(rng.integers(4, 9))

@@ -255,7 +255,9 @@ def test_solar_conservation_exact():
         poa = PoaIrradiance({o: float(rng.uniform(0.0, 900.0)) for o in
                              ("north", "east", "south", "west")})
         mass_enabled = bool(rng.integers(0, 2))
-        _qa, q_tau, q_tau_mass = hg.assemble_solar_tensors(grid, mats, poa, mass_enabled)
+        _qa, q_tau, q_tau_mass = hg.assemble_solar_tensors(
+            hg.solar_basis(grid, mats), poa, mass_enabled
+        )
 
         # independent accounting, grouped per zone in window order with the
         # implementation's multiplication association: bitwise comparable

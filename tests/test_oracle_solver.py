@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
@@ -14,7 +16,7 @@ from heatgrid.building import (
 from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 
-from _factories import random_case, rooms_building_yaml
+from _factories import layered_sloped_building_yaml, random_case, rooms_building_yaml
 
 
 def dark_boundary(t_inf):
@@ -136,46 +138,43 @@ def test_oracle_agrees_with_tensor_on_full_physics(rng):
         assert rel.max() <= 1e-5
 
 
+FEATURES = ("interior_lw", "exterior_lw", "solar", "mass")
+FEATURE_SETS = list(itertools.product((False, True), repeat=len(FEATURES)))
+
+
+@pytest.mark.parametrize(
+    ", ".join(FEATURES),
+    FEATURE_SETS,
+    ids=["+".join(f for f, on in zip(FEATURES, flags) if on) or "bare" for flags in FEATURE_SETS],
+)
+def test_solvers_agree_on_every_feature_combination(
+    canonical, canonical_weather, interior_lw, exterior_lw, solar, mass
+):
+    # every mix of the four feature switches, stepped through both solvers on
+    # three daylight steps; a tight epsilon leaves only round-off between them
+    grid, mats, config = canonical
+    config = dataclasses.replace(
+        config, convergence_epsilon=1e-9, enable_interior_lw=interior_lw,
+        enable_exterior_lw=exterior_lw, enable_solar=solar, enable_interior_mass=mass,
+    )
+    bc = hg.boundary_for_time(canonical_weather, config.site, canonical_weather[0].timestamp)
+    assert min(bc.poa.g_ts.values()) > 0.0
+    snaps_t, reports = hg.run_episode(grid, mats, config, canonical_weather, 3)
+    snaps_o, _ = hg.run_episode(
+        grid, mats, config, canonical_weather, 3, stepper=hg.oracle_step
+    )
+    assert all(r.converged for r in reports)
+    for a, b in zip(snaps_t, snaps_o):
+        rel = np.abs(a.t - b.t) / np.abs(b.t)
+        assert rel.max() <= 1e-5
+        assert (a.mass is None) == (b.mass is None) == (not mass)
+
+
 def test_solvers_agree_on_multilayer_walls_and_tilted_envelope():
     # double-thickness shell with layer divisor 2 plus a sloped wall section:
     # exercises the inner-envelope flux rule and non-vertical view factors
     # through both implementations
-    import yaml
-
-    doc = {
-        "grid": {"rows": 7, "cols": 8, "z": 3.0, "cell_size": 0.5},
-        "zones": [
-            {"name": "shell", "cv_type": "exterior_wall", "rect": [0, 0, 6, 7]},
-            {"name": "inner_shell", "cv_type": "exterior_wall", "rect": [1, 1, 5, 6]},
-            {"name": "air", "cv_type": "interior_air", "rect": [2, 2, 4, 5]},
-            {"name": "win", "cv_type": "window", "rect": [6, 3, 6, 4]},
-        ],
-        "materials": [
-            {"name": "wall", "cv_type": "exterior_wall",
-             "properties": {"conductivity": 1.2, "h_exterior": 14.0,
-                            "specific_heat": 900.0, "density": 2200.0,
-                            "emissivity": 0.9, "absorptivity": 0.5,
-                            "transmissivity": 0.0}},
-            {"name": "glass", "cv_type": "window",
-             "properties": {"conductivity": 0.8, "h_exterior": 14.0,
-                            "specific_heat": 840.0, "density": 2500.0,
-                            "emissivity": 0.88, "absorptivity": 0.1,
-                            "transmissivity": 0.65}},
-            {"name": "air", "cv_type": "interior_air",
-             "properties": {"conductivity": 0.12, "specific_heat": 1005.0,
-                            "density": 1.2}},
-            {"name": "sloped", "rect": [0, 2, 0, 5],
-             "properties": {"conductivity": 1.2, "h_exterior": 14.0,
-                            "specific_heat": 900.0, "density": 2200.0,
-                            "emissivity": 0.9, "absorptivity": 0.5,
-                            "transmissivity": 0.0, "tilt": 35.0}},
-        ],
-        "simulation": {"dt": 240.0, "convergence_epsilon": 1e-5,
-                       "max_inner_iterations": 5000, "envelope_layer_divisor": 2,
-                       "initial_temperature": 292.0},
-        "site": {"latitude": 45.0, "longitude": 10.0, "albedo": 0.25},
-    }
-    grid, mats, config = hg.load_building(yaml.safe_dump(doc))
+    grid, mats, config = hg.load_building(layered_sloped_building_yaml())
     inner = grid.is_envelope() & (grid.exposed_faces == 0)
     assert inner.sum() > 0  # the second wall layer really is unexposed
 

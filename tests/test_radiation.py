@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
 from _factories import rooms_building_yaml, tiled_building_yaml
-from heatgrid.building import DIR_OFFSETS, BuildingGrid, CvType, MaterialField
+from heatgrid.building import (
+    DIR_OFFSETS,
+    DIR_ORIENTATION,
+    BuildingGrid,
+    CvType,
+    MaterialField,
+)
 from heatgrid.oracle_solver import _interior_lw_terms
 from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN, exposure_scale
 from heatgrid.solar import PoaIrradiance
@@ -613,7 +619,9 @@ def test_surfaces_without_pairs_are_padded_into_the_smallest_class():
 
 def test_night_tensors_zero(canonical):
     grid, mats, _ = canonical
-    qa, qt, qtm = hg.assemble_solar_tensors(grid, mats, PoaIrradiance.dark(), False)
+    qa, qt, qtm = hg.assemble_solar_tensors(
+        hg.solar_basis(grid, mats), PoaIrradiance.dark(), False
+    )
     assert (qa == 0.0).all() and (qt == 0.0).all() and (qtm == 0.0).all()
 
 
@@ -621,15 +629,43 @@ def test_opaque_building_transmits_nothing():
     grid, mats = ring_building()
     mats.absorptivity[:] = 0.6
     poa = PoaIrradiance({"north": 100.0, "east": 200.0, "south": 600.0, "west": 50.0})
-    qa, qt, qtm = hg.assemble_solar_tensors(grid, mats, poa, False)
+    qa, qt, qtm = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, False)
     assert qa.sum() > 0.0
     assert (qt == 0.0).all() and (qtm == 0.0).all()
+
+
+@pytest.mark.parametrize("case", ["canonical", "ring", "ring_oblong_cells"])
+def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
+    # absorptivity x irradiance x face area summed per cell in direction
+    # order, with a different irradiance on each facade: bitwise comparable
+    if case == "canonical":
+        grid, mats, _ = canonical
+    else:
+        grid, mats = ring_building()
+        if case == "ring_oblong_cells":
+            grid = BuildingGrid.from_cv_types(grid.cv_type, 0.4, 0.7, grid.z)
+        mats.absorptivity[:] = np.linspace(0.2, 0.8, grid.rows * grid.cols).reshape(
+            grid.rows, grid.cols
+        )
+    poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
+    qa, _, _ = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, False)
+
+    reference = np.zeros((grid.rows, grid.cols))
+    for r, c in np.argwhere(grid.is_envelope()):
+        acc = 0.0
+        for d in range(4):
+            if grid.exposed_mask[d, r, c]:
+                length = grid.v[r, c] if d in (0, 2) else grid.u[r, c]
+                acc += mats.absorptivity[r, c] * poa[DIR_ORIENTATION[d]] * (length * grid.z)
+        reference[r, c] = acc
+    assert np.count_nonzero(reference) == np.count_nonzero(grid.delta_x)
+    assert np.array_equal(qa, reference)
 
 
 def test_window_share_distributes_uniformly(canonical):
     grid, mats, _ = canonical
     poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
-    qa, qt, qtm = hg.assemble_solar_tensors(grid, mats, poa, mass_enabled=False)
+    qa, qt, qtm = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, mass_enabled=False)
     for zone in range(grid.n_zones):
         members = grid.zone_id == zone
         values = np.unique(qt[members])
@@ -640,8 +676,12 @@ def test_window_share_distributes_uniformly(canonical):
 def test_mass_routing_empties_air_tensor(canonical):
     grid, mats, _ = canonical
     poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
-    qa_off, qt_off, _ = hg.assemble_solar_tensors(grid, mats, poa, mass_enabled=False)
-    qa_on, qt_on, qtm_on = hg.assemble_solar_tensors(grid, mats, poa, mass_enabled=True)
+    qa_off, qt_off, _ = hg.assemble_solar_tensors(
+        hg.solar_basis(grid, mats), poa, mass_enabled=False
+    )
+    qa_on, qt_on, qtm_on = hg.assemble_solar_tensors(
+        hg.solar_basis(grid, mats), poa, mass_enabled=True
+    )
     assert np.array_equal(qa_on, qa_off)
     assert (qt_on == 0.0).all()
     # same power, expressed per plan area
@@ -652,4 +692,6 @@ def test_mass_routing_empties_air_tensor(canonical):
 def test_missing_orientation_rejected(canonical):
     grid, mats, _ = canonical
     with pytest.raises(KeyError, match="orientation"):
-        hg.assemble_solar_tensors(grid, mats, PoaIrradiance({"north": 10.0}), False)
+        hg.assemble_solar_tensors(
+            hg.solar_basis(grid, mats), PoaIrradiance({"north": 10.0}), False
+        )

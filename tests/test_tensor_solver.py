@@ -10,6 +10,7 @@ from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
+from _factories import layered_sloped_building_yaml
 from conftest import constant_weather
 
 
@@ -235,30 +236,63 @@ def test_trajectories_bit_identical(canonical, canonical_weather):
         assert np.array_equal(a.mass.t_mass, b.mass.t_mass)
 
 
+@pytest.mark.parametrize("layered", [False, True], ids=["canonical", "layered_sloped"])
+def test_compact_exterior_term_equals_full_grid(canonical, rng, layered):
+    # the plan keeps only the cells with a non-zero weight, inner envelope
+    # layers included; scattered back, their term is the full-grid one, bit for bit
+    grid, mats, config = hg.load_building(layered_sloped_building_yaml()) if layered else canonical
+    plan = hg.prepare(grid, mats, config)
+    weights = hg.exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
+    assert np.array_equal(plan.exterior_cells, np.flatnonzero(weights.any(axis=0)))
+    inner = np.flatnonzero(grid.is_envelope() & (grid.exposed_faces == 0))
+    assert inner.size > 0 if layered else inner.size == 0
+    assert np.isin(inner, plan.exterior_cells).all()
+
+    t = rng.uniform(270.0, 320.0, (grid.rows, grid.cols))
+    full = hg.assemble_exterior_lw_tensor(weights, t, 288.0, 262.0, 295.0)
+    scattered = np.zeros(grid.rows * grid.cols)
+    scattered[plan.exterior_cells] = hg.assemble_exterior_lw_tensor(
+        plan.exterior_weights, t.reshape(-1)[plan.exterior_cells], 288.0, 262.0, 295.0
+    )
+    assert np.array_equal(scattered.reshape(t.shape), full)
+
+
 def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
     # NaN in every derived float array: the oracle must not notice, the
     # vectorized step must fail
     grid, mats, config = canonical
     plan = hg.prepare(grid, mats, config)
     poison = {}
+    poisoned = set()
     for f in dataclasses.fields(plan):
         value = getattr(plan, f.name)
         if isinstance(value, tuple):
             poison[f.name] = tuple(np.full_like(a, np.nan) for a in value)
         elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
             poison[f.name] = np.full_like(value, np.nan)
-    assert set(poison) == {
-        "g", "convection", "capacity", "coupling", "denom", "exterior_weights"
+        elif isinstance(value, hg.SolarBasis):
+            floats = {k: np.full_like(a, np.nan) for k, a in vars(value).items()
+                      if isinstance(a, np.ndarray) and a.dtype.kind == "f"}
+            poison[f.name] = dataclasses.replace(value, **floats)
+            poisoned |= {f"{f.name}.{k}" for k in floats}
+            continue
+        else:
+            continue
+        poisoned.add(f.name)
+    assert poisoned == {
+        "g", "convection", "capacity", "coupling", "denom", "exterior_weights",
+        "solar.absorptivity", "solar.areas", "solar.transmissivity", "solar.window_areas",
+        "solar.plan_area",
     }
-    poisoned = dataclasses.replace(plan, **poison)
+    poisoned_plan = dataclasses.replace(plan, **poison)
     state = hg.make_initial_state(grid, config, canonical_weather)
     bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
     clean, _ = hg.oracle_step(state, plan, bc)
-    dirty, _ = hg.oracle_step(state, poisoned, bc)
+    dirty, _ = hg.oracle_step(state, poisoned_plan, bc)
     assert np.array_equal(clean.t, dirty.t)
     assert np.array_equal(clean.mass.t_mass, dirty.mass.t_mass)
     with pytest.raises(SolverError, match="iteration 1: temperature nan"):
-        hg.step(state, poisoned, bc)
+        hg.step(state, poisoned_plan, bc)
 
 
 # -----------------------------------------------------------------------------
