@@ -22,8 +22,8 @@ speedup = results["iterative"].total_time / results["tensor"].total_time
 print(f"{'metric':<22} {'iterative':>12} {'tensorized':>12}")
 print(f"{'total time (s)':<22} {results['iterative'].total_time:>12.4f} "
       f"{results['tensor'].total_time:>12.4f}")
-print(f"{'mean per step (s)':<22} {results['iterative'].mean_per_step:>12.4f} "
-      f"{results['tensor'].mean_per_step:>12.4f}")
+print(f"{'mean per step (ms)':<22} {results['iterative'].mean_per_step * 1e3:>12.4f} "
+      f"{results['tensor'].mean_per_step * 1e3:>12.4f}")
 print(f"{'speedup':<22} {speedup:>25.2f}x")
 print(f"\nrepeat totals (s): iterative {['%.4f' % t for t in totals['iterative']]}, "
       f"tensorized {['%.4f' % t for t in totals['tensor']]}")

@@ -86,11 +86,11 @@ def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
 
 
 def _write_trace(out_dir: Path, reports) -> None:
-    lines = ["step,inner_iterations,max_delta,converged,wall_time"]
+    lines = ["step,inner_iterations,max_delta,converged,wall_time,mixed_from"]
     for i, report in enumerate(reports, start=1):
         lines.append(
             f"{i},{report.inner_iterations},{repr(report.max_delta)},"
-            f"{report.converged},{repr(report.wall_time)}"
+            f"{report.converged},{repr(report.wall_time)},{report.mixed_from}"
         )
     (out_dir / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -250,8 +250,8 @@ def cmd_bench(args) -> int:
     print(f"{'metric':<20}{'iterative':>12}{'tensorized':>12}")
     print(f"{'total time (s)':<20}{results['iterative'].total_time:>12.3f}"
           f"{results['tensor'].total_time:>12.3f}")
-    print(f"{'mean per step (s)':<20}{results['iterative'].mean_per_step:>12.3f}"
-          f"{results['tensor'].mean_per_step:>12.3f}")
+    print(f"{'mean per step (ms)':<20}{results['iterative'].mean_per_step * 1e3:>12.4f}"
+          f"{results['tensor'].mean_per_step * 1e3:>12.4f}")
     print(f"{'speedup':<20}{speedup:>24.2f}x")
     print(f"(reference run: {REFERENCE_BENCHMARK['speedup']}x on "
           f"{REFERENCE_BENCHMARK['hardware']})")

@@ -357,8 +357,9 @@ def apply_interior_lw(
     batched matmul per block computes ``sum_j F_ij u_j - (sum_j F_ij) u_i``
     with ``u`` the fourth powers less those of the block's first surface,
     so an isothermal enclosure gives ``u = 0`` and an exactly zero vector.
-    Padding slots read and write one spare entry past the surfaces; their
-    factors are zero, so they change no surface's flux.
+    Padding slots read the last surface's temperature (their index is
+    clipped) and write one spare entry past the surfaces; their factors are
+    zero, so they change no surface's flux.
     The temperatures are not checked here: the solvers check every iterate.
     """
     surface_temps = np.asarray(surface_temps, dtype=float)
@@ -367,10 +368,9 @@ def apply_interior_lw(
             f"got {surface_temps.shape[0] if surface_temps.ndim else 0} surface "
             f"temperatures for a {matrix.n_surfaces}-surface matrix"
         )
-    padded = np.append(surface_temps, 0.0)
     q = np.empty(matrix.n_surfaces + 1)
     for index, factors, row_sums in matrix.blocks:
-        t4 = padded[index] ** 4
+        t4 = surface_temps.take(index, mode="clip") ** 4
         u = t4 - t4[:, :1]
         q[index] = np.matmul(factors, u[:, :, None])[:, :, 0] - row_sums * u
     return STEFAN_BOLTZMANN * q[:-1]

@@ -9,10 +9,22 @@ Picard fixed-point iteration. It forms the constant part of the numerator
 (heat source, convection, stored heat, mass coupling, solar) once; each
 inner pass adds only the iterate-dependent terms (shifted conduction, the
 lagged exterior long-wave of the envelope cells scattered in by index, and
-the lagged interior exchange), divides element-wise over the whole grid,
-and repeats until the largest per-cell change drops below the convergence
-threshold. With every radiation feature and the mass coupling disabled a
-single pass reduces to the bare conduction-convection update.
+the lagged interior exchange) into buffers allocated once per step,
+divides element-wise over the whole grid, and repeats until the largest
+per-cell change drops below the convergence threshold; the step returns
+that last Picard update. With every radiation feature and the mass
+coupling disabled a single pass reduces to the bare conduction-convection
+update.
+
+Mixing is gated on the measured contraction. The first pass is always a
+plain Picard update. From the first pass whose largest change exceeds
+``MIXING_GATE`` times the previous one, every later iterate of the step
+is a type-II Anderson mix of the last ``ANDERSON_WINDOW`` Picard updates.
+The mix history restarts when the change grows or the mix cannot be
+solved. The benchmark plans at dt=300 s contract fast enough that the
+gate stays shut, so they iterate exactly as plain Picard does; at
+dt=3,600 s, where plain Picard contracts by about 0.7 a pass, a 1,530-CV
+plan takes 40 % fewer passes.
 
 Temperatures shifted in from outside the grid carry the ambient value;
 boundary-padding cells are pinned to ambient, so they never change and
@@ -54,6 +66,27 @@ from .radiation import (
 from .weather import WeatherRecord
 
 
+#: Differences the Anderson mix keeps. On the 3x4-room 1,530-CV benchmark
+#: plan at dt=3,600 s, the largest relative difference from the reference
+#: solver over 24 steps is 1.3e-5 with 5 or 4, 2.0e-5 with 3 and 2.7e-5 with
+#: 2, against 2.2e-5 for plain Picard; 5 takes 10.9 iterations a step, 3
+#: takes 11.2 and plain Picard 18.2.
+ANDERSON_WINDOW = 5
+#: Mixing starts at the first iteration whose largest change is more than
+#: this fraction of the previous one. At dt=300 s plain Picard contracts by
+#: at most 0.35 a pass on the bundled plan and 0.31 on a 5,963-CV one.
+#: Mixing every step would save 0.7 of 4.7 iterations a step on the first
+#: and none on the second, at the cost of a mix per pass. At dt=3,600 s
+#: plain Picard contracts by 0.46-0.83 from the fourth pass on.
+MIXING_GATE = 0.5
+#: Ridge added to the diagonal of the Anderson normal equations, relative to
+#: their trace, so that collinear differences (a single live cell makes them
+#: all parallel) still give a finite, small-norm mix. On the 1,530-CV hourly
+#: plan any ridge from 1e-14 to 1e-6 gives the same iteration counts and
+#: the same difference from the reference solver to four figures.
+ANDERSON_RIDGE = 1e-10
+
+
 class SolverError(RuntimeError):
     """Raised on numerical degeneracy or invalid solver inputs."""
 
@@ -89,12 +122,19 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Outcome of one timestep's inner iteration."""
+    """Outcome of one timestep's inner iteration.
+
+    ``max_delta`` is the largest change of the last Picard update;
+    ``mixed_from`` the iteration at which Anderson mixing switched on (the
+    iterate after it is the first mixed one), or 0 when the step ran plain
+    Picard.
+    """
 
     inner_iterations: int
     max_delta: float
     converged: bool
     wall_time: float
+    mixed_from: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,6 +221,64 @@ def prepare(
                 denom, cells, weights, solar)
 
 
+class _AndersonHistory:
+    """The last ``ANDERSON_WINDOW`` differences of residuals and Picard images.
+
+    Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011):
+    with ``dF`` and ``dG`` the stored differences of residuals ``f = G(x) - x``
+    and of images ``G(x)``, the next iterate is ``G(x_k) - dG gamma``, where
+    ``gamma`` minimizes ``|f_k - dF gamma|`` through the ridge-regularized
+    normal equations. The differences sit in a ring of ``ANDERSON_WINDOW``
+    slots; their Gram matrix gains one row and column per iteration.
+    """
+
+    def __init__(self, shape: Tuple[int, int]):
+        m = ANDERSON_WINDOW
+        self.d_residual = np.empty((m,) + shape)
+        self.d_image = np.empty((m,) + shape)
+        self.flat_residual = self.d_residual.reshape(m, -1)
+        self.flat_image = self.d_image.reshape(m, -1)
+        self.gram = np.empty((m, m))
+        self.eye = np.eye(m)
+        self.count = self.slot = 0
+
+    def restart(self) -> None:
+        """Drop every difference."""
+        self.count = self.slot = 0
+
+    def mix(
+        self,
+        x: np.ndarray,
+        image: np.ndarray,
+        last_image: np.ndarray,
+        residual: np.ndarray,
+        last_residual: np.ndarray,
+    ) -> bool:
+        """Add the newest differences and write the mixed iterate into ``x``.
+
+        Returns False, with ``x`` not written, when the normal equations
+        are singular or give a non-finite ``gamma``.
+        """
+        s = self.slot
+        np.subtract(residual, last_residual, out=self.d_residual[s])
+        np.subtract(image, last_image, out=self.d_image[s])
+        self.count = c = min(self.count + 1, ANDERSON_WINDOW)
+        self.slot = (s + 1) % ANDERSON_WINDOW
+        d_residual = self.flat_residual[:c]
+        self.gram[s, :c] = self.gram[:c, s] = d_residual @ d_residual[s]
+        gram = self.gram[:c, :c]
+        normal = gram + (ANDERSON_RIDGE * gram.trace()) * self.eye[:c, :c]
+        try:
+            gamma = np.linalg.solve(normal, d_residual @ residual.reshape(-1))
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(gamma).all():
+            return False
+        np.matmul(gamma, self.flat_image[:c], out=x.reshape(-1))
+        np.subtract(image, x, out=x)
+        return True
+
+
 def shift_fields(pad: np.ndarray, temperatures: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Neighbor fields ``(east, north, west, south)`` of ``temperatures``.
 
@@ -227,39 +325,69 @@ def step(
         )
         const = const + q_sol_alpha + q_sol_tau
 
+    shape = (grid.rows, grid.cols)
     pad = np.full((grid.rows + 2, grid.cols + 2), t_inf)
-    t_iter = np.where(plan.active, state.t, t_inf)
+    x = np.where(plan.active, state.t, t_inf)
+    image = np.full(shape, t_inf)
+    numer, term = np.empty(shape), np.empty(shape)
+    residual, last_residual = np.empty(shape), np.empty(shape)
+    last_image = history = None
     converged = False
-    max_delta = np.inf
-    iterations = 0
+    max_delta = last_delta = np.inf
+    iterations = mixed_from = 0
     for iterations in range(1, config.max_inner_iterations + 1):
-        east, north, west, south = shift_fields(pad, t_iter)
-        numer = const + g[0] * east + g[1] * north + g[2] * west + g[3] * south
+        # image = G(x), the Picard update of the iterate x
+        east, north, west, south = shift_fields(pad, x)
+        np.multiply(g[0], east, out=term)
+        np.add(const, term, out=numer)
+        np.multiply(g[1], north, out=term)
+        numer += term
+        np.multiply(g[2], west, out=term)
+        numer += term
+        np.multiply(g[3], south, out=term)
+        numer += term
         if config.enable_exterior_lw:
             cells = plan.exterior_cells
             numer.reshape(-1)[cells] += assemble_exterior_lw_tensor(
-                plan.exterior_weights, t_iter.reshape(-1)[cells],
+                plan.exterior_weights, x.reshape(-1)[cells],
                 boundary.t_gnd, boundary.t_sky, t_inf,
             )
         if config.enable_interior_lw:
-            flux = apply_interior_lw(exchange, exchange.surface_temperatures(t_iter))
+            flux = apply_interior_lw(exchange, exchange.surface_temperatures(x))
             numer += scatter_interior_lw(exchange, flux, grid)
+        np.divide(numer, plan.denom, out=image, where=plan.active)
+        _check_temperatures(image, f"iteration {iterations}")
 
-        t_new = np.full_like(t_iter, t_inf)
-        np.divide(numer, plan.denom, out=t_new, where=plan.active)
-        _check_temperatures(t_new, f"iteration {iterations}")
-        max_delta = float(np.abs(t_new - t_iter).max())
-        t_iter = t_new
+        np.subtract(image, x, out=residual)
+        max_delta = float(np.abs(residual, out=term).max())
         if max_delta < config.convergence_epsilon:
             converged = True
             break
+        if iterations == config.max_inner_iterations:
+            break
+        if history is None and max_delta > MIXING_GATE * last_delta:
+            # Plain Picard so far, so the iterate is the last image.
+            history = _AndersonHistory(shape)
+            last_image, x = x, np.empty(shape)
+            mixed_from = iterations
+        if history is None:
+            x, image = image, x
+        else:
+            if max_delta > last_delta or not history.mix(
+                x, image, last_image, residual, last_residual
+            ):
+                history.restart()
+                np.copyto(x, image)
+            image, last_image = last_image, image
+        residual, last_residual = last_residual, residual
+        last_delta = max_delta
 
     new_mass = None
     if config.enable_interior_mass:
-        new_mass = update_mass(mass, t_iter, q_tau_mass, grid.z)
+        new_mass = update_mass(mass, image, q_tau_mass, grid.z)
 
     new_state = ThermalState(
-        t=t_iter,
+        t=image,
         mass=new_mass,
         step_index=state.step_index + 1,
         sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
@@ -269,6 +397,7 @@ def step(
         max_delta=max_delta,
         converged=converged,
         wall_time=time.perf_counter() - started,
+        mixed_from=mixed_from,
     )
     return new_state, report
 

@@ -43,6 +43,15 @@ def test_run_writes_snapshots_trace_and_manifest(tmp_path, canonical_paths):
     assert manifest["config"]["dt"] == 300.0
 
 
+def test_trace_appends_mixed_from_column(tmp_path, canonical_paths):
+    out = tmp_path / "out"
+    assert main(["run", "--steps", "2", "--building", str(canonical_paths[0]),
+                 "--weather", str(canonical_paths[1]), "--out", str(out)]) == 0
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    assert header == "step,inner_iterations,max_delta,converged,wall_time,mixed_from"
+    assert [row.split(",")[5] for row in rows] == ["0", "0"]
+
+
 def test_snapshots_byte_identical_across_runs(tmp_path, canonical_paths):
     outs = []
     for name in ("a", "b"):

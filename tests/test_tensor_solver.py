@@ -5,12 +5,13 @@ import pytest
 import yaml
 
 import heatgrid as hg
+from heatgrid import tensor_solver
 from heatgrid.building import BuildingGrid, CvType, MaterialField, SimulationConfig
 from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
-from _factories import layered_sloped_building_yaml
+from _factories import layered_sloped_building_yaml, tiled_building_yaml
 from conftest import constant_weather
 
 
@@ -435,3 +436,102 @@ def test_mis_shaped_heat_source_rejected_naming_shapes(canonical, canonical_weat
     q_x = np.full(grid.cols, 50.0)
     with pytest.raises(ValueError, match=r"q_x shape \(23,\) != grid shape \(12, 23\)"):
         hg.run_episode(grid, mats, config, canonical_weather, 1, stepper=stepper, q_x=q_x)
+
+
+# -----------------------------------------------------------------------------
+# gated Anderson mixing
+# -----------------------------------------------------------------------------
+
+def one_radiating_cell(**overrides):
+    """One live cell that stores heat and exchanges long-wave with sky and ground.
+
+    No conduction or convection, so exterior long-wave is the only term that
+    depends on the iterate, and every residual is a multiple of one unit
+    vector. The exchange area is set directly: the loader's envelope rules
+    allow at most two exposed faces, and a one-cell grid exposes four.
+    """
+    grid = BuildingGrid.from_cv_types(np.array([[int(CvType.INTERIOR_WALL)]]), 0.5, 0.5, 3.0)
+    grid.delta_x[:] = 2.0
+    mats = MaterialField.zeros(1, 1)
+    mats.emissivity[:] = 0.9
+    mats.heat_capacity[:] = 1000.0
+    mats.density[:] = 200.0
+    settings = dict(dt=3600.0, enable_exterior_lw=True, convergence_epsilon=1e-12)
+    settings.update(overrides)
+    return hg.prepare(grid, mats, bare_config(**settings))
+
+
+def test_small_steps_never_mix(canonical, canonical_weather):
+    grid, mats, config = canonical
+    _, reports = hg.run_episode(grid, mats, config, canonical_weather, 250)
+    assert all(r.converged and r.mixed_from == 0 for r in reports)
+    # the plain Picard count of the canonical day, unchanged by the gate
+    assert sum(r.inner_iterations for r in reports) == 1172
+
+
+def test_hourly_steps_mix_to_fewer_iterations_and_a_closer_fixed_point(
+    canonical_weather, monkeypatch
+):
+    grid, mats, config = hg.load_building(tiled_building_yaml(3, 4, room=10))
+    config = dataclasses.replace(config, dt=3600.0)
+    tight = dataclasses.replace(config, convergence_epsilon=1e-11, max_inner_iterations=5000)
+    reference, _ = hg.run_episode(grid, mats, tight, canonical_weather, 24)
+
+    def distance(snapshots):
+        return max(float((np.abs(a.t - b.t) / b.t).max()) for a, b in zip(snapshots, reference))
+
+    mixed, reports = hg.run_episode(grid, mats, config, canonical_weather, 24)
+    assert all(r.converged and r.mixed_from >= 2 for r in reports)
+    assert np.mean([r.inner_iterations for r in reports]) <= 12.0
+    assert distance(mixed) <= 2e-5
+    monkeypatch.setattr(tensor_solver, "MIXING_GATE", np.inf)
+    plain, reports = hg.run_episode(grid, mats, config, canonical_weather, 24)
+    assert all(r.mixed_from == 0 for r in reports)
+    assert np.mean([r.inner_iterations for r in reports]) > 18.0
+    assert distance(plain) > 2e-5
+
+
+def test_rank_one_histories_converge(monkeypatch):
+    histories = []  # (differences held, mix written) per call
+    mix = tensor_solver._AndersonHistory.mix
+
+    def recording_mix(self, *args):
+        written = mix(self, *args)
+        histories.append((self.count, written))
+        return written
+
+    monkeypatch.setattr(tensor_solver._AndersonHistory, "mix", recording_mix)
+    plan = one_radiating_cell()
+    bc = dark_boundary(290.0, t_sky=270.0)
+    new, report = hg.step(hg.ThermalState(t=np.array([[300.0]])), plan, bc)
+    contraction = 4.0 * plan.exterior_weights.sum() * new.t[0, 0] ** 3 / plan.denom[0, 0]
+    assert contraction > 0.5
+    assert report.converged and report.mixed_from == 2
+    # every history of two or more differences is rank one, and each still mixes
+    assert any(count >= 2 for count, _ in histories)
+    assert all(written for _, written in histories)
+    monkeypatch.setattr(tensor_solver, "MIXING_GATE", np.inf)
+    plain, plain_report = hg.step(hg.ThermalState(t=np.array([[300.0]])), plan, bc)
+    assert plain_report.converged and plain_report.inner_iterations > 4 * report.inner_iterations
+    assert abs(new.t[0, 0] - plain.t[0, 0]) < 1e-9
+
+
+def test_budget_spent_while_mixing_is_reported_not_raised(monkeypatch):
+    images = []  # every Picard image the step checks
+    check = tensor_solver._check_temperatures
+
+    def recording_check(t, context):
+        if context.startswith("iteration"):
+            images.append(t.copy())
+        check(t, context)
+
+    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
+    plan = one_radiating_cell(max_inner_iterations=4)
+    new, report = hg.step(
+        hg.ThermalState(t=np.array([[300.0]])), plan, dark_boundary(290.0, t_sky=270.0)
+    )
+    assert not report.converged
+    assert report.inner_iterations == 4 and report.mixed_from == 2
+    assert report.max_delta >= plan.config.convergence_epsilon
+    # the step returns its last Picard image, not the mix made from it
+    assert len(images) == 4 and np.array_equal(new.t, images[-1])
