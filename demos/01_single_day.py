@@ -32,7 +32,7 @@ for hour in range(24):
     report = reports[(hour + 1) * steps_per_hour - 1]
     t_west = snap.t[west].mean() - 273.15
     t_east = snap.t[east].mean() - 273.15
-    t_mass = snap.mass.t_mass[west | east].mean() - 273.15
+    t_mass = snap.t_mass[west | east].mean() - 273.15
     print(f"{snap.sim_clock:%H:%M} {t_west:>11.2f} {t_east:>11.2f} "
           f"{t_mass:>11.2f} {report.inner_iterations:>6}")
 

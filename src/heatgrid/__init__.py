@@ -27,7 +27,6 @@ from .building import (
     save_building,
 )
 from .conditions import StepBoundary, boundary_for_time
-from .mass import MassState, init_mass, update_mass
 from .oracle_solver import energy_audit, oracle_step
 from .radiation import (
     OpenCavityError,
@@ -66,6 +65,7 @@ from .tensor_solver import (
     run_episode,
     shift_fields,
     step,
+    update_mass,
 )
 from .weather import (
     SitePosition,
@@ -82,7 +82,6 @@ __all__ = [
     "ConfigError",
     "CvType",
     "MassParams",
-    "MassState",
     "MaterialField",
     "OpenCavityError",
     "Plan",
@@ -112,7 +111,6 @@ __all__ = [
     "energy_audit",
     "exterior_lw_flux",
     "exterior_lw_weights",
-    "init_mass",
     "load_building",
     "load_building_file",
     "load_exchange_matrix",

@@ -79,7 +79,7 @@ def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
     for snap in snapshots:
         columns = [cells, map(repr, snap.t.ravel().tolist())]
         if with_mass:
-            columns.append(map(repr, snap.mass.t_mass.ravel().tolist()))
+            columns.append(map(repr, snap.t_mass.ravel().tolist()))
         body = "\n".join(map(",".join, zip(*columns)))
         path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
         path.write_text(f"{header}\n{body}\n", encoding="utf-8")

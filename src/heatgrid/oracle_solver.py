@@ -28,7 +28,6 @@ import numpy as np
 
 from .building import CvType
 from .conditions import StepBoundary
-from .mass import MassState, init_mass
 from .radiation import RadiationExchangeMatrix
 from .tensor_solver import Plan, SolverError, StepReport, ThermalState
 
@@ -150,15 +149,13 @@ def oracle_step(
     """
     started = time.perf_counter()
     grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
-    state.validate(grid)
+    mass_on = config.enable_interior_mass
+    state.validate(grid, mass_on)
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     dt = config.dt
     z = grid.z
-
-    mass = state.mass
-    if config.enable_interior_mass and mass is None:
-        mass = init_mass(grid, config, state.t)
+    air = int(CvType.INTERIOR_AIR)
 
     kind = grid.cv_type.tolist()
     u = grid.u.tolist()
@@ -170,8 +167,10 @@ def oracle_step(
     tilt_cell = mats.tilt.tolist()
     t_prev = state.t.tolist()
     q_x = boundary.q_x.tolist() if boundary.q_x is not None else None
-    km = mass.k_mass_field.tolist() if config.enable_interior_mass else None
-    t_mass_prev = mass.t_mass.tolist() if config.enable_interior_mass else None
+    if mass_on:
+        k_mass = config.mass_params.k_mass
+        t0 = config.mass_params.rho_mass * config.mass_params.c_mass * z**2 / (k_mass * dt)
+        t_mass_prev = state.t_mass.tolist()
 
     if config.enable_solar:
         q_alpha, q_tau, q_tau_mass = _solar_terms(
@@ -268,8 +267,8 @@ def oracle_step(
             )
             if q_x is not None:
                 numer += q_x[r][c]
-            if config.enable_interior_mass:
-                coupling = km[r][c] * uu * vv / z
+            if mass_on and kind[r][c] == air:
+                coupling = k_mass * uu * vv / z
                 numer += coupling * t_mass_prev[r][c]
                 denom += coupling
             if config.enable_exterior_lw:
@@ -297,28 +296,22 @@ def oracle_step(
             converged = True
             break
 
-    new_mass = None
-    if config.enable_interior_mass:
-        t_mass_new = [row[:] for row in t_mass_prev]
-        t0 = mass.t0_mass.tolist()
+    t_mass = None
+    if mass_on:
+        t_mass = [row[:] for row in t_mass_prev]
         for r in range(rows):
             for c in range(cols):
-                if km[r][c] > 0.0:
-                    t_mass_new[r][c] = (
+                if kind[r][c] == air:
+                    t_mass[r][c] = (
                         temps[r][c]
-                        + q_tau_mass[r][c] * z / km[r][c]
-                        + t0[r][c] * t_mass_prev[r][c]
-                    ) / (1.0 + t0[r][c])
-        new_mass = MassState(
-            t_mass=np.array(t_mass_new),
-            t0_mass=mass.t0_mass,
-            k_mass_field=mass.k_mass_field,
-        )
+                        + q_tau_mass[r][c] * z / k_mass
+                        + t0 * t_mass_prev[r][c]
+                    ) / (1.0 + t0)
+        t_mass = np.array(t_mass)
 
-    final = np.array(temps)
     new_state = ThermalState(
-        t=final,
-        mass=new_mass,
+        t=np.array(temps),
+        t_mass=t_mass,
         step_index=state.step_index + 1,
         sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
     )
@@ -343,6 +336,8 @@ def energy_audit(
     imbalance relative to the gross flux magnitude.
     """
     grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
+    state_before.validate(grid, config.enable_interior_mass)
+    state_after.validate(grid, False)
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     z = grid.z
@@ -408,12 +403,10 @@ def energy_audit(
             interior = lwx[r][c] if lwx is not None else 0.0
             solar = q_alpha[r][c] + q_tau[r][c] if config.enable_solar else 0.0
             coupling = 0.0
-            if config.enable_interior_mass and state_before.mass is not None:
-                km = float(state_before.mass.k_mass_field[r, c])
-                if km > 0.0:
-                    coupling = km * uu * vv / z * (
-                        float(state_before.mass.t_mass[r, c]) - here
-                    )
+            if config.enable_interior_mass and kind[r][c] == int(CvType.INTERIOR_AIR):
+                coupling = config.mass_params.k_mass * uu * vv / z * (
+                    float(state_before.t_mass[r, c]) - here
+                )
             source = float(boundary.q_x[r, c]) if boundary.q_x is not None else 0.0
 
             capacity = float(mats.volumetric_capacity()[r, c]) * uu * vv * z / config.dt

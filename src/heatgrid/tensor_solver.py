@@ -26,6 +26,10 @@ gate stays shut, so they iterate exactly as plain Picard does; at
 dt=3,600 s, where plain Picard contracts by about 0.7 a pass, a 1,530-CV
 plan takes 40 % fewer passes.
 
+Each interior-air cell couples to a mass node (furnishings, slab) whose
+temperature the state carries in ``t_mass``. Once the air field converges,
+``update_mass`` advances those nodes explicitly; other nodes never change.
+
 Temperatures shifted in from outside the grid carry the ambient value;
 boundary-padding cells are pinned to ambient, so they never change and
 drop out of the convergence measure.
@@ -51,7 +55,6 @@ from .building import (
     SimulationConfig,
 )
 from .conditions import StepBoundary, boundary_for_time
-from .mass import MassState, init_mass, mass_conductivity, update_mass
 from .radiation import (
     RadiationExchangeMatrix,
     SolarBasis,
@@ -104,20 +107,25 @@ def _check_temperatures(t: np.ndarray, context: str) -> None:
 class ThermalState:
     """Temperature field state between steps.
 
-    ``t`` is the current field (the converged field of the last step),
-    ``mass`` the optional interior mass nodes.
+    ``t`` is the current field (the converged field of the last step) and
+    ``t_mass`` the interior mass node temperatures, None with mass off.
     """
 
     t: np.ndarray
-    mass: Optional[MassState] = None
+    t_mass: Optional[np.ndarray] = None
     step_index: int = 0
     sim_clock: Optional[datetime] = None
 
-    def validate(self, grid: BuildingGrid) -> None:
+    def validate(self, grid: BuildingGrid, mass: bool) -> None:
+        """Check each field's shape and values; ``mass`` says whether ``t_mass`` is one."""
         shape = (grid.rows, grid.cols)
-        if self.t.shape != shape:
-            raise SolverError(f"state shape {self.t.shape} does not match grid {shape}")
-        _check_temperatures(self.t, "state")
+        fields = {"state": self.t, "state t_mass": self.t_mass} if mass else {"state": self.t}
+        for context, field in fields.items():
+            if field is None:
+                raise SolverError(f"{context} is missing")
+            if field.shape != shape:
+                raise SolverError(f"{context} shape {field.shape} does not match grid {shape}")
+            _check_temperatures(field, context)
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,10 @@ class Plan:
     No solver writes to a plan, so one serves any number of states on the
     same building. Conductances [W/K]: ``g`` per face in shift order (east,
     north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
-    ``coupling`` to the mass nodes (None with mass off); ``denom`` is their
-    sum. ``active`` marks the cells that are not boundary padding.
+    ``coupling`` to the mass nodes; ``denom`` is their sum. ``active`` marks
+    the cells that are not boundary padding. ``air`` marks the interior-air
+    cells, whose mass nodes the step updates, and ``mass_t0`` is the update's
+    ``rho c z^2 / (k dt)``; with mass off, they and ``coupling`` are None.
     ``exterior_cells`` are the flat indices of the cells with a non-zero
     exterior long-wave weight, inner envelope layers included, and
     ``exterior_weights`` their ``(3, n)`` weights; ``solar`` is the solar
@@ -162,6 +172,8 @@ class Plan:
     capacity: np.ndarray
     coupling: Optional[np.ndarray]
     denom: np.ndarray
+    air: Optional[np.ndarray]
+    mass_t0: Optional[float]
     exterior_cells: Optional[np.ndarray]
     exterior_weights: Optional[np.ndarray]
     solar: Optional[SolarBasis]
@@ -200,10 +212,13 @@ def prepare(
     convection = v * z * (h[DIR_EAST] + h[DIR_WEST]) + u * z * (h[DIR_NORTH] + h[DIR_SOUTH])
     capacity = mats.volumetric_capacity() * u * v * z / config.dt
     denom = g[0] + g[1] + g[2] + g[3] + convection + capacity
-    coupling = None
+    coupling = air = mass_t0 = None
     if config.enable_interior_mass:
-        coupling = mass_conductivity(grid, config) * u * v / z
+        params = config.mass_params
+        air = grid.cv_type == int(CvType.INTERIOR_AIR)
+        coupling = np.where(air, params.k_mass, 0.0) * u * v / z
         denom = denom + coupling
+        mass_t0 = params.rho_mass * params.c_mass * z**2 / (params.k_mass * config.dt)
     active = grid.cv_type != int(CvType.BOUNDARY)
     bad = active & (denom <= 0.0)
     if np.any(bad):
@@ -218,7 +233,7 @@ def prepare(
         weights = weights.reshape(3, -1)[:, cells]
     solar = solar_basis(grid, mats) if config.enable_solar else None
     return Plan(grid, mats, config, exchange, active, g, convection, capacity, coupling,
-                denom, cells, weights, solar)
+                denom, air, mass_t0, cells, weights, solar)
 
 
 class _AndersonHistory:
@@ -291,6 +306,19 @@ def shift_fields(pad: np.ndarray, temperatures: np.ndarray) -> Tuple[np.ndarray,
     return pad[1:-1, 2:], pad[:-2, 1:-1], pad[1:-1, :-2], pad[2:, 1:-1]
 
 
+def update_mass(
+    t_mass: np.ndarray, t_air: np.ndarray, q_mass: np.ndarray, t0: float, z: float, k_mass: float
+) -> np.ndarray:
+    """Mass node temperatures after a step whose air converged to ``t_air``.
+
+    Explicit in the node: ``(T + q z / k_mass + t0 T_mass) / (1 + t0)``, with
+    ``q`` the transmitted solar flux [W/m^2 of plan area] routed to the nodes
+    and ``t0 = rho_mass c_mass z^2 / (k_mass dt)``. Large t0 (short steps or
+    heavy mass) freezes the node; t0 -> 0 collapses it to ``T + q z / k_mass``.
+    """
+    return (t_air + q_mass * z / k_mass + t0 * t_mass) / (1.0 + t0)
+
+
 def step(
     state: ThermalState, plan: Plan, boundary: StepBoundary
 ) -> Tuple[ThermalState, StepReport]:
@@ -302,7 +330,7 @@ def step(
     """
     started = time.perf_counter()
     grid, config, exchange, g = plan.grid, plan.config, plan.exchange, plan.g
-    state.validate(grid)
+    state.validate(grid, config.enable_interior_mass)
     t_inf = boundary.t_inf
     for name in ("t_inf", "t_gnd", "t_sky"):
         value = getattr(boundary, name)
@@ -310,14 +338,11 @@ def step(
             raise SolverError(f"boundary {name}={value} is not finite and > 0 K")
 
     # The constant part of the numerator: everything the iterate does not change.
-    mass = state.mass
-    if config.enable_interior_mass and mass is None:
-        mass = init_mass(grid, config, state.t)
     const = plan.convection * t_inf + plan.capacity * state.t
     if boundary.q_x is not None:
         const = const + boundary.q_x
     if config.enable_interior_mass:
-        const = const + plan.coupling * mass.t_mass
+        const = const + plan.coupling * state.t_mass
     q_tau_mass = np.zeros((grid.rows, grid.cols))
     if config.enable_solar:
         q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
@@ -382,13 +407,16 @@ def step(
         residual, last_residual = last_residual, residual
         last_delta = max_delta
 
-    new_mass = None
+    t_mass = None
     if config.enable_interior_mass:
-        new_mass = update_mass(mass, image, q_tau_mass, grid.z)
+        updated = update_mass(
+            state.t_mass, image, q_tau_mass, plan.mass_t0, grid.z, config.mass_params.k_mass
+        )
+        t_mass = np.where(plan.air, updated, state.t_mass)
 
     new_state = ThermalState(
         t=image,
-        mass=new_mass,
+        t_mass=t_mass,
         step_index=state.step_index + 1,
         sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
     )
@@ -408,13 +436,12 @@ def make_initial_state(
     records: Sequence[WeatherRecord],
     temperature: Optional[float] = None,
 ) -> ThermalState:
-    """Uniform starting state at the first weather timestamp."""
+    """Uniform starting state at the first weather timestamp, mass nodes at air temperature."""
     t0 = temperature if temperature is not None else config.initial_temperature
     t = np.full((grid.rows, grid.cols), float(t0))
-    mass = init_mass(grid, config, t) if config.enable_interior_mass else None
     return ThermalState(
         t=t,
-        mass=mass,
+        t_mass=t.copy() if config.enable_interior_mass else None,
         step_index=0,
         sim_clock=records[0].timestamp if records else None,
     )

@@ -9,7 +9,6 @@ import numpy as np
 import heatgrid as hg
 from heatgrid.building import BuildingGrid, CvType, DIR_ORIENTATION, MaterialField
 from heatgrid.cli import bench_solvers
-from heatgrid.mass import MassState
 from heatgrid.solar import PoaIrradiance
 
 from _factories import random_case
@@ -204,21 +203,13 @@ def test_mass_node_limits():
         q = float(rng.uniform(0.0, 400.0))
 
         # fixed point: no source and node already at air temperature
-        state = MassState(
-            t_mass=np.array([[t]]), t0_mass=np.array([[t0]]), k_mass_field=np.array([[k]])
-        )
-        fixed = hg.update_mass(state, np.array([[t]]), np.array([[0.0]]), z=z)
-        worst = max(worst, abs(fixed.t_mass[0, 0] - t))
+        fixed = hg.update_mass(np.array([t]), np.array([t]), np.array([0.0]), t0, z, k)
+        worst = max(worst, abs(fixed[0] - t))
 
         # vanishing temporal parameter: node tracks T + q z / k
-        state = MassState(
-            t_mass=np.array([[t - 30.0]]),
-            t0_mass=np.array([[0.0]]),
-            k_mass_field=np.array([[k]]),
-        )
-        steady = hg.update_mass(state, np.array([[t]]), np.array([[q]]), z=z)
+        steady = hg.update_mass(np.array([t - 30.0]), np.array([t]), np.array([q]), 0.0, z, k)
         expected = t + q * z / k
-        worst = max(worst, abs(steady.t_mass[0, 0] - expected) / max(abs(expected), 1.0))
+        worst = max(worst, abs(steady[0] - expected) / max(abs(expected), 1.0))
     _report(
         "mass update fixed point and vanishing-t0 steady limit, randomized scalars",
         worst <= 1e-10,

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
-from heatgrid.building import BuildingGrid, CvType, MassParams, SimulationConfig
-from heatgrid.mass import MassState
+from heatgrid.building import BuildingGrid, CvType, MassParams, MaterialField, SimulationConfig
+from heatgrid.conditions import StepBoundary
+from heatgrid.solar import PoaIrradiance
 
 
 def small_grid(z=3.0):
@@ -13,81 +14,92 @@ def small_grid(z=3.0):
     return BuildingGrid.from_cv_types(cv, 0.5, 0.5, z)
 
 
+def small_mats():
+    mats = MaterialField.zeros(4, 4)
+    mats.k_face[:] = 0.8
+    mats.heat_capacity[:] = 1000.0
+    mats.density[:] = 1.2
+    return mats
+
+
+def mass_config(**overrides):
+    """Mass coupling alone: no radiation, so a plan needs no exchange matrix."""
+    settings = dict(enable_interior_lw=False, enable_exterior_lw=False, enable_solar=False)
+    settings.update(overrides)
+    return SimulationConfig(**settings)
+
+
 def test_t0_definition_value():
     # rho=1000, c=1000, z=3, dt=300, k=1 -> 1000*1000*9/300 = 30000
     grid = small_grid(z=3.0)
-    config = SimulationConfig(
+    config = mass_config(
         dt=300.0, mass_params=MassParams(k_mass=1.0, rho_mass=1000.0, c_mass=1000.0)
     )
-    state = hg.init_mass(grid, config, np.full((4, 4), 293.0))
+    plan = hg.prepare(grid, small_mats(), config)
     air = grid.cv_type == int(CvType.INTERIOR_AIR)
-    assert (state.t0_mass[air] == 30000.0).all()
-    assert (state.t0_mass[~air] == 0.0).all()
-    assert (state.k_mass_field[~air] == 0.0).all()
+    assert plan.mass_t0 == 30000.0
+    assert np.array_equal(plan.air, air)
+    assert (plan.coupling[~air] == 0.0).all()
+    assert (plan.coupling[air] > 0.0).all()
 
 
 def test_t0_halves_when_dt_doubles():
     grid = small_grid()
-    base = SimulationConfig(dt=300.0)
-    doubled = SimulationConfig(dt=600.0)
-    t = np.full((4, 4), 293.0)
-    air = grid.cv_type == int(CvType.INTERIOR_AIR)
-    s1 = hg.init_mass(grid, base, t)
-    s2 = hg.init_mass(grid, doubled, t)
-    assert s2.t0_mass[air] == pytest.approx(s1.t0_mass[air] / 2.0, rel=1e-15)
+    base = hg.prepare(grid, small_mats(), mass_config(dt=300.0))
+    doubled = hg.prepare(grid, small_mats(), mass_config(dt=600.0))
+    assert doubled.mass_t0 == pytest.approx(base.mass_t0 / 2.0, rel=1e-15)
 
 
 def test_init_rejects_nonpositive_k():
     grid = small_grid()
-    config = SimulationConfig(mass_params=MassParams(k_mass=0.0))
+    config = mass_config(mass_params=MassParams(k_mass=0.0))
     with pytest.raises(ValueError, match="k_mass"):
-        hg.init_mass(grid, config, np.full((4, 4), 293.0))
+        hg.prepare(grid, small_mats(), config)
 
 
 def test_mass_starts_at_air_temperature():
     grid = small_grid()
-    t = np.full((4, 4), 296.5)
-    state = hg.init_mass(grid, SimulationConfig(), t)
-    assert np.array_equal(state.t_mass, t)
+    state = hg.make_initial_state(grid, SimulationConfig(), [], temperature=296.5)
+    assert np.array_equal(state.t_mass, np.full((4, 4), 296.5))
+    assert state.t_mass is not state.t
 
 
-def scalar_state(t_mass, t0, k=1.0):
-    return MassState(
-        t_mass=np.array([[t_mass]]),
-        t0_mass=np.array([[t0]]),
-        k_mass_field=np.array([[k]]),
-    )
+def update(t_mass, t_air, q, t0, k=1.0, z=3.0):
+    """One node through ``update_mass``."""
+    return hg.update_mass(np.array([t_mass]), np.array([t_air]), np.array([q]), t0, z, k)[0]
 
 
 def test_update_fixed_point_without_source():
-    state = scalar_state(295.0, 30000.0)
-    new = hg.update_mass(state, np.array([[295.0]]), np.array([[0.0]]), z=3.0)
-    assert new.t_mass[0, 0] == 295.0
+    assert update(295.0, 295.0, 0.0, 30000.0) == 295.0
 
 
 def test_update_frozen_value():
     # T=300, q=100, z=3, k=1, t0=30000, prev=290 -> 8700600/30001
-    state = scalar_state(290.0, 30000.0, k=1.0)
-    new = hg.update_mass(state, np.array([[300.0]]), np.array([[100.0]]), z=3.0)
-    assert new.t_mass[0, 0] == pytest.approx(290.01033298890036, rel=1e-12)
+    assert update(290.0, 300.0, 100.0, 30000.0, k=1.0) == pytest.approx(
+        290.01033298890036, rel=1e-12
+    )
 
 
 def test_steady_state_limit():
     # t0 -> 0: the node tracks T + q z / k
-    state = scalar_state(250.0, 1e-14, k=2.0)
-    new = hg.update_mass(state, np.array([[300.0]]), np.array([[40.0]]), z=3.0)
-    assert new.t_mass[0, 0] == pytest.approx(300.0 + 40.0 * 3.0 / 2.0, rel=1e-10)
+    assert update(250.0, 300.0, 40.0, 1e-14, k=2.0) == pytest.approx(
+        300.0 + 40.0 * 3.0 / 2.0, rel=1e-10
+    )
 
 
 def test_uncoupled_cells_never_change():
-    state = MassState(
-        t_mass=np.array([[290.0, 280.0]]),
-        t0_mass=np.array([[100.0, 0.0]]),
-        k_mass_field=np.array([[1.0, 0.0]]),
+    # one step: the nodes of non-air cells keep their placeholder, air nodes move
+    grid = small_grid()
+    config = mass_config()
+    air = grid.cv_type == int(CvType.INTERIOR_AIR)
+    t_mass = np.where(air, 290.0, 280.0)
+    state = hg.ThermalState(t=np.full((4, 4), 310.0), t_mass=t_mass.copy())
+    boundary = StepBoundary(
+        t_inf=310.0, t_gnd=310.0, t_sky=310.0, poa=PoaIrradiance.dark(), q_x=None
     )
-    new = hg.update_mass(state, np.full((1, 2), 310.0), np.zeros((1, 2)), z=3.0)
-    assert new.t_mass[0, 1] == 280.0
-    assert new.t_mass[0, 0] != 290.0
+    new, _ = hg.step(state, hg.prepare(grid, small_mats(), config), boundary)
+    assert (new.t_mass[~air] == 280.0).all()
+    assert (new.t_mass[air] != 290.0).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,23 +109,28 @@ def test_uncoupled_cells_never_change():
     t0=st.floats(1e-6, 1e6),
 )
 def test_sourceless_update_is_convex_combination(t_air, t_prev, t0):
-    state = scalar_state(t_prev, t0)
-    new = hg.update_mass(state, np.array([[t_air]]), np.array([[0.0]]), z=3.0)
+    new = update(t_prev, t_air, 0.0, t0)
     lo, hi = min(t_air, t_prev), max(t_air, t_prev)
-    assert lo - 1e-9 <= new.t_mass[0, 0] <= hi + 1e-9
+    assert lo - 1e-9 <= new <= hi + 1e-9
 
 
 @settings(max_examples=100, deadline=None)
 @given(q=st.floats(0.0, 500.0), bump=st.floats(1e-6, 500.0))
 def test_update_strictly_increasing_in_flux(q, bump):
-    state = scalar_state(290.0, 50.0)
-    low = hg.update_mass(state, np.array([[300.0]]), np.array([[q]]), z=3.0)
-    high = hg.update_mass(state, np.array([[300.0]]), np.array([[q + bump]]), z=3.0)
-    assert high.t_mass[0, 0] > low.t_mass[0, 0]
+    assert update(290.0, 300.0, q + bump, 50.0) > update(290.0, 300.0, q, 50.0)
 
 
 def test_update_does_not_mutate_input():
-    state = scalar_state(290.0, 50.0)
+    t_mass, t_air, q = np.array([290.0]), np.array([300.0]), np.array([10.0])
+    hg.update_mass(t_mass, t_air, q, 50.0, 3.0, 1.0)
+    assert t_mass[0] == 290.0 and t_air[0] == 300.0 and q[0] == 10.0
+    # nor does a step mutate the state's nodes
+    grid = small_grid()
+    state = hg.make_initial_state(grid, mass_config(), [], temperature=300.0)
     before = state.t_mass.copy()
-    hg.update_mass(state, np.array([[300.0]]), np.array([[10.0]]), z=3.0)
+    boundary = StepBoundary(
+        t_inf=280.0, t_gnd=280.0, t_sky=280.0, poa=PoaIrradiance.dark(), q_x=None
+    )
+    new, _ = hg.step(state, hg.prepare(grid, small_mats(), mass_config()), boundary)
     assert np.array_equal(state.t_mass, before)
+    assert not np.array_equal(new.t_mass, before)

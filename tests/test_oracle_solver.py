@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from heatgrid.building import (
     MaterialField,
     SimulationConfig,
 )
+from heatgrid import oracle_solver
 from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
+from heatgrid.tensor_solver import SolverError
 
 from _factories import layered_sloped_building_yaml, random_case, rooms_building_yaml
 
@@ -167,7 +171,7 @@ def test_solvers_agree_on_every_feature_combination(
     for a, b in zip(snaps_t, snaps_o):
         rel = np.abs(a.t - b.t) / np.abs(b.t)
         assert rel.max() <= 1e-5
-        assert (a.mass is None) == (b.mass is None) == (not mass)
+        assert (a.t_mass is None) == (b.t_mass is None) == (not mass)
 
 
 def test_solvers_agree_on_multilayer_walls_and_tilted_envelope():
@@ -205,9 +209,48 @@ def test_audit_detects_tampered_field(rng):
     state = hg.make_initial_state(grid, config, records)
     bc = hg.boundary_for_time(records, config.site, state.sim_clock)
     new, _ = hg.oracle_step(state, plan, bc)
-    broken = hg.ThermalState(t=new.t + 0.5, mass=new.mass)
+    broken = hg.ThermalState(t=new.t + 0.5, t_mass=new.t_mass)
     audit = hg.energy_audit(state, broken, plan, bc)
     assert audit["rel_imbalance"] > 1e-6
+
+
+def test_audit_rejects_bad_states_by_name(canonical, canonical_weather):
+    # the mass coupling must not drop out of the balance unnoticed, and a
+    # mis-shaped field must not escape as an IndexError
+    grid, mats, config = canonical
+    plan = hg.prepare(grid, mats, config)
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    new, _ = hg.oracle_step(state, plan, bc)
+    with pytest.raises(SolverError, match="state t_mass is missing"):
+        hg.energy_audit(hg.ThermalState(t=state.t), new, plan, bc)
+    with pytest.raises(SolverError, match=r"state shape \(11, 23\) does not match grid"):
+        hg.energy_audit(state, hg.ThermalState(t=new.t[1:]), plan, bc)
+
+
+def test_oracle_imports_no_kernel():
+    # the oracle's independence, by its import list: the standard library,
+    # numpy and data types only; no mass module and no vectorized kernel
+    tree = ast.parse(Path(oracle_solver.__file__).read_text(encoding="utf-8"))
+    imports = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imports.setdefault(module, set()).update(alias.name for alias in node.names)
+    assert imports == {
+        "__future__": {"annotations"},
+        "math": None,
+        "time": None,
+        "datetime": {"timedelta"},
+        "typing": {"List", "Tuple"},
+        "numpy": None,
+        ".building": {"CvType"},
+        ".conditions": {"StepBoundary"},
+        ".radiation": {"RadiationExchangeMatrix"},
+        ".tensor_solver": {"Plan", "SolverError", "StepReport", "ThermalState"},
+    }
 
 
 @settings(max_examples=10, deadline=None)

@@ -234,7 +234,7 @@ def test_trajectories_bit_identical(canonical, canonical_weather):
         runs.append(snaps)
     for a, b in zip(*runs):
         assert np.array_equal(a.t, b.t)
-        assert np.array_equal(a.mass.t_mass, b.mass.t_mass)
+        assert np.array_equal(a.t_mass, b.t_mass)
 
 
 @pytest.mark.parametrize("layered", [False, True], ids=["canonical", "layered_sloped"])
@@ -259,8 +259,8 @@ def test_compact_exterior_term_equals_full_grid(canonical, rng, layered):
 
 
 def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
-    # NaN in every derived float array: the oracle must not notice, the
-    # vectorized step must fail
+    # NaN in every derived float array and scalar: the oracle must not
+    # notice, the vectorized step must fail
     grid, mats, config = canonical
     plan = hg.prepare(grid, mats, config)
     poison = {}
@@ -271,6 +271,8 @@ def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
             poison[f.name] = tuple(np.full_like(a, np.nan) for a in value)
         elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
             poison[f.name] = np.full_like(value, np.nan)
+        elif isinstance(value, float):
+            poison[f.name] = np.nan
         elif isinstance(value, hg.SolarBasis):
             floats = {k: np.full_like(a, np.nan) for k, a in vars(value).items()
                       if isinstance(a, np.ndarray) and a.dtype.kind == "f"}
@@ -281,7 +283,7 @@ def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
             continue
         poisoned.add(f.name)
     assert poisoned == {
-        "g", "convection", "capacity", "coupling", "denom", "exterior_weights",
+        "g", "convection", "capacity", "coupling", "denom", "mass_t0", "exterior_weights",
         "solar.absorptivity", "solar.areas", "solar.transmissivity", "solar.window_areas",
         "solar.plan_area",
     }
@@ -291,7 +293,7 @@ def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
     clean, _ = hg.oracle_step(state, plan, bc)
     dirty, _ = hg.oracle_step(state, poisoned_plan, bc)
     assert np.array_equal(clean.t, dirty.t)
-    assert np.array_equal(clean.mass.t_mass, dirty.mass.t_mass)
+    assert np.array_equal(clean.t_mass, dirty.t_mass)
     with pytest.raises(SolverError, match="iteration 1: temperature nan"):
         hg.step(state, poisoned_plan, bc)
 
@@ -383,6 +385,32 @@ def test_non_finite_state_rejected_naming_cell(rng):
     t[1, 3] = np.nan
     with pytest.raises(SolverError, match=r"state: temperature nan at cell \(1, 3\)"):
         hg.step(hg.ThermalState(t=t), hg.prepare(grid, mats, bare_config()), dark_boundary(290.0))
+
+
+def nan_on_wall_node(t_mass):
+    t_mass[0, 0] = np.nan  # a wall cell's node never couples, but NaN is still a bad state
+    return t_mass
+
+
+@pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (lambda t_mass: t_mass[1:], r"state t_mass shape \(11, 23\) does not match grid"),
+        (nan_on_wall_node, r"state t_mass: temperature nan at cell \(0, 0\)"),
+        (lambda t_mass: None, "state t_mass is missing"),
+    ],
+    ids=["one_row_short", "nan_on_wall", "missing"],
+)
+def test_bad_mass_nodes_rejected_naming_them(
+    canonical, canonical_weather, stepper, defect, message
+):
+    grid, mats, config = canonical
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    state.t_mass = defect(state.t_mass)
+    with pytest.raises(SolverError, match=message):
+        stepper(state, hg.prepare(grid, mats, config), bc)
 
 
 def test_non_finite_boundary_temperature_rejected(rng):
