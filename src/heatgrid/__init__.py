@@ -25,6 +25,7 @@ from .building import (
     load_building,
     load_building_file,
     save_building,
+    shift_fields,
 )
 from .conditions import StepBoundary, boundary_for_time
 from .oracle_solver import energy_audit, oracle_step
@@ -38,7 +39,6 @@ from .radiation import (
     assemble_exterior_lw_tensor,
     assemble_solar_tensors,
     build_exchange_matrix_2d,
-    exterior_lw_flux,
     exterior_lw_weights,
     load_exchange_matrix,
     save_exchange_matrix,
@@ -52,7 +52,6 @@ from .solar import (
     angle_of_incidence,
     poa_for_orientations,
     poa_irradiance,
-    solar_fluxes,
     solar_position,
 )
 from .tensor_solver import (
@@ -63,7 +62,6 @@ from .tensor_solver import (
     make_initial_state,
     prepare,
     run_episode,
-    shift_fields,
     step,
     update_mass,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "build_exchange_matrix_2d",
     "classify_exposure",
     "energy_audit",
-    "exterior_lw_flux",
     "exterior_lw_weights",
     "load_building",
     "load_building_file",
@@ -129,7 +126,6 @@ __all__ = [
     "shift_fields",
     "sky_temperature",
     "solar_basis",
-    "solar_fluxes",
     "solar_position",
     "step",
     "update_mass",

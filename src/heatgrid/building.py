@@ -18,6 +18,7 @@ faces have length U.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, Optional, Tuple
@@ -69,6 +70,19 @@ class ConfigError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when a parsed building violates a structural invariant."""
+
+
+def shift_fields(pad: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Neighbor fields ``(east, north, west, south)`` of ``values``.
+
+    ``pad`` is a buffer one cell wider than the field on every side whose
+    border holds the value a neighbor outside the grid reads. The field is
+    written into its interior and the four shifted views are returned, so
+    ``east[i, j]`` is ``values[i, j+1]`` and a neighbor off the grid reads
+    the border's fill.
+    """
+    pad[1:-1, 1:-1] = values
+    return pad[1:-1, 2:], pad[:-2, 1:-1], pad[1:-1, :-2], pad[2:, 1:-1]
 
 
 def face_length(u: np.ndarray, v: np.ndarray, direction: int) -> np.ndarray:
@@ -188,27 +202,9 @@ def classify_exposure(grid: BuildingGrid) -> BuildingGrid:
     boundary-padding cell. Envelope cells with more than two exposed faces
     are unsupported geometry (a one-cell wall finger) and rejected.
     """
-    rows, cols = grid.rows, grid.cols
-    cv = grid.cv_type
-    exposed = np.zeros((4, rows, cols), dtype=bool)
-
-    boundary = cv == int(CvType.BOUNDARY)
-    for d, (dr, dc) in enumerate(DIR_OFFSETS):
-        neighbor_is_boundary = np.zeros((rows, cols), dtype=bool)
-        out_of_grid = np.zeros((rows, cols), dtype=bool)
-        if dr == 0 and dc == 1:
-            neighbor_is_boundary[:, :-1] = boundary[:, 1:]
-            out_of_grid[:, -1] = True
-        elif dr == -1:
-            neighbor_is_boundary[1:, :] = boundary[:-1, :]
-            out_of_grid[0, :] = True
-        elif dc == -1:
-            neighbor_is_boundary[:, 1:] = boundary[:, :-1]
-            out_of_grid[:, 0] = True
-        else:
-            neighbor_is_boundary[:-1, :] = boundary[1:, :]
-            out_of_grid[-1, :] = True
-        exposed[d] = neighbor_is_boundary | out_of_grid
+    boundary = grid.cv_type == int(CvType.BOUNDARY)
+    pad = np.ones((grid.rows + 2, grid.cols + 2), dtype=bool)  # a face off the grid is exposed
+    exposed = np.stack(shift_fields(pad, boundary))
 
     # Boundary cells themselves are the exterior; they expose nothing.
     exposed[:, boundary] = False
@@ -222,7 +218,7 @@ def classify_exposure(grid: BuildingGrid) -> BuildingGrid:
             "at most 2 supported"
         )
 
-    delta = np.zeros((rows, cols), dtype=float)
+    delta = np.zeros((grid.rows, grid.cols), dtype=float)
     for d in range(4):
         delta += np.where(exposed[d], face_length(grid.u, grid.v, d), 0.0)
     # Exposure length only matters on envelope cells.
@@ -345,13 +341,18 @@ class MaterialField:
 
     def validate(self, grid: BuildingGrid) -> None:
         shape = (grid.rows, grid.cols)
-        for name in ("emissivity", "absorptivity", "transmissivity"):
+        for name, top in (
+            ("emissivity", 1.0), ("absorptivity", 1.0), ("transmissivity", 1.0), ("tilt", 180.0)
+        ):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValidationError(f"{name} shape {arr.shape} != grid {shape}")
-            if np.any((arr < 0.0) | (arr > 1.0)):
-                r, c = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
-                raise ValidationError(f"{name}={arr[r, c]} outside [0, 1] at cell ({r}, {c})")
+            outside = ~((arr >= 0.0) & (arr <= top))  # NaN too
+            if np.any(outside):
+                r, c = np.argwhere(outside)[0]
+                raise ValidationError(
+                    f"{name}={arr[r, c]} outside [0, {top:g}] at cell ({r}, {c})"
+                )
         over = self.absorptivity + self.transmissivity > 1.0 + 1e-12
         if np.any(over):
             r, c = np.argwhere(over)[0]
@@ -366,12 +367,12 @@ class MaterialField:
             raise ValidationError(
                 f"transmissivity {self.transmissivity[r, c]} > 0 on opaque cell ({r}, {c})"
             )
-        if np.any(self.k_face < 0.0) or np.any(self.h_face < 0.0):
+        if not ((self.k_face >= 0.0).all() and (self.h_face >= 0.0).all()):
             raise ValidationError("conductivity and convection coefficients must be >= 0")
-        if np.any(self.heat_capacity < 0.0) or np.any(self.density < 0.0):
+        if not ((self.heat_capacity >= 0.0).all() and (self.density >= 0.0).all()):
             raise ValidationError("heat capacity and density must be >= 0")
         needs_capacity = grid.cv_type != int(CvType.BOUNDARY)
-        dead = needs_capacity & (self.volumetric_capacity() <= 0.0)
+        dead = needs_capacity & ~(self.volumetric_capacity() > 0.0)
         if np.any(dead):
             r, c = np.argwhere(dead)[0]
             raise ValidationError(f"C*rho = 0 on non-boundary cell ({r}, {c})")
@@ -434,15 +435,16 @@ class SimulationConfig:
 # CONFIG LOADING
 # =============================================================================
 
-_PROPERTY_KEYS = {
-    "conductivity",
-    "h_exterior",
-    "specific_heat",
-    "density",
-    "emissivity",
-    "absorptivity",
-    "transmissivity",
-    "tilt",
+#: Material property keys and the value a material that omits one gets.
+_PROPERTY_DEFAULTS = {
+    "conductivity": 0.0,
+    "h_exterior": 0.0,
+    "specific_heat": 0.0,
+    "density": 0.0,
+    "emissivity": 0.0,
+    "absorptivity": 0.0,
+    "transmissivity": 0.0,
+    "tilt": 90.0,
 }
 
 
@@ -450,6 +452,17 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing {key!r} in {where}")
     return mapping[key]
+
+
+def _finite(raw, where: str) -> float:
+    """``raw`` as a float; raise ``ConfigError`` naming ``where`` unless it is a finite number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}={value} must be finite")
+    return value
 
 
 def _parse_rect(raw, where: str, rows: int, cols: int) -> Tuple[int, int, int, int]:
@@ -493,14 +506,14 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     grid_sec = _require(doc, "grid", "building config")
     rows = int(_require(grid_sec, "rows", "grid section"))
     cols = int(_require(grid_sec, "cols", "grid section"))
-    z = float(_require(grid_sec, "z", "grid section"))
+    z = _finite(_require(grid_sec, "z", "grid section"), "grid.z")
     cell_size = _require(grid_sec, "cell_size", "grid section")
     if isinstance(cell_size, (list, tuple)):
         if len(cell_size) != 2:
             raise ConfigError("grid.cell_size must be a number or [size_x, size_y]")
-        size_u, size_v = float(cell_size[0]), float(cell_size[1])
+        size_u, size_v = (_finite(x, "grid.cell_size") for x in cell_size)
     else:
-        size_u = size_v = float(cell_size)
+        size_u = size_v = _finite(cell_size, "grid.cell_size")
     if rows < 1 or cols < 1 or size_u <= 0 or size_v <= 0 or z <= 0:
         raise ConfigError("grid dimensions, cell_size, and z must be positive")
 
@@ -575,7 +588,7 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: material entries must be mappings")
         props = _require(entry, "properties", where)
-        unknown = set(props) - _PROPERTY_KEYS
+        unknown = set(props) - _PROPERTY_DEFAULTS.keys()
         if unknown:
             raise ConfigError(f"{where}: unknown property keys {sorted(unknown)}")
         if "cv_type" in entry:
@@ -587,14 +600,18 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         else:
             raise ConfigError(f"{where}: needs a cv_type or rect selector")
 
-        cell_k[mask] = float(props.get("conductivity", 0.0))
-        cell_h[mask] = float(props.get("h_exterior", 0.0))
-        mats.heat_capacity[mask] = float(props.get("specific_heat", 0.0))
-        mats.density[mask] = float(props.get("density", 0.0))
-        mats.emissivity[mask] = float(props.get("emissivity", 0.0))
-        mats.absorptivity[mask] = float(props.get("absorptivity", 0.0))
-        mats.transmissivity[mask] = float(props.get("transmissivity", 0.0))
-        mats.tilt[mask] = float(props.get("tilt", 90.0))
+        values = {
+            key: _finite(props.get(key, default), f"{where}: {key}")
+            for key, default in _PROPERTY_DEFAULTS.items()
+        }
+        cell_k[mask] = values["conductivity"]
+        cell_h[mask] = values["h_exterior"]
+        mats.heat_capacity[mask] = values["specific_heat"]
+        mats.density[mask] = values["density"]
+        mats.emissivity[mask] = values["emissivity"]
+        mats.absorptivity[mask] = values["absorptivity"]
+        mats.transmissivity[mask] = values["transmissivity"]
+        mats.tilt[mask] = values["tilt"]
         covered |= mask
 
     needs_props = grid.cv_type != int(CvType.BOUNDARY)
@@ -621,19 +638,11 @@ def _assign_face_coefficients(
         s = a + b
         return np.where(s > 0.0, 2.0 * a * b / np.where(s > 0.0, s, 1.0), 0.0)
 
-    rows, cols = grid.rows, grid.cols
-    for d, (dr, dc) in enumerate(DIR_OFFSETS):
-        k = np.zeros((rows, cols))
-        if dr == 0 and dc == 1:
-            k[:, :-1] = harmonic(cell_k[:, :-1], cell_k[:, 1:])
-        elif dr == -1:
-            k[1:, :] = harmonic(cell_k[1:, :], cell_k[:-1, :])
-        elif dc == -1:
-            k[:, 1:] = harmonic(cell_k[:, 1:], cell_k[:, :-1])
-        else:
-            k[:-1, :] = harmonic(cell_k[:-1, :], cell_k[1:, :])
+    # A face off the grid is exposed, so its zero fill never reaches k_face.
+    neighbor_k = shift_fields(np.zeros((grid.rows + 2, grid.cols + 2)), cell_k)
+    for d in range(4):
         exposed = grid.exposed_mask[d]
-        mats.k_face[d] = np.where(exposed, 0.0, k)
+        mats.k_face[d] = np.where(exposed, 0.0, harmonic(cell_k, neighbor_k[d]))
         mats.h_face[d] = np.where(exposed, cell_h, 0.0)
     # Boundary-padding cells take no part in the update at all.
     boundary = grid.cv_type == int(CvType.BOUNDARY)

@@ -344,6 +344,7 @@ def energy_audit(
     temps = state_after.t.tolist()
     t_prev = state_before.t.tolist()
     kind = grid.cv_type.tolist()
+    cap_rho = mats.volumetric_capacity().tolist()
 
     if config.enable_solar:
         q_alpha, q_tau, _unused = _solar_terms(
@@ -409,7 +410,7 @@ def energy_audit(
                 )
             source = float(boundary.q_x[r, c]) if boundary.q_x is not None else 0.0
 
-            capacity = float(mats.volumetric_capacity()[r, c]) * uu * vv * z / config.dt
+            capacity = cap_rho[r][c] * uu * vv * z / config.dt
             stored += capacity * (here - t_prev[r][c])
 
             groups["conduction"] += conduction

@@ -62,9 +62,8 @@ class OpenCavityError(ValueError):
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class ViewFactorSet:
-    """Tilt-dependent view factors and sky correction for one surface.
+class ViewFactorSet(NamedTuple):
+    """Tilt-dependent view factors and sky correction, one entry per tilt.
 
     For tilt angle phi from horizontal:
     ``F_gnd = (1 - cos phi)/2``, ``F_sky = (1 + cos phi)/2``,
@@ -72,77 +71,32 @@ class ViewFactorSet:
     The weights satisfy ``F_gnd + beta F_sky + F_air = 1`` for every tilt.
     """
 
-    f_gnd: float
-    f_sky: float
-    beta: float
-    f_air: float
-    tilt: float
+    f_gnd: np.ndarray
+    f_sky: np.ndarray
+    beta: np.ndarray
+    f_air: np.ndarray
 
 
 def view_factors(tilt) -> ViewFactorSet:
-    """View-factor set for a surface tilted ``tilt`` degrees from horizontal.
+    """View factors for surfaces tilted ``tilt`` degrees from horizontal.
 
-    Accepts a scalar or an ndarray of tilts. Uses a degree-exact cosine so
-    vertical surfaces come out at F_gnd = F_sky = 0.5 exactly.
+    Takes a scalar or an array of tilts and returns arrays of the same
+    shape. A tilt outside [0, 180], NaN included, raises. Uses a
+    degree-exact cosine so vertical surfaces come out at F_gnd = F_sky =
+    0.5 exactly.
     """
-    tilt_arr = np.asarray(tilt, dtype=float)
-    if np.any((tilt_arr < 0.0) | (tilt_arr > 180.0)):
-        raise ValueError(f"tilt {tilt!r} outside [0, 180] degrees")
+    tilt = np.asarray(tilt, dtype=float)
+    bad = ~((tilt >= 0.0) & (tilt <= 180.0))
+    if np.any(bad):
+        raise ValueError(f"tilt {tilt[bad][0]} outside [0, 180] degrees")
     # Degree-exact cosine: table values at 0, 90 and 180 degrees.
-    quarter_turns, rest = np.divmod(tilt_arr, 90.0)
+    quarter_turns, rest = np.divmod(tilt, 90.0)
     exact = np.array([1.0, 0.0, -1.0])[quarter_turns.astype(np.intp)]
-    cos_tilt = np.where(rest == 0.0, exact, np.cos(np.radians(tilt_arr)))
+    cos_tilt = np.where(rest == 0.0, exact, np.cos(np.radians(tilt)))
     f_gnd = 0.5 * (1.0 - cos_tilt)
     f_sky = 0.5 * (1.0 + cos_tilt)
     beta = np.sqrt(f_sky)
-    f_air = f_sky * (1.0 - beta)
-    if np.isscalar(tilt) or tilt_arr.ndim == 0:
-        return ViewFactorSet(
-            float(f_gnd), float(f_sky), float(beta), float(f_air), float(tilt)
-        )
-    return ViewFactorSet(f_gnd, f_sky, beta, f_air, tilt_arr)
-
-
-def exterior_lw_flux(eps, vf: ViewFactorSet, t_surf, t_gnd, t_sky, t_air):
-    """Net exterior long-wave flux density [W/m^2] on a surface.
-
-    ``q = eps sigma [F_gnd (T_gnd^4 - T_surf^4) + beta F_sky (T_sky^4 - T_surf^4)
-    + F_air (T_air^4 - T_surf^4)]``. Positive means a net gain by the
-    surface. Works element-wise on arrays.
-    """
-    if np.any(np.asarray(eps) < 0.0) or np.any(np.asarray(eps) > 1.0):
-        raise ValueError(f"emissivity {eps!r} outside [0, 1]")
-    for name, t in (("t_surf", t_surf), ("t_gnd", t_gnd), ("t_sky", t_sky), ("t_air", t_air)):
-        if np.any(np.asarray(t) <= 0.0):
-            raise ValueError(f"{name} must be > 0 K, got {t!r}")
-    surf4 = np.asarray(t_surf, dtype=float) ** 4
-    return (
-        eps
-        * STEFAN_BOLTZMANN
-        * (
-            vf.f_gnd * (np.asarray(t_gnd, dtype=float) ** 4 - surf4)
-            + vf.beta * vf.f_sky * (np.asarray(t_sky, dtype=float) ** 4 - surf4)
-            + vf.f_air * (np.asarray(t_air, dtype=float) ** 4 - surf4)
-        )
-    )
-
-
-def exposure_scale(grid: BuildingGrid, layer_divisor: int = 1) -> np.ndarray:
-    """Exterior-flux area scale [m^2] per cell, zero off the envelope.
-
-    Exposed envelope cells scale by their total exposed face length times
-    floor height (corners therefore get twice the edge-cell scale on square
-    grids). With ``layer_divisor`` > 1, unexposed envelope cells (inner
-    layers of a multi-layer wall) receive a nominal face length divided by
-    the layer count; with the default single-layer setting they receive
-    nothing.
-    """
-    scale = grid.delta_x * grid.z
-    if layer_divisor > 1:
-        inner = grid.is_envelope() & (grid.exposed_faces == 0)
-        nominal = 0.5 * (grid.u + grid.v)
-        scale = scale + np.where(inner, nominal / layer_divisor * grid.z, 0.0)
-    return scale
+    return ViewFactorSet(f_gnd, f_sky, beta, f_sky * (1.0 - beta))
 
 
 def exterior_lw_weights(
@@ -150,12 +104,22 @@ def exterior_lw_weights(
 ) -> np.ndarray:
     """Exterior long-wave weights [W/K^4 per cell], shape ``(3, rows, cols)``.
 
-    ``eps sigma A (F_gnd, beta F_sky, F_air)`` with ``A`` the exposure
-    scale, so every weight is zero off the envelope. They depend on the
-    plan alone; ``prepare`` computes them once per run.
+    ``eps sigma A (F_gnd, beta F_sky, F_air)``, with ``A`` the exposed area
+    [m^2]: the cell's total exposed face length times floor height, so a
+    corner of a square-cell grid gets twice an edge cell's. With
+    ``layer_divisor`` > 1, an envelope cell with no exposed face (an inner
+    layer of a multi-layer wall) gets a nominal face length divided by the
+    layer count; otherwise it gets nothing. Every weight is zero off the
+    envelope. They depend on the plan alone; ``prepare`` computes them once
+    per run.
     """
+    scale = grid.delta_x * grid.z
+    if layer_divisor > 1:
+        inner = grid.is_envelope() & (grid.exposed_faces == 0)
+        nominal = 0.5 * (grid.u + grid.v)
+        scale = scale + np.where(inner, nominal / layer_divisor * grid.z, 0.0)
     vf = view_factors(mats.tilt)
-    area = mats.emissivity * STEFAN_BOLTZMANN * exposure_scale(grid, layer_divisor)
+    area = mats.emissivity * STEFAN_BOLTZMANN * scale
     return np.stack((area * vf.f_gnd, area * vf.beta * vf.f_sky, area * vf.f_air))
 
 

@@ -11,7 +11,7 @@ Facades are the four cardinal orientations of the floor plan, all vertical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict
 
@@ -32,11 +32,10 @@ ORIENTATIONS = tuple(ORIENTATION_AZIMUTH)
 
 @dataclass(frozen=True)
 class SolarGeometry:
-    """Sun position plus per-facade angles of incidence (vertical surfaces)."""
+    """Sun position: zenith and azimuth [deg]."""
 
     zenith: float
     azimuth: float
-    aoi_per_orientation: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,7 @@ def _declination_and_eqtime(julian_century: float):
 def solar_position(site: SitePosition, when: datetime) -> SolarGeometry:
     """Sun zenith/azimuth [deg] at a site and UTC instant.
 
-    Azimuth is measured clockwise from north in [0, 360). The returned
-    geometry also carries the angle of incidence on each vertical cardinal
-    facade.
+    Azimuth is measured clockwise from north in [0, 360).
     """
     site.validate()
     jd = _julian_day(when)
@@ -146,11 +143,7 @@ def solar_position(site: SitePosition, when: datetime) -> SolarGeometry:
             azimuth = 360.0 - azimuth
         azimuth %= 360.0
 
-    aoi = {
-        orientation: angle_of_incidence(zenith, azimuth, 90.0, facade_azimuth)
-        for orientation, facade_azimuth in ORIENTATION_AZIMUTH.items()
-    }
-    return SolarGeometry(zenith=zenith, azimuth=azimuth, aoi_per_orientation=aoi)
+    return SolarGeometry(zenith=zenith, azimuth=azimuth)
 
 
 def angle_of_incidence(
@@ -201,18 +194,3 @@ def poa_for_orientations(
         for orientation, facade_azimuth in ORIENTATION_AZIMUTH.items()
     }
     return PoaIrradiance(g_ts)
-
-
-def solar_fluxes(g_ts: float, alpha: float, tau: float):
-    """Split POA irradiance into absorbed and transmitted flux [W/m^2].
-
-    Returns ``(alpha * g_ts, tau * g_ts)``. Requires alpha, tau in [0, 1]
-    with alpha + tau <= 1, so the two parts never exceed the incident total.
-    """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= tau <= 1.0):
-        raise ValueError(f"alpha={alpha}, tau={tau} must lie in [0, 1]")
-    if alpha + tau > 1.0 + 1e-12:
-        raise ValueError(f"alpha + tau = {alpha + tau} exceeds 1")
-    if g_ts < 0.0:
-        raise ValueError(f"negative POA irradiance {g_ts}")
-    return alpha * g_ts, tau * g_ts

@@ -53,6 +53,7 @@ from .building import (
     DIR_WEST,
     MaterialField,
     SimulationConfig,
+    shift_fields,
 )
 from .conditions import StepBoundary, boundary_for_time
 from .radiation import (
@@ -292,18 +293,6 @@ class _AndersonHistory:
         np.matmul(gamma, self.flat_image[:c], out=x.reshape(-1))
         np.subtract(image, x, out=x)
         return True
-
-
-def shift_fields(pad: np.ndarray, temperatures: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Neighbor fields ``(east, north, west, south)`` of ``temperatures``.
-
-    ``pad`` is a buffer one cell wider than the field on every side whose
-    border holds the ambient temperature. The field is written into its
-    interior and the four shifted views are returned, so ``east[i, j]`` is
-    ``T[i, j+1]`` and a neighbor outside the grid reads ambient.
-    """
-    pad[1:-1, 1:-1] = temperatures
-    return pad[1:-1, 2:], pad[:-2, 1:-1], pad[1:-1, :-2], pad[2:, 1:-1]
 
 
 def update_mass(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
-from heatgrid.building import BuildingGrid, ConfigError, CvType, ValidationError
+from heatgrid.building import (
+    DIR_OFFSETS,
+    BuildingGrid,
+    ConfigError,
+    CvType,
+    MaterialField,
+    ValidationError,
+    _assign_face_coefficients,
+)
 
 
 def minimal_doc(rows=5, cols=6, extra_zones=(), **sim):
@@ -135,6 +145,59 @@ def test_three_exposed_faces_rejected():
         BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exposure_and_face_coefficients_match_a_per_cell_loop(data):
+    # random type maps, boundary padding anywhere in the grid, random cell
+    # sizes and conductivities (zero included), against a loop over DIR_OFFSETS
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    n = rows * cols
+
+    def field(elements):
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n))).reshape(rows, cols)
+
+    kinds = [int(CvType.INTERIOR_AIR), int(CvType.EXTERIOR_WALL),
+             int(CvType.INTERIOR_WALL), int(CvType.BOUNDARY)]
+    cv = field(st.sampled_from(kinds))
+    u, v = field(st.floats(0.1, 2.0)), field(st.floats(0.1, 2.0))
+    cell_k = field(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    cell_h = field(st.floats(0.0, 30.0))
+
+    boundary = cv == int(CvType.BOUNDARY)
+    envelope = cv == int(CvType.EXTERIOR_WALL)
+    exposed = np.zeros((4, rows, cols), dtype=bool)
+    delta_x = np.zeros((rows, cols))
+    k_face, h_face = np.zeros((4, rows, cols)), np.zeros((4, rows, cols))
+    for r in range(rows):
+        for c in range(cols):
+            if boundary[r, c]:
+                continue
+            for d, (dr, dc) in enumerate(DIR_OFFSETS):
+                nr, nc = r + dr, c + dc
+                if not (0 <= nr < rows and 0 <= nc < cols) or boundary[nr, nc]:
+                    exposed[d, r, c] = True
+                    h_face[d, r, c] = cell_h[r, c]
+                    if envelope[r, c]:
+                        delta_x[r, c] += v[r, c] if d in (0, 2) else u[r, c]
+                else:
+                    a, b = cell_k[r, c], cell_k[nr, nc]
+                    k_face[d, r, c] = 2.0 * a * b / (a + b) if a + b > 0.0 else 0.0
+    counts = exposed.sum(axis=0)
+
+    if (envelope & (counts > 2)).any():
+        with pytest.raises(ValidationError, match="exterior faces"):
+            BuildingGrid.from_cv_types(cv, u, v, 3.0)
+        return
+    grid = BuildingGrid.from_cv_types(cv, u, v, 3.0)
+    assert np.array_equal(grid.exposed_mask, exposed)
+    assert np.array_equal(grid.exposed_faces, counts)
+    assert np.array_equal(grid.delta_x, delta_x)
+    mats = MaterialField.zeros(rows, cols)
+    _assign_face_coefficients(grid, mats, cell_k, cell_h)
+    assert np.array_equal(mats.k_face, k_face)
+    assert np.array_equal(mats.h_face, h_face)
+
+
 # -----------------------------------------------------------------------------
 # loader validation
 # -----------------------------------------------------------------------------
@@ -194,6 +257,50 @@ def test_missing_material_binding_names_cell():
     doc = minimal_doc()
     doc["materials"] = doc["materials"][:1]  # drop the air material
     with pytest.raises(ConfigError, match="no material binding"):
+        load_doc(doc)
+
+
+def set_property(index, key, value):
+    def edit(doc):
+        doc["materials"][index]["properties"][key] = value
+    return edit
+
+
+def set_grid(key, value):
+    def edit(doc):
+        doc["grid"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (set_property(0, "conductivity", math.nan), ConfigError,
+         r"materials\[0\] \(wall\): conductivity=nan must be finite"),
+        (set_property(0, "emissivity", math.nan), ConfigError,
+         r"materials\[0\] \(wall\): emissivity=nan must be finite"),
+        (set_property(0, "absorptivity", math.nan), ConfigError,
+         r"materials\[0\] \(wall\): absorptivity=nan must be finite"),
+        (set_property(1, "specific_heat", math.nan), ConfigError,
+         r"materials\[1\] \(air\): specific_heat=nan must be finite"),
+        (set_property(0, "h_exterior", math.nan), ConfigError,
+         r"materials\[0\] \(wall\): h_exterior=nan must be finite"),
+        (set_property(0, "h_exterior", math.inf), ConfigError,
+         r"materials\[0\] \(wall\): h_exterior=inf must be finite"),
+        (set_property(0, "tilt", math.nan), ConfigError,
+         r"materials\[0\] \(wall\): tilt=nan must be finite"),
+        (set_property(0, "tilt", 200.0), ValidationError,
+         r"tilt=200.0 outside \[0, 180\] at cell \(0, 0\)"),
+        (set_grid("z", math.nan), ConfigError, r"grid.z=nan must be finite"),
+        (set_grid("cell_size", math.nan), ConfigError, r"grid.cell_size=nan must be finite"),
+    ],
+    ids=["conductivity-nan", "emissivity-nan", "absorptivity-nan", "specific_heat-nan",
+         "h_exterior-nan", "h_exterior-inf", "tilt-nan", "tilt-200", "z-nan", "cell_size-nan"],
+)
+def test_bad_number_fails_at_load_naming_the_entry(edit, error, message):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(error, match=message):
         load_doc(doc)
 
 

@@ -228,6 +228,25 @@ def test_audit_rejects_bad_states_by_name(canonical, canonical_weather):
         hg.energy_audit(state, hg.ThermalState(t=new.t[1:]), plan, bc)
 
 
+def test_energy_audit_reads_capacity_once(canonical, canonical_weather, monkeypatch):
+    # a full-grid product per cell made the audit quadratic in the CV count
+    grid, mats, config = canonical
+    plan = hg.prepare(grid, mats, config)
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    new, _ = hg.oracle_step(state, plan, bc)
+    calls = []
+    capacity = MaterialField.volumetric_capacity
+
+    def counting(self):
+        calls.append(1)
+        return capacity(self)
+
+    monkeypatch.setattr(MaterialField, "volumetric_capacity", counting)
+    hg.energy_audit(state, new, plan, bc)
+    assert len(calls) <= 1
+
+
 def test_oracle_imports_no_kernel():
     # the oracle's independence, by its import list: the standard library,
     # numpy and data types only; no mass module and no vectorized kernel

@@ -14,8 +14,8 @@ from heatgrid.building import (
     CvType,
     MaterialField,
 )
-from heatgrid.oracle_solver import _interior_lw_terms
-from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN, exposure_scale
+from heatgrid.oracle_solver import _interior_lw_terms, _scalar_exterior_flux
+from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN
 from heatgrid.solar import PoaIrradiance
 
 
@@ -46,58 +46,13 @@ def test_view_factor_identity(tilt):
 
 
 def test_view_factor_range_check():
-    with pytest.raises(ValueError):
-        hg.view_factors(-5.0)
-    with pytest.raises(ValueError):
-        hg.view_factors(181.0)
+    for tilt in (-5.0, 181.0, math.nan, [90.0, math.nan]):
+        with pytest.raises(ValueError, match=r"tilt \S+ outside \[0, 180\] degrees"):
+            hg.view_factors(tilt)
 
 
 # -----------------------------------------------------------------------------
-# exterior long-wave flux
-# -----------------------------------------------------------------------------
-
-def test_isothermal_flux_is_exactly_zero():
-    vf = hg.view_factors(90.0)
-    assert hg.exterior_lw_flux(0.9, vf, 293.0, 293.0, 293.0, 293.0) == 0.0
-
-
-def test_zero_emissivity_flux_is_zero():
-    vf = hg.view_factors(37.0)
-    assert hg.exterior_lw_flux(0.0, vf, 300.0, 290.0, 250.0, 280.0) == 0.0
-
-
-def test_exterior_flux_frozen_value():
-    # independently evaluated twice (float and 50-digit decimal) before
-    # implementation: eps=0.9, vertical, 300/290/270/285 K
-    vf = hg.view_factors(90.0)
-    q = hg.exterior_lw_flux(0.9, vf, 300.0, 290.0, 270.0, 285.0)
-    assert q == pytest.approx(-87.70011762399055, rel=1e-12)
-
-
-def test_exterior_flux_strictly_decreasing_in_surface_temp(rng):
-    vf_cache = {}
-    for _ in range(50):
-        tilt = float(rng.uniform(0.0, 180.0))
-        vf = vf_cache.setdefault(tilt, hg.view_factors(tilt))
-        eps = float(rng.uniform(0.05, 1.0))
-        t_surf = float(rng.uniform(250.0, 330.0))
-        t_gnd, t_sky, t_air = (float(rng.uniform(240.0, 320.0)) for _ in range(3))
-        h = 0.01
-        lo = hg.exterior_lw_flux(eps, vf, t_surf - h, t_gnd, t_sky, t_air)
-        hi = hg.exterior_lw_flux(eps, vf, t_surf + h, t_gnd, t_sky, t_air)
-        assert hi < lo
-
-
-def test_exterior_flux_preconditions():
-    vf = hg.view_factors(90.0)
-    with pytest.raises(ValueError):
-        hg.exterior_lw_flux(1.2, vf, 300.0, 290.0, 270.0, 285.0)
-    with pytest.raises(ValueError):
-        hg.exterior_lw_flux(0.9, vf, -1.0, 290.0, 270.0, 285.0)
-
-
-# -----------------------------------------------------------------------------
-# exterior tensor assembly
+# exterior long-wave: weights and tensor assembly
 # -----------------------------------------------------------------------------
 
 def ring_building(rows=5, cols=6, cell=0.5):
@@ -109,6 +64,80 @@ def ring_building(rows=5, cols=6, cell=0.5):
     mats.heat_capacity[:] = 900.0
     mats.density[:] = 2000.0
     return grid, mats
+
+
+def single_wall_cell(eps, tilt=90.0):
+    """3x4 plan whose one envelope cell, (0, 1), has one exposed face."""
+    cv = np.full((3, 4), int(CvType.INTERIOR_AIR))
+    cv[0, 1] = int(CvType.EXTERIOR_WALL)
+    # air above the wall cell would touch the exterior; not validated here,
+    # the assembly only needs the exposure classification
+    grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
+    mats = MaterialField.zeros(3, 4)
+    mats.emissivity[0, 1] = eps
+    mats.tilt[0, 1] = tilt
+    return grid, mats
+
+
+def wall_cell_flux(grid, mats, t_surf, t_gnd, t_sky, t_air):
+    """Exterior long-wave power [W] on cell (0, 1) through the solver's kernel."""
+    t = np.full((grid.rows, grid.cols), float(t_surf))
+    weights = hg.exterior_lw_weights(grid, mats, 1)
+    return hg.assemble_exterior_lw_tensor(weights, t, t_gnd, t_sky, t_air)[0, 1]
+
+
+def test_isothermal_flux_is_exactly_zero():
+    for tilt in (0.0, 37.0, 90.0, 180.0):
+        grid, mats = single_wall_cell(0.9, tilt)
+        assert wall_cell_flux(grid, mats, 293.0, 293.0, 293.0, 293.0) == 0.0
+
+
+def test_zero_emissivity_flux_is_zero():
+    grid, mats = single_wall_cell(0.0, 37.0)
+    weights = hg.exterior_lw_weights(grid, mats, 1)
+    assert (weights == 0.0).all()
+    assert wall_cell_flux(grid, mats, 300.0, 290.0, 250.0, 280.0) == 0.0
+
+
+def test_exterior_flux_frozen_value():
+    # independently evaluated twice (float and 50-digit decimal) before
+    # implementation: eps=0.9, vertical, 300/290/270/285 K, per m^2 exposed
+    grid, mats = single_wall_cell(0.9)
+    area = grid.delta_x[0, 1] * grid.z
+    q = wall_cell_flux(grid, mats, 300.0, 290.0, 270.0, 285.0) / area
+    assert q == pytest.approx(-87.70011762399055, rel=1e-12)
+
+
+def test_exterior_flux_strictly_decreasing_in_surface_temp(rng):
+    for _ in range(50):
+        tilt = float(rng.uniform(0.0, 180.0))
+        eps = float(rng.uniform(0.05, 1.0))
+        grid, mats = single_wall_cell(eps, tilt)
+        t_surf = float(rng.uniform(250.0, 330.0))
+        t_gnd, t_sky, t_air = (float(rng.uniform(240.0, 320.0)) for _ in range(3))
+        h = 0.01
+        lo = wall_cell_flux(grid, mats, t_surf - h, t_gnd, t_sky, t_air)
+        hi = wall_cell_flux(grid, mats, t_surf + h, t_gnd, t_sky, t_air)
+        assert hi < lo
+
+
+def test_exterior_flux_preconditions():
+    # emissivity in [0, 1] is the material check's; a surface temperature
+    # > 0 K is the step's
+    grid, mats = ring_building()
+    mats.emissivity[0, 2] = 1.2
+    with pytest.raises(
+        hg.ValidationError, match=r"emissivity=1.2 outside \[0, 1\] at cell \(0, 2\)"
+    ):
+        mats.validate(grid)
+    mats.emissivity[0, 2] = 0.9
+    config = hg.SimulationConfig(enable_interior_lw=False, enable_solar=False,
+                                 enable_interior_mass=False)
+    t = np.full((grid.rows, grid.cols), 293.0)
+    t[0, 2] = -1.0
+    boundary = hg.StepBoundary(t_inf=285.0, t_gnd=290.0, t_sky=270.0, poa=PoaIrradiance.dark())
+    with pytest.raises(hg.SolverError, match=r"temperature -1.0 at cell \(0, 2\)"):
+        hg.step(hg.ThermalState(t=t), hg.prepare(grid, mats, config), boundary)
 
 
 def test_equilibrium_tensor_is_zero():
@@ -128,16 +157,10 @@ def test_corner_entry_is_twice_edge_entry():
 
 
 def test_single_envelope_cell_matches_scalar_path():
-    cv = np.full((3, 4), int(CvType.INTERIOR_AIR))
-    cv[0, 1] = int(CvType.EXTERIOR_WALL)
-    # air above the wall cell would touch the exterior; not validated here,
-    # the assembly only needs the exposure classification
-    grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(3, 4)
-    mats.emissivity[0, 1] = 0.85
+    grid, mats = single_wall_cell(0.85)
     t = np.full((3, 4), 305.0)
     q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 288.0, 260.0, 283.0)
-    scalar = hg.exterior_lw_flux(0.85, hg.view_factors(90.0), 305.0, 288.0, 260.0, 283.0)
+    scalar = _scalar_exterior_flux(0.85, 90.0, 305.0, 288.0, 260.0, 283.0)
     assert q[0, 1] == pytest.approx(grid.delta_x[0, 1] * grid.z * scalar, rel=1e-14)
     assert (np.delete(q.ravel(), 1) == 0.0).all()
 
@@ -146,15 +169,18 @@ def test_layer_divisor_controls_inner_envelope():
     cv = np.full((5, 6), int(CvType.EXTERIOR_WALL))
     cv[2:-2, 2:-2] = int(CvType.INTERIOR_AIR)  # double-thickness shell
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
+    mats = MaterialField.zeros(5, 6)
+    mats.emissivity[:] = 0.9
     inner = grid.is_envelope() & (grid.exposed_faces == 0)
     assert inner.any()
-    scale_single = exposure_scale(grid, layer_divisor=1)
-    assert (scale_single[inner] == 0.0).all()
-    scale_double = exposure_scale(grid, layer_divisor=2)
+    # vertical walls: F_gnd = 0.5 exactly, so the ground weight is 0.5 eps sigma A
+    single = hg.exterior_lw_weights(grid, mats, layer_divisor=1)
+    assert (single[:, inner] == 0.0).all()
+    double = hg.exterior_lw_weights(grid, mats, layer_divisor=2)
     expected = 0.5 * (0.5 + 0.5) / 2 * grid.z
-    assert scale_double[inner] == pytest.approx(expected)
+    assert double[0][inner] == pytest.approx(0.5 * 0.9 * STEFAN_BOLTZMANN * expected)
     exposed = grid.exposed_faces > 0
-    assert np.array_equal(scale_single[exposed], scale_double[exposed])
+    assert np.array_equal(single[:, exposed], double[:, exposed])
 
 
 # -----------------------------------------------------------------------------

@@ -66,14 +66,6 @@ def test_aoi_zero_for_aligned_surface():
     assert aoi == pytest.approx(0.0, abs=1e-9)
 
 
-def test_geometry_carries_cardinal_aoi():
-    site = hg.SitePosition(latitude=40.0, longitude=0.0)
-    geometry = hg.solar_position(site, datetime(2021, 6, 21, 12, tzinfo=timezone.utc))
-    assert set(geometry.aoi_per_orientation) == {"north", "east", "south", "west"}
-    # around solar noon in the northern hemisphere the south facade faces the sun
-    assert geometry.aoi_per_orientation["south"] < geometry.aoi_per_orientation["north"]
-
-
 # -----------------------------------------------------------------------------
 # POA transposition
 # -----------------------------------------------------------------------------
@@ -143,36 +135,3 @@ def test_poa_for_orientations_covers_facades():
     assert set(poa.g_ts) == {"north", "east", "south", "west"}
     assert all(v >= 0.0 for v in poa.g_ts.values())
     assert poa["south"] > poa["north"]
-
-
-# -----------------------------------------------------------------------------
-# absorbed / transmitted split
-# -----------------------------------------------------------------------------
-
-def test_solar_fluxes_opaque_wall():
-    assert hg.solar_fluxes(500.0, 0.6, 0.0) == (300.0, 0.0)
-
-
-def test_solar_fluxes_reflector_and_dark():
-    assert hg.solar_fluxes(500.0, 0.0, 0.0) == (0.0, 0.0)
-    assert hg.solar_fluxes(0.0, 0.4, 0.3) == (0.0, 0.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    g=st.floats(0.0, 1200.0),
-    alpha=st.floats(0.0, 1.0),
-    tau_frac=st.floats(0.0, 1.0),
-)
-def test_solar_fluxes_conserve(g, alpha, tau_frac):
-    tau = (1.0 - alpha) * tau_frac
-    q_alpha, q_tau = hg.solar_fluxes(g, alpha, tau)
-    assert q_alpha + q_tau == pytest.approx((alpha + tau) * g, rel=1e-14, abs=1e-12)
-    assert q_alpha + q_tau <= g * (1.0 + 1e-12)
-
-
-def test_solar_fluxes_precondition():
-    with pytest.raises(ValueError):
-        hg.solar_fluxes(500.0, 0.7, 0.5)
-    with pytest.raises(ValueError):
-        hg.solar_fluxes(500.0, -0.1, 0.0)
