@@ -459,16 +459,32 @@ def _finite(raw, where: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}={raw!r} is not a number") from None
+        value = None
+    if value is None or isinstance(raw, bool):  # float(True) is 1.0
+        raise ConfigError(f"{where}={raw!r} is not a number")
     if not math.isfinite(value):
         raise ConfigError(f"{where}={value} must be finite")
     return value
 
 
+def _integer(raw, where: str) -> int:
+    """``raw`` as an int; raise ``ConfigError`` naming ``where`` unless it is an integral number."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not float(raw).is_integer():
+        raise ConfigError(f"{where}={raw!r} is not an integer")
+    return int(raw)
+
+
+def _flag(raw, where: str) -> bool:
+    """``raw`` as a flag; raise ``ConfigError`` naming ``where`` unless it is a YAML boolean."""
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{where}={raw!r} is not true or false")
+    return raw
+
+
 def _parse_rect(raw, where: str, rows: int, cols: int) -> Tuple[int, int, int, int]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
         raise ConfigError(f"{where}: rect must be [row0, col0, row1, col1], got {raw!r}")
-    r0, c0, r1, c1 = (int(x) for x in raw)
+    r0, c0, r1, c1 = (_integer(x, f"{where}: rect entry") for x in raw)
     if not (0 <= r0 <= r1 < rows and 0 <= c0 <= c1 < cols):
         raise ConfigError(
             f"{where}: rect {raw!r} out of bounds for {rows}x{cols} grid "
@@ -504,8 +520,8 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         raise ConfigError("building config must be a mapping of sections")
 
     grid_sec = _require(doc, "grid", "building config")
-    rows = int(_require(grid_sec, "rows", "grid section"))
-    cols = int(_require(grid_sec, "cols", "grid section"))
+    rows = _integer(_require(grid_sec, "rows", "grid section"), "grid.rows")
+    cols = _integer(_require(grid_sec, "cols", "grid section"), "grid.cols")
     z = _finite(_require(grid_sec, "z", "grid section"), "grid.z")
     cell_size = _require(grid_sec, "cell_size", "grid section")
     if isinstance(cell_size, (list, tuple)):
@@ -539,28 +555,35 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
 
     sim_sec = doc.get("simulation", {}) or {}
     mass_sec = sim_sec.get("mass_params", {}) or {}
+
+    def sim(parse, key, default):
+        return parse(sim_sec.get(key, default), f"simulation.{key}")
+
+    def mass(key, default):
+        return _finite(mass_sec.get(key, default), f"simulation.mass_params.{key}")
+
     config = SimulationConfig(
-        dt=float(sim_sec.get("dt", 300.0)),
-        convergence_epsilon=float(sim_sec.get("convergence_epsilon", 0.001)),
-        max_inner_iterations=int(sim_sec.get("max_inner_iterations", 500)),
-        enable_interior_lw=bool(sim_sec.get("enable_interior_lw", True)),
-        enable_exterior_lw=bool(sim_sec.get("enable_exterior_lw", True)),
-        enable_solar=bool(sim_sec.get("enable_solar", True)),
-        enable_interior_mass=bool(sim_sec.get("enable_interior_mass", True)),
-        envelope_layer_divisor=int(sim_sec.get("envelope_layer_divisor", 1)),
-        initial_temperature=float(sim_sec.get("initial_temperature", 293.15)),
+        dt=sim(_finite, "dt", 300.0),
+        convergence_epsilon=sim(_finite, "convergence_epsilon", 0.001),
+        max_inner_iterations=sim(_integer, "max_inner_iterations", 500),
+        enable_interior_lw=sim(_flag, "enable_interior_lw", True),
+        enable_exterior_lw=sim(_flag, "enable_exterior_lw", True),
+        enable_solar=sim(_flag, "enable_solar", True),
+        enable_interior_mass=sim(_flag, "enable_interior_mass", True),
+        envelope_layer_divisor=sim(_integer, "envelope_layer_divisor", 1),
+        initial_temperature=sim(_finite, "initial_temperature", 293.15),
         mass_params=MassParams(
-            k_mass=float(mass_sec.get("k_mass", 1.0)),
-            rho_mass=float(mass_sec.get("rho_mass", 800.0)),
-            c_mass=float(mass_sec.get("c_mass", 1200.0)),
+            k_mass=mass("k_mass", 1.0),
+            rho_mass=mass("rho_mass", 800.0),
+            c_mass=mass("c_mass", 1200.0),
         ),
     )
     site_sec = doc.get("site")
     if site_sec:
         config.site = SitePosition(
-            latitude=float(_require(site_sec, "latitude", "site section")),
-            longitude=float(_require(site_sec, "longitude", "site section")),
-            albedo=float(site_sec.get("albedo", 0.2)),
+            latitude=_finite(_require(site_sec, "latitude", "site section"), "site.latitude"),
+            longitude=_finite(_require(site_sec, "longitude", "site section"), "site.longitude"),
+            albedo=_finite(site_sec.get("albedo", 0.2), "site.albedo"),
         )
     config.validate()
 

@@ -62,6 +62,7 @@ class BenchmarkReport:
     total_time: float
     mean_per_step: float
     per_step_times: List[float]
+    iterations_per_step: float
 
 
 def default_building_path() -> Path:
@@ -86,11 +87,12 @@ def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
 
 
 def _write_trace(out_dir: Path, reports) -> None:
-    lines = ["step,inner_iterations,max_delta,converged,wall_time,mixed_from"]
+    lines = ["step,inner_iterations,max_delta,converged,wall_time,mixed_from,error_estimate"]
     for i, report in enumerate(reports, start=1):
         lines.append(
             f"{i},{report.inner_iterations},{repr(report.max_delta)},"
-            f"{report.converged},{repr(report.wall_time)},{report.mixed_from}"
+            f"{report.converged},{repr(report.wall_time)},{report.mixed_from},"
+            f"{repr(report.error_estimate)}"
         )
     (out_dir / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -213,6 +215,7 @@ def bench_solvers(grid, mats, config, records, steps: int, repeats: int):
                     total_time=total,
                     mean_per_step=total / len(times),
                     per_step_times=times,
+                    iterations_per_step=sum(r.inner_iterations for r in reports) / len(reports),
                 )
         results[name] = best
         raw_totals[name] = totals
@@ -235,6 +238,7 @@ def cmd_bench(args) -> int:
                 "total_time": report.total_time,
                 "mean_per_step": report.mean_per_step,
                 "per_step_times": report.per_step_times,
+                "iterations_per_step": report.iterations_per_step,
                 "repeat_totals": raw_totals[name],
             }
             for name, report in results.items()
@@ -252,6 +256,8 @@ def cmd_bench(args) -> int:
           f"{results['tensor'].total_time:>12.3f}")
     print(f"{'mean per step (ms)':<20}{results['iterative'].mean_per_step * 1e3:>12.4f}"
           f"{results['tensor'].mean_per_step * 1e3:>12.4f}")
+    print(f"{'iterations per step':<20}{results['iterative'].iterations_per_step:>12.2f}"
+          f"{results['tensor'].iterations_per_step:>12.2f}")
     print(f"{'speedup':<20}{speedup:>24.2f}x")
     print(f"(reference run: {REFERENCE_BENCHMARK['speedup']}x on "
           f"{REFERENCE_BENCHMARK['hardware']})")

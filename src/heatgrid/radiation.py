@@ -252,8 +252,22 @@ class RadiationExchangeMatrix:
             dense[index[:, :, None], index[:, None, :]] = factors
         return dense[:n, :n]
 
-    def surface_temperatures(self, temperatures: np.ndarray) -> np.ndarray:
-        return temperatures[self.surface_rows, self.surface_cols]
+    def cell_index(self, grid: BuildingGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat grid indices for the per-iteration gather and scatter.
+
+        Returns ``(surface_cells, cells, slots)``: the flat cell of each
+        surface, the distinct cells that own a surface (ascending), and each
+        surface's position in ``cells``.
+        """
+        surface_cells = np.ravel_multi_index(
+            (self.surface_rows, self.surface_cols), (grid.rows, grid.cols)
+        )
+        cells, slots = np.unique(surface_cells, return_inverse=True)
+        return surface_cells, cells, slots
+
+    def surface_temperatures(self, temperatures: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Each surface's cell temperature, from a flattened field and ``surface_cells``."""
+        return temperatures.take(cells)
 
 
 def _pack_blocks(
@@ -341,20 +355,16 @@ def apply_interior_lw(
 
 
 def scatter_interior_lw(
-    matrix: RadiationExchangeMatrix, flux_density: np.ndarray, grid: BuildingGrid
+    matrix: RadiationExchangeMatrix, flux_density: np.ndarray, slots: np.ndarray, n_cells: int
 ) -> np.ndarray:
-    """Scatter per-surface flux densities into a per-cell tensor [W].
+    """Per-surface flux densities summed into their owning cells [W].
 
     Each surface contributes its flux density times its face area to the
-    owning cell, mirroring the exposed-face scaling of the exterior tensor.
+    cell at its ``slots`` entry (from ``cell_index``), mirroring the
+    exposed-face scaling of the exterior tensor; the sums run in surface
+    order and come back one per distinct cell, ``n_cells`` of them.
     """
-    cells = np.ravel_multi_index(
-        (matrix.surface_rows, matrix.surface_cols), (grid.rows, grid.cols)
-    )
-    q_lwx = np.bincount(
-        cells, weights=flux_density * matrix.areas, minlength=grid.rows * grid.cols
-    )
-    return q_lwx.reshape(grid.rows, grid.cols)
+    return np.bincount(slots, weights=flux_density * matrix.areas, minlength=n_cells)
 
 
 def build_exchange_matrix_2d(

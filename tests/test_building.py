@@ -304,6 +304,45 @@ def test_bad_number_fails_at_load_naming_the_entry(edit, error, message):
         load_doc(doc)
 
 
+def set_section(section, key, value):
+    def edit(doc):
+        doc.setdefault(section, {})[key] = value
+    return edit
+
+
+def set_rect_entry(value):
+    def edit(doc):
+        doc["zones"][1]["rect"][2] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_section("simulation", "enable_solar", "false"),
+         r"simulation.enable_solar='false' is not true or false"),
+        (set_section("simulation", "envelope_layer_divisor", 1.9),
+         r"simulation.envelope_layer_divisor=1.9 is not an integer"),
+        (set_grid("rows", 12.7), r"grid.rows=12.7 is not an integer"),
+        (set_grid("rows", math.nan), r"grid.rows=nan is not an integer"),
+        (set_section("simulation", "max_inner_iterations", math.nan),
+         r"simulation.max_inner_iterations=nan is not an integer"),
+        (set_section("simulation", "dt", "abc"), r"simulation.dt='abc' is not a number"),
+        (set_section("simulation", "dt", True), r"simulation.dt=True is not a number"),
+        (set_section("site", "latitude", "abc"), r"site.latitude='abc' is not a number"),
+        (set_rect_entry("x"), r"zones\[1\] \(air\): rect entry='x' is not an integer"),
+    ],
+    ids=["flag-string", "divisor-fraction", "rows-fraction", "rows-nan", "iterations-nan",
+         "dt-string", "dt-flag", "latitude-string", "rect-string"],
+)
+def test_bad_setting_fails_at_load_naming_the_key(edit, message):
+    doc = minimal_doc()
+    doc["site"] = {"latitude": 40.0, "longitude": -105.0}
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        load_doc(doc)
+
+
 def test_uncovered_cell_rejected():
     doc = minimal_doc()
     doc["zones"][0]["rect"] = [0, 0, 4, 4]  # shell no longer spans all columns

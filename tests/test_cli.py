@@ -48,8 +48,13 @@ def test_trace_appends_mixed_from_column(tmp_path, canonical_paths):
     assert main(["run", "--steps", "2", "--building", str(canonical_paths[0]),
                  "--weather", str(canonical_paths[1]), "--out", str(out)]) == 0
     header, *rows = (out / "trace.csv").read_text().splitlines()
-    assert header == "step,inner_iterations,max_delta,converged,wall_time,mixed_from"
+    assert header == (
+        "step,inner_iterations,max_delta,converged,wall_time,mixed_from,error_estimate"
+    )
     assert [row.split(",")[5] for row in rows] == ["0", "0"]
+    # the second step starts predicted and returns an extrapolated field
+    estimate = float(rows[1].split(",")[6])
+    assert 0.0 < estimate < 9.0 * float(rows[1].split(",")[2])
 
 
 def test_snapshots_byte_identical_across_runs(tmp_path, canonical_paths):
@@ -144,7 +149,7 @@ def test_compare_detects_perturbed_material(canonical, canonical_weather):
     assert rel > 1e-5
 
 
-def test_bench_writes_artifact(tmp_path, canonical_paths):
+def test_bench_writes_artifact(tmp_path, canonical_paths, capsys):
     out = tmp_path / "bench"
     code = main([
         "bench", "--steps", "2", "--repeats", "3",
@@ -161,7 +166,9 @@ def test_bench_writes_artifact(tmp_path, canonical_paths):
         assert len(entry["repeat_totals"]) == 3
         assert entry["total_time"] == pytest.approx(sum(entry["per_step_times"]), rel=1e-9)
         assert entry["total_time"] == pytest.approx(min(entry["repeat_totals"]), rel=1e-9)
+        assert entry["iterations_per_step"] >= 1.0
     assert doc["speedup"] > 0.0
+    assert "iterations per step" in capsys.readouterr().out
     assert doc["reference"]["speedup"] == 4.19
 
 

@@ -302,6 +302,32 @@ def test_multi_room_plans_agree_with_oracle(canonical_weather, row_sizes, col_si
     heat=st.floats(0.0, 500.0),
     t0=st.floats(285.0, 300.0),
 )
+def test_multi_room_plans_agree_with_oracle_over_predicted_steps(
+    canonical_weather, row_sizes, col_sizes, heat, t0
+):
+    # at the bundled dt the steps run plain Picard, so every step after the
+    # first starts from a prediction and returns an extrapolation, and any
+    # stopping error is carried on in the stored heat
+    grid, mats, config = hg.load_building(rooms_building_yaml(row_sizes, col_sizes))
+    config = dataclasses.replace(config, initial_temperature=t0)
+    q_x = np.zeros((grid.rows, grid.cols))
+    q_x[1, 1] = heat
+    tensor, reports = hg.run_episode(grid, mats, config, canonical_weather, 8, q_x=q_x)
+    oracle, _ = hg.run_episode(
+        grid, mats, config, canonical_weather, 8, stepper=hg.oracle_step, q_x=q_x
+    )
+    assert all(r.converged for r in reports)
+    for a, b in zip(tensor, oracle):
+        assert float((np.abs(a.t - b.t) / np.abs(b.t)).max()) <= 1e-5
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    row_sizes=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    col_sizes=st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True),
+    heat=st.floats(0.0, 500.0),
+    t0=st.floats(285.0, 300.0),
+)
 def test_multi_room_plans_agree_with_oracle_at_hourly_steps(
     canonical_weather, row_sizes, col_sizes, heat, t0
 ):

@@ -311,9 +311,11 @@ def test_dimension_mismatch_rejected():
 def test_scatter_uses_face_areas():
     grid, _, matrix = square_cavity(cell=0.5)
     q = np.array([10.0, -5.0, 2.5, 0.0])
-    tensor = hg.scatter_interior_lw(matrix, q, grid)
+    surface_cells, cells, slots = matrix.cell_index(grid)
+    sums = hg.scatter_interior_lw(matrix, q, slots, cells.size)
     for i, (r, c, _d) in enumerate(matrix.surfaces):
-        assert tensor[r, c] == pytest.approx(q[i] * matrix.areas[i], rel=1e-15)
+        assert cells[slots[i]] == surface_cells[i] == r * grid.cols + c
+        assert sums[slots[i]] == pytest.approx(q[i] * matrix.areas[i], rel=1e-15)
 
 
 def test_matrix_text_round_trip(canonical):
@@ -521,8 +523,14 @@ def test_tiled_matrix_text_round_trip(tiled):
 def test_tiled_oracle_terms_match_vectorized(tiled, rng):
     grid, _, matrix = tiled
     t = rng.uniform(285.0, 315.0, (grid.rows, grid.cols))
-    flux = hg.apply_interior_lw(matrix, matrix.surface_temperatures(t))
-    tensor = hg.scatter_interior_lw(matrix, flux, grid)
+    surface_cells, cells, slots = matrix.cell_index(grid)
+    flux = hg.apply_interior_lw(matrix, matrix.surface_temperatures(t.reshape(-1), surface_cells))
+    tensor = np.zeros(grid.rows * grid.cols)
+    tensor[cells] = hg.scatter_interior_lw(matrix, flux, slots, cells.size)
+    # partition cells own two surfaces; their sums keep the full-grid order
+    full = np.bincount(surface_cells, weights=flux * matrix.areas, minlength=tensor.size)
+    assert np.array_equal(tensor, full) and cells.size < matrix.n_surfaces
+    tensor = tensor.reshape(grid.rows, grid.cols)
     scalar = np.array(_interior_lw_terms(matrix, t.tolist(), grid.rows, grid.cols))
     np.testing.assert_allclose(tensor, scalar, rtol=1e-12, atol=1e-12 * np.abs(tensor).max())
 
