@@ -454,6 +454,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _mapping(raw, where: str) -> dict:
+    """``raw`` as a mapping, None (an empty YAML section) as an empty one; else ``ConfigError``."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    return raw
+
+
 def _finite(raw, where: str) -> float:
     """``raw`` as a float; raise ``ConfigError`` naming ``where`` unless it is a finite number."""
     try:
@@ -519,7 +528,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     if not isinstance(doc, dict):
         raise ConfigError("building config must be a mapping of sections")
 
-    grid_sec = _require(doc, "grid", "building config")
+    grid_sec = _mapping(_require(doc, "grid", "building config"), "grid section")
     rows = _integer(_require(grid_sec, "rows", "grid section"), "grid.rows")
     cols = _integer(_require(grid_sec, "cols", "grid section"), "grid.cols")
     z = _finite(_require(grid_sec, "z", "grid section"), "grid.z")
@@ -553,8 +562,8 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     grid = BuildingGrid.from_cv_types(cv, size_u, size_v, z)
     grid.source_config = doc
 
-    sim_sec = doc.get("simulation", {}) or {}
-    mass_sec = sim_sec.get("mass_params", {}) or {}
+    sim_sec = _mapping(doc.get("simulation"), "simulation section")
+    mass_sec = _mapping(sim_sec.get("mass_params"), "simulation.mass_params section")
 
     def sim(parse, key, default):
         return parse(sim_sec.get(key, default), f"simulation.{key}")
@@ -578,7 +587,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
             c_mass=mass("c_mass", 1200.0),
         ),
     )
-    site_sec = doc.get("site")
+    site_sec = _mapping(doc.get("site"), "site section")
     if site_sec:
         config.site = SitePosition(
             latitude=_finite(_require(site_sec, "latitude", "site section"), "site.latitude"),
@@ -610,7 +619,7 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         )
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: material entries must be mappings")
-        props = _require(entry, "properties", where)
+        props = _mapping(_require(entry, "properties", where), f"{where}: properties")
         unknown = set(props) - _PROPERTY_DEFAULTS.keys()
         if unknown:
             raise ConfigError(f"{where}: unknown property keys {sorted(unknown)}")

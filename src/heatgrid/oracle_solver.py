@@ -151,6 +151,7 @@ def oracle_step(
     grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
     mass_on = config.enable_interior_mass
     state.validate(grid, mass_on)
+    boundary.validate((grid.rows, grid.cols), config.enable_solar)
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     dt = config.dt
@@ -286,6 +287,7 @@ def oracle_step(
             if not math.isfinite(updated):
                 raise SolverError(
                     f"sweep {sweeps}: temperature {updated} at cell ({r}, {c}) is not finite"
+                    + boundary.heat_source_note()
                 )
             change = abs(updated - temps[r][c])
             if change > max_delta:

@@ -45,12 +45,18 @@ from .building import (
     DIR_ORIENTATION,
     MaterialField,
     face_length,
+    shift_fields,
 )
 from .solar import PoaIrradiance
 
 STEFAN_BOLTZMANN = 5.670374419e-8  # W/(m^2 K^4)
 
-_FACE_NAMES = ("east", "north", "west", "south")
+_CAVITY_WALL_TYPES = (int(CvType.EXTERIOR_WALL), int(CvType.INTERIOR_WALL), int(CvType.WINDOW))
+
+#: Ends of the segment an air cell's face spans in each direction, in cell
+#: sizes ``(size_u, size_v)`` from the cell's corner ``(col, row) * size``.
+_SEGMENT_START = np.array([[1, 0], [0, 0], [0, 0], [0, 1]])
+_SEGMENT_END = np.array([[1, 1], [1, 0], [0, 1], [1, 1]])
 
 
 class OpenCavityError(ValueError):
@@ -375,9 +381,17 @@ def build_exchange_matrix_2d(
     Each zone must be a closed rectangular cavity: every face of every air
     cell either meets another air cell of the same zone or a wall/window
     cell, and the zone's air cells fill their bounding box (on a grid, the
-    same as being convex, which unobstructed crossed strings needs). Zones
-    do not exchange with each other, so the work runs one zone at a time:
-    view factors between the zone's wall segments come from crossed
+    same as being convex, which unobstructed crossed strings needs).
+
+    Faces are found in one pass over the grid: ``shift_fields`` shifts the
+    zone map and a wall mask, and a face is an air cell's side whose
+    neighbour lies outside its zone. Surfaces are listed by air cell in
+    raster order, then east, north, west, south; each is the wall cell
+    beyond the face, its direction pointing back into the cavity. An
+    ``OpenCavityError`` names the first open face in that order.
+
+    Zones do not exchange with each other, so the rest runs one zone at a
+    time: view factors between the zone's wall segments come from crossed
     strings, rows are renormalized to close exactly, emissivities are
     folded in with the pairwise two-surface network approximation, and
     reciprocity is checked. The cost is O(sum_z S_z^2), and each zone's
@@ -388,52 +402,37 @@ def build_exchange_matrix_2d(
     size_u = float(grid.u.flat[0])
     size_v = float(grid.v.flat[0])
 
-    surfaces: List[Tuple[int, int, int]] = []
-    segments: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
-    eps_list: List[float] = []
-    zone_of_surface: List[int] = []
-
-    wall_types = (int(CvType.EXTERIOR_WALL), int(CvType.INTERIOR_WALL), int(CvType.WINDOW))
-    air_cells = np.argwhere(grid.zone_id >= 0)
-    for r, c in air_cells:
-        r, c = int(r), int(c)
-        zone = int(grid.zone_id[r, c])
-        for d, (dr, dc) in enumerate(DIR_OFFSETS):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < grid.rows and 0 <= nc < grid.cols and grid.zone_id[nr, nc] == zone:
-                continue  # internal to the cavity
-            if not (
-                0 <= nr < grid.rows
-                and 0 <= nc < grid.cols
-                and int(grid.cv_type[nr, nc]) in wall_types
-            ):
-                raise OpenCavityError(
-                    f"zone {zone} is open at air cell ({r}, {c}) toward {_FACE_NAMES[d]}"
-                )
-            x0, y0 = c * size_u, r * size_v
-            if d == 0:  # east face of the air cell
-                seg = ((x0 + size_u, y0), (x0 + size_u, y0 + size_v))
-            elif d == 1:  # north
-                seg = ((x0, y0), (x0 + size_u, y0))
-            elif d == 2:  # west
-                seg = ((x0, y0), (x0, y0 + size_v))
-            else:  # south
-                seg = ((x0, y0 + size_v), (x0 + size_u, y0 + size_v))
-            surfaces.append((nr, nc, (d + 2) % 4))  # wall face looks back into the cavity
-            segments.append(seg)
-            eps_list.append(float(mats.emissivity[nr, nc]))
-            zone_of_surface.append(zone)
-
-    if not surfaces:
+    # Faces, stacked on a last axis in direction order: np.nonzero lists them
+    # by air cell in raster order, then east, north, west, south.
+    rows, cols, zone_id = grid.rows, grid.cols, grid.zone_id
+    wall = np.isin(grid.cv_type, _CAVITY_WALL_TYPES)
+    neighbour_zone = shift_fields(np.full((rows + 2, cols + 2), -1, dtype=zone_id.dtype), zone_id)
+    neighbour_wall = shift_fields(np.zeros((rows + 2, cols + 2), dtype=bool), wall)
+    face = (zone_id >= 0)[:, :, None] & (np.stack(neighbour_zone, axis=-1) != zone_id[:, :, None])
+    open_face = face & ~np.stack(neighbour_wall, axis=-1)
+    if open_face.any():
+        r, c, d = np.argwhere(open_face)[0].tolist()
+        raise OpenCavityError(
+            f"zone {zone_id[r, c]} is open at air cell ({r}, {c}) toward {DIR_ORIENTATION[d]}"
+        )
+    r, c, d = np.nonzero(face)
+    if not d.size:
         raise OpenCavityError("no air zones found; nothing to enclose")
 
-    a1 = np.array([seg[0] for seg in segments])
-    a2 = np.array([seg[1] for seg in segments])
+    # Each face belongs to the wall cell beyond it and looks back into the cavity.
+    offsets = np.array(DIR_OFFSETS)[d]
+    wall_r, wall_c = r + offsets[:, 0], c + offsets[:, 1]
+    surfaces = list(zip(wall_r.tolist(), wall_c.tolist(), ((d + 2) % 4).tolist()))
+    eps = mats.emissivity[wall_r, wall_c]
+    zone_of_surface = zone_id[r, c]
+    size = np.array([size_u, size_v])
+    origin = np.stack((c * size_u, r * size_v), axis=1)
+    a1 = origin + _SEGMENT_START[d] * size
+    a2 = origin + _SEGMENT_END[d] * size
     lengths = np.linalg.norm(a2 - a1, axis=1)
     areas = lengths * grid.z
-    eps = np.array(eps_list)
-    zone_of_surface = np.array(zone_of_surface)
-    air_zone = grid.zone_id[air_cells[:, 0], air_cells[:, 1]]
+    air_cells = np.argwhere(zone_id >= 0)
+    air_zone = zone_id[air_cells[:, 0], air_cells[:, 1]]
 
     groups = []
     for zone in range(grid.n_zones):
@@ -516,7 +515,7 @@ def save_exchange_matrix(matrix: RadiationExchangeMatrix) -> str:
     writer.writerow(["n_surfaces", matrix.n_surfaces])
     writer.writerow(["surface", "row", "col", "face", "area"])
     for i, (r, c, d) in enumerate(matrix.surfaces):
-        writer.writerow([i, r, c, _FACE_NAMES[d], repr(float(matrix.areas[i]))])
+        writer.writerow([i, r, c, DIR_ORIENTATION[d], repr(float(matrix.areas[i]))])
     writer.writerow(["matrix"])
     for row in matrix.coefficients:
         writer.writerow([repr(float(x)) for x in row])
@@ -538,7 +537,7 @@ def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
     surfaces = []
     for e in listed:
         r, c = _field(e, 1, "row", int), _field(e, 2, "col", int)
-        surfaces.append((r, c, _field(e, 3, "face", _FACE_NAMES.index)))
+        surfaces.append((r, c, _field(e, 3, "face", DIR_ORIENTATION.index)))
     areas = np.array([_field(e, 4, "area", float) for e in listed])
     if rows[2 + n][1][0] != "matrix":
         raise ValueError("missing matrix marker row")
@@ -636,12 +635,9 @@ def assemble_solar_tensors(
     is disabled, or into ``q_tau_mass`` [W/m^2 of plan area] for the mass
     nodes when enabled (the air-balance tensor then stays zero).
     """
-    alpha = np.zeros(basis.cells.size)
-    tau_power = np.zeros(basis.window_zone.size)
-    for d in range(4):
-        g = poa[DIR_ORIENTATION[d]]
-        alpha += basis.absorptivity * g * basis.areas[d]
-        tau_power += basis.transmissivity * g * basis.window_areas[d]
+    g = np.array([[poa[o]] for o in DIR_ORIENTATION], dtype=float)  # (4, 1), shift order
+    alpha = (basis.absorptivity * g * basis.areas).sum(axis=0)
+    tau_power = (basis.transmissivity * g * basis.window_areas).sum(axis=0)
 
     # Pool each zone's windows in window order (bincount adds in input
     # order), then give every air cell of the zone an equal share.

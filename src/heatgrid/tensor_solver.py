@@ -72,7 +72,7 @@ from .building import (
     SimulationConfig,
     shift_fields,
 )
-from .conditions import StepBoundary, boundary_for_time
+from .conditions import SolverError, StepBoundary, boundary_for_time
 from .radiation import (
     RadiationExchangeMatrix,
     SolarBasis,
@@ -111,10 +111,6 @@ ANDERSON_RIDGE = 1e-10
 #: below this. The correction is ratio / (1 - ratio) times the last change,
 #: 9 times at this limit, and grows without bound as the ratio nears 1.
 EXTRAPOLATION_LIMIT = 0.9
-
-
-class SolverError(RuntimeError):
-    """Raised on numerical degeneracy or invalid solver inputs."""
 
 
 def _check_temperatures(t: np.ndarray, context: str) -> None:
@@ -362,11 +358,8 @@ def step(
     started = time.perf_counter()
     grid, config, exchange, g = plan.grid, plan.config, plan.exchange, plan.g
     state.validate(grid, config.enable_interior_mass)
+    boundary.validate((grid.rows, grid.cols), config.enable_solar)
     t_inf = boundary.t_inf
-    for name in ("t_inf", "t_gnd", "t_sky"):
-        value = getattr(boundary, name)
-        if not 0.0 < value < np.inf:
-            raise SolverError(f"boundary {name}={value} is not finite and > 0 K")
 
     # The constant part of the numerator: everything the iterate does not change.
     const = plan.convection * t_inf + plan.capacity * state.t
@@ -419,7 +412,10 @@ def step(
                 exchange, flux, plan.surface_slots, plan.lw_cells.size
             )
         np.divide(numer, plan.denom, out=image, where=plan.active)
-        _check_temperatures(image, f"iteration {iterations}")
+        try:
+            _check_temperatures(image, f"iteration {iterations}")
+        except SolverError as exc:
+            raise SolverError(f"{exc}{boundary.heat_source_note()}") from None
 
         np.subtract(image, x, out=residual)
         max_delta = float(np.abs(residual, out=term).max())

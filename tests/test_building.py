@@ -343,6 +343,38 @@ def test_bad_setting_fails_at_load_naming_the_key(edit, message):
         load_doc(doc)
 
 
+def set_top(section, value):
+    def edit(doc):
+        doc[section] = value
+    return edit
+
+
+def set_properties(value):
+    def edit(doc):
+        doc["materials"][0]["properties"] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_top("grid", 5), r"^grid section must be a mapping, got 5$"),
+        (set_top("site", 5), r"^site section must be a mapping, got 5$"),
+        (set_top("site", [1, 2]), r"^site section must be a mapping, got \[1, 2\]$"),
+        (set_top("simulation", 5), r"^simulation section must be a mapping, got 5$"),
+        (set_section("simulation", "mass_params", 5),
+         r"^simulation.mass_params section must be a mapping, got 5$"),
+        (set_properties(5), r"^materials\[0\] \(wall\): properties must be a mapping, got 5$"),
+    ],
+    ids=["grid", "site", "site-list", "simulation", "mass_params", "properties"],
+)
+def test_section_that_is_not_a_mapping_fails_naming_it(edit, message):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        load_doc(doc)
+
+
 def test_uncovered_cell_rejected():
     doc = minimal_doc()
     doc["zones"][0]["rect"] = [0, 0, 4, 4]  # shell no longer spans all columns

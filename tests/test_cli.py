@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -99,6 +104,22 @@ def test_unreadable_building_reported(tmp_path, canonical_paths, capsys):
     ])
     assert code == 1
     assert "nope.yaml" in capsys.readouterr().err
+
+
+def test_section_that_is_not_a_mapping_reported_without_traceback(tmp_path, canonical_paths):
+    doc = yaml.safe_load(canonical_paths[0].read_text())
+    doc["site"] = 5
+    building = tmp_path / "bad_site.yaml"
+    building.write_text(yaml.safe_dump(doc, sort_keys=False))
+    env = {**os.environ, "PYTHONPATH": str(Path(hg.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "heatgrid", "run", "--steps", "1",
+         "--building", str(building), "--weather", str(canonical_paths[1]),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: site section must be a mapping, got 5\n"
 
 
 def test_compare_conduction_only_passes_tightly(tmp_path, canonical_paths):

@@ -6,6 +6,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
+from heatgrid import radiation
 from _factories import rooms_building_yaml, tiled_building_yaml
 from heatgrid.building import (
     DIR_OFFSETS,
@@ -451,6 +452,145 @@ def test_notched_zone_rejected_by_name(canonical_paths):
     grid, mats, _ = hg.load_building(yaml.safe_dump(doc, sort_keys=False))
     with pytest.raises(OpenCavityError, match=r"zone 0 is not rectangular.*rows 1-10, cols 1-10"):
         hg.build_exchange_matrix_2d(grid, mats)
+
+
+# -----------------------------------------------------------------------------
+# the builder against a scalar reference walk
+# -----------------------------------------------------------------------------
+
+def reference_faces(grid, mats):
+    """Cavity faces found by walking every air cell's four neighbours in turn.
+
+    Returns ``(surface, segment, emissivity, zone)`` per face, in raster
+    order of the air cell and then east, north, west, south, and raises on
+    the first open face or when there is no air.
+    """
+    size_u, size_v = float(grid.u.flat[0]), float(grid.v.flat[0])
+    wall_types = (int(CvType.EXTERIOR_WALL), int(CvType.INTERIOR_WALL), int(CvType.WINDOW))
+    faces = []
+    for r, c in np.argwhere(grid.zone_id >= 0).tolist():
+        zone = int(grid.zone_id[r, c])
+        for d, (dr, dc) in enumerate(DIR_OFFSETS):
+            nr, nc = r + dr, c + dc
+            inside = 0 <= nr < grid.rows and 0 <= nc < grid.cols
+            if inside and grid.zone_id[nr, nc] == zone:
+                continue
+            if not (inside and int(grid.cv_type[nr, nc]) in wall_types):
+                raise OpenCavityError(
+                    f"zone {zone} is open at air cell ({r}, {c}) toward {DIR_ORIENTATION[d]}"
+                )
+            x0, y0 = c * size_u, r * size_v
+            if d == 0:  # east face of the air cell
+                seg = ((x0 + size_u, y0), (x0 + size_u, y0 + size_v))
+            elif d == 1:  # north
+                seg = ((x0, y0), (x0 + size_u, y0))
+            elif d == 2:  # west
+                seg = ((x0, y0), (x0, y0 + size_v))
+            else:  # south
+                seg = ((x0, y0 + size_v), (x0 + size_u, y0 + size_v))
+            faces.append(((nr, nc, (d + 2) % 4), seg, float(mats.emissivity[nr, nc]), zone))
+    if not faces:
+        raise OpenCavityError("no air zones found; nothing to enclose")
+    return faces
+
+
+def reference_exchange(grid, mats):
+    """The exchange matrix from the reference faces and the module's per-zone helpers."""
+    faces = reference_faces(grid, mats)
+    surfaces = [face[0] for face in faces]
+    a1 = np.array([face[1][0] for face in faces])
+    a2 = np.array([face[1][1] for face in faces])
+    eps = np.array([face[2] for face in faces])
+    zone_of_surface = np.array([face[3] for face in faces])
+    lengths = np.linalg.norm(a2 - a1, axis=1)
+    areas = lengths * grid.z
+    air_cells = np.argwhere(grid.zone_id >= 0)
+    air_zone = grid.zone_id[air_cells[:, 0], air_cells[:, 1]]
+    groups = []
+    for zone in range(grid.n_zones):
+        radiation._check_rectangular(zone, air_cells[air_zone == zone])
+        members = np.flatnonzero(zone_of_surface == zone)
+        f = radiation._crossed_strings(a1[members], a2[members], lengths[members])
+        f /= f.sum(axis=1)[:, None]
+        groups.append((members, radiation._fold_emissivity(f, eps[members], areas[members])))
+    return hg.RadiationExchangeMatrix(surfaces, areas, groups)
+
+
+def build_outcome(build, grid, mats):
+    """The matrix ``build`` returns, or the type and text of the error it raises."""
+    try:
+        return build(grid, mats)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same_build(grid, mats):
+    built = build_outcome(hg.build_exchange_matrix_2d, grid, mats)
+    expected = build_outcome(reference_exchange, grid, mats)
+    if isinstance(expected, str):
+        assert built == expected
+        return expected
+    assert built.surfaces == expected.surfaces
+    assert built.areas.tobytes() == expected.areas.tobytes()
+    assert built.coefficients.tobytes() == expected.coefficients.tobytes()
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    row_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    col_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_builder_matches_the_reference_walk_on_multi_room_plans(row_sizes, col_sizes, seed):
+    grid, mats, _ = hg.load_building(rooms_building_yaml(row_sizes, col_sizes))
+    mats.emissivity[:] = np.random.default_rng(seed).uniform(0.1, 1.0, mats.emissivity.shape)
+    assert assert_same_build(grid, mats) is None
+
+
+def random_cell_type_map(rng):
+    """A random type map; every other one has a wall ring, so closed cavities occur too."""
+    rows, cols = rng.integers(2, 9, size=2)
+    types = [int(t) for t in CvType]
+    cv = rng.choice(types, size=(rows, cols), p=rng.dirichlet(np.ones(len(types))))
+    if rng.integers(2):
+        cv[[0, -1], :] = rng.choice([int(CvType.EXTERIOR_WALL), int(CvType.WINDOW)], (2, cols))
+        cv[:, [0, -1]] = rng.choice([int(CvType.EXTERIOR_WALL), int(CvType.INTERIOR_WALL)],
+                                    (rows, 2))
+    return cv
+
+
+def test_builder_raises_the_reference_walk_error_on_random_cell_type_maps():
+    rng = np.random.default_rng(15)
+    errors = []
+    while len(errors) < 300:
+        try:
+            grid = BuildingGrid.from_cv_types(random_cell_type_map(rng), 0.5, 0.4, 3.0)
+        except hg.ValidationError:  # a window with no zone behind it
+            continue
+        mats = MaterialField.zeros(grid.rows, grid.cols)
+        mats.emissivity[:] = rng.uniform(0.1, 1.0, mats.emissivity.shape)
+        error = assert_same_build(grid, mats)
+        if error is not None:
+            errors.append(error)
+    assert sum(" is open at air cell " in e for e in errors) > 100
+    assert sum("no air zones" in e for e in errors) > 10
+    assert sum(" is not rectangular" in e for e in errors) > 10
+
+
+def test_open_face_named_in_raster_then_direction_order():
+    # a corridor across the grid: open west at (1, 0) and east at (1, 2)
+    cv = np.full((3, 3), int(CvType.EXTERIOR_WALL))
+    cv[1, :] = int(CvType.INTERIOR_AIR)
+    grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
+    with pytest.raises(OpenCavityError, match=r"^zone 0 is open at air cell \(1, 0\) toward west$"):
+        hg.build_exchange_matrix_2d(grid, MaterialField.zeros(3, 3))
+
+
+def test_surfaces_listed_by_air_cell_then_direction():
+    _, _, matrix = square_cavity()
+    # one air cell at (1, 1): its east, north, west and south walls, each facing back
+    assert matrix.surfaces == [(1, 2, 2), (0, 1, 3), (1, 0, 0), (2, 1, 1)]
 
 
 # -----------------------------------------------------------------------------

@@ -474,6 +474,61 @@ def test_mis_shaped_heat_source_rejected_naming_shapes(canonical, canonical_weat
         hg.run_episode(grid, mats, config, canonical_weather, 1, stepper=stepper, q_x=q_x)
 
 
+def with_q_x(shape, cell=None):
+    def edit(bc):
+        q_x = np.zeros(shape)
+        if cell is not None:
+            q_x[cell] = np.nan
+        return dataclasses.replace(bc, q_x=q_x)
+    return edit
+
+
+def with_south_poa(value):
+    def edit(bc):
+        return dataclasses.replace(bc, poa=PoaIrradiance({**bc.poa.g_ts, "south": value}))
+    return edit
+
+
+def without_west_poa(bc):
+    return dataclasses.replace(
+        bc, poa=PoaIrradiance({k: v for k, v in bc.poa.g_ts.items() if k != "west"})
+    )
+
+
+def with_boundary(**values):
+    def edit(bc):
+        return dataclasses.replace(bc, **values)
+    return edit
+
+
+@pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (with_q_x((23,)), r"boundary q_x shape \(23,\) != grid shape \(12, 23\)"),
+        (with_q_x((1, 23)), r"boundary q_x shape \(1, 23\) != grid shape \(12, 23\)"),
+        (with_q_x((12, 23), (5, 5)), r"boundary q_x is nan W at cell \(5, 5\), not finite"),
+        (with_south_poa(np.nan), r"boundary south POA irradiance nan W/m\^2 is not finite"),
+        (with_south_poa(np.inf), r"boundary south POA irradiance inf W/m\^2 is not finite"),
+        (with_south_poa(-5000.0), r"boundary south POA irradiance -5000.0 W/m\^2 .* >= 0"),
+        (without_west_poa, r"boundary has no west POA irradiance"),
+        (with_boundary(t_inf=-5.0), r"boundary t_inf=-5.0 is not finite and > 0 K"),
+        (with_boundary(t_sky=np.nan), r"boundary t_sky=nan is not finite and > 0 K"),
+    ],
+    ids=["q_x-row", "q_x-one-row", "q_x-nan", "poa-nan", "poa-inf", "poa-negative",
+         "poa-missing", "t_inf-negative", "t_sky-nan"],
+)
+def test_bad_boundary_rejected_naming_the_field(canonical, canonical_weather, stepper, edit,
+                                                message):
+    grid, mats, config = canonical
+    assert config.enable_solar
+    plan = hg.prepare(grid, mats, config)
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    with pytest.raises(SolverError, match=message):
+        stepper(state, plan, edit(bc))
+
+
 # -----------------------------------------------------------------------------
 # gated Anderson mixing
 # -----------------------------------------------------------------------------
