@@ -367,10 +367,14 @@ class MaterialField:
             raise ValidationError(
                 f"transmissivity {self.transmissivity[r, c]} > 0 on opaque cell ({r}, {c})"
             )
-        if not ((self.k_face >= 0.0).all() and (self.h_face >= 0.0).all()):
-            raise ValidationError("conductivity and convection coefficients must be >= 0")
-        if not ((self.heat_capacity >= 0.0).all() and (self.density >= 0.0).all()):
-            raise ValidationError("heat capacity and density must be >= 0")
+        for name in ("k_face", "h_face", "heat_capacity", "density"):
+            arr = getattr(self, name)
+            negative = ~(arr >= 0.0)  # NaN too
+            if np.any(negative):
+                index = tuple(np.argwhere(negative)[0])
+                *face, r, c = index
+                label = f"{name}[{DIR_ORIENTATION[face[0]]}]" if face else name
+                raise ValidationError(f"{label}={arr[index]} must be >= 0 at cell ({r}, {c})")
         needs_capacity = grid.cv_type != int(CvType.BOUNDARY)
         dead = needs_capacity & ~(self.volumetric_capacity() > 0.0)
         if np.any(dead):
@@ -429,6 +433,11 @@ class SimulationConfig:
             raise ValidationError("initial_temperature must be > 0 K")
         if self.enable_interior_mass and self.mass_params.k_mass <= 0.0:
             raise ValidationError("k_mass must be > 0 when interior mass is enabled")
+        # Zero is the t0 -> 0 limit of the mass update; below it the node runs away.
+        for key in ("rho_mass", "c_mass"):
+            value = getattr(self.mass_params, key)
+            if value < 0.0:
+                raise ValidationError(f"mass_params.{key}={value} must be >= 0")
 
 
 # =============================================================================
@@ -636,6 +645,9 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
             key: _finite(props.get(key, default), f"{where}: {key}")
             for key, default in _PROPERTY_DEFAULTS.items()
         }
+        for key, value in values.items():
+            if value < 0.0:
+                raise ConfigError(f"{where}: {key}={value} must be >= 0")
         cell_k[mask] = values["conductivity"]
         cell_h[mask] = values["h_exterior"]
         mats.heat_capacity[mask] = values["specific_heat"]

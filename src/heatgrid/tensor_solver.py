@@ -17,30 +17,33 @@ convergence threshold. With every radiation feature and the mass coupling
 disabled a single pass from the state's field reduces to the bare
 conduction-convection update.
 
-Predict, then extrapolate. A step that follows a plain-Picard step starts
-from the linear prediction ``2 t - t_before`` rather than from ``t``, and
-does not stop on its first pass. A plain-Picard step that converges after
-``k >= 2`` passes returns ``G(x_k) + r_k rho / (1 - rho)``, Aitken's
-delta-squared with the one global ratio ``rho = delta_k / delta_{k-1}`` of
-its last two largest changes, when ``rho < EXTRAPOLATION_LIMIT`` and the
-last two residuals point the same way (an oscillating iteration would be
-pushed away from its fixed point); otherwise it returns the last Picard
-update ``G(x_k)``. The prediction halves the passes at dt=300 s, and the
-extrapolation removes the one-sided stopping error that plain Picard
-would otherwise carry from step to step in the stored heat.
+The sweep turns red-black on the measured contraction. A step's passes
+start as Jacobi updates of every live cell from the iterate. From the
+first pass whose largest change exceeds ``MIXING_GATE`` times the previous
+one, every later pass of the step is a red-black Gauss-Seidel sweep: the
+live cells with ``r + c`` even are updated from the iterate, then the odd
+ones from the even values just written. A cell's four neighbours all have
+the other colour, so each half is one whole-grid array update. For the
+5-point stencil this ordering is consistently ordered, so a swept pass
+contracts by the square of the Jacobi factor and keeps its fixed point
+(Young, *Iterative Solution of Large Linear Systems*, 1971). Both kinds of
+pass lag the exterior and interior long-wave at the pass's starting
+iterate. The benchmark plans at dt=300 s contract fast enough that the
+gate stays shut, so every pass there is a Jacobi update; at dt=3,600 s,
+where a Jacobi pass contracts by about 0.7, sweeps take over after a few.
 
-Mixing is gated on the measured contraction. The first pass is always a
-plain Picard update. From the first pass whose largest change exceeds
-``MIXING_GATE`` times the previous one, every later iterate of the step
-is a type-II Anderson mix of the last ``ANDERSON_WINDOW`` Picard updates.
-The mix history restarts when the change grows or the mix cannot be
-solved. The benchmark plans at dt=300 s contract fast enough that the
-gate stays shut; at dt=3,600 s, where plain Picard contracts by about 0.7
-a pass, a 1,530-CV plan takes 40 % fewer passes. A mixed step returns its
-last Picard update and leaves the next step unpredicted: at dt=3,600 s a
-predicted start leaves plain Picard farther from the tight fixed point
-than the last field does, so only steps that contract fast enough to
-stay plain pass their start on.
+Predict, then extrapolate. A step whose state carries ``t_before`` starts
+from the linear prediction ``2 t - t_before`` rather than from ``t``, and
+does not stop on its first pass; every vectorized step hands its incoming
+``t`` on as the next ``t_before``. A step that converges after ``k >= 2``
+passes returns ``G(x_k) + r_k rho / (1 - rho)``, Aitken's delta-squared
+with the one global ratio ``rho = delta_k / delta_{k-1}`` of its last two
+largest changes, when ``rho < EXTRAPOLATION_LIMIT`` and the last two
+residuals point the same way (an oscillating iteration would be pushed
+away from its fixed point); otherwise it returns the last update
+``G(x_k)``. The prediction halves the passes at dt=300 s, and the
+extrapolation removes the one-sided stopping error that the iteration
+would otherwise carry from step to step in the stored heat.
 
 Each interior-air cell couples to a mass node (furnishings, slab) whose
 temperature the state carries in ``t_mass``. Once the air field converges,
@@ -87,28 +90,15 @@ from .radiation import (
 from .weather import WeatherRecord
 
 
-#: Differences the Anderson mix keeps. On the 3x4-room 1,530-CV benchmark
-#: plan at dt=3,600 s, the largest relative difference from the reference
-#: solver over 24 steps is 1.3e-5 with 5 or 4, 2.0e-5 with 3 and 2.7e-5 with
-#: 2, against 2.2e-5 for plain Picard; 5 takes 10.9 iterations a step, 3
-#: takes 11.2 and plain Picard 18.2.
-ANDERSON_WINDOW = 5
-#: Mixing starts at the first iteration whose largest change is more than
-#: this fraction of the previous one. At dt=300 s plain Picard contracts by
-#: at most 0.35 a pass on the bundled plan and 0.31 on a 5,963-CV one.
-#: Mixing every step would save 0.7 of 4.7 iterations a step on the first
-#: and none on the second, at the cost of a mix per pass. At dt=3,600 s
-#: plain Picard contracts by 0.46-0.83 from the fourth pass on.
+#: Sweeps turn red-black after the first pass whose largest change is more
+#: than this fraction of the previous one. At dt=300 s a Jacobi pass
+#: contracts by at most 0.35 on the bundled plan and 0.31 on a 5,963-CV one,
+#: so the gate stays shut and those steps keep their Jacobi passes. At
+#: dt=3,600 s a Jacobi pass contracts by 0.46-0.83 from the fourth pass on.
 MIXING_GATE = 0.5
-#: Ridge added to the diagonal of the Anderson normal equations, relative to
-#: their trace, so that collinear differences (a single live cell makes them
-#: all parallel) still give a finite, small-norm mix. On the 1,530-CV hourly
-#: plan any ridge from 1e-14 to 1e-6 gives the same iteration counts and
-#: the same difference from the reference solver to four figures.
-ANDERSON_RIDGE = 1e-10
-#: A converged plain-Picard step returns its last update extrapolated by
-#: Aitken's delta-squared only when its last two changes shrank by a ratio
-#: below this. The correction is ratio / (1 - ratio) times the last change,
+#: A converged step returns its last update extrapolated by Aitken's
+#: delta-squared only when its last two changes shrank by a ratio below
+#: this. The correction is ratio / (1 - ratio) times the last change,
 #: 9 times at this limit, and grows without bound as the ratio nears 1.
 EXTRAPOLATION_LIMIT = 0.9
 
@@ -129,8 +119,8 @@ class ThermalState:
     ``t`` is the current field (the converged field of the last step) and
     ``t_mass`` the interior mass node temperatures, None with mass off.
     ``t_before`` is the field one step before ``t``, from which the
-    vectorized step predicts its starting iterate; ``step`` keeps it only
-    after a plain-Picard step, and the oracle never reads it.
+    vectorized step predicts its starting iterate; ``step`` sets it to the
+    field it was handed, and the oracle never reads it.
     """
 
     t: np.ndarray
@@ -157,12 +147,11 @@ class ThermalState:
 class StepReport:
     """Outcome of one timestep's inner iteration.
 
-    ``max_delta`` is the largest change of the last Picard update;
-    ``mixed_from`` the iteration at which Anderson mixing switched on (the
-    iterate after it is the first mixed one), or 0 when the step ran plain
-    Picard. ``error_estimate`` is the largest per-cell correction the
-    extrapolated return added to the last Picard update [K], ``nan`` when
-    the step returned that update as it was.
+    ``max_delta`` is the largest change of the last pass; ``mixed_from``
+    the pass after which sweeps turned red-black, or 0 when every pass was
+    a Jacobi update. ``error_estimate`` is the largest per-cell correction
+    the extrapolated return added to the last update [K], ``nan`` when the
+    step returned that update as it was.
     """
 
     inner_iterations: int
@@ -181,9 +170,11 @@ class Plan:
     same building. Conductances [W/K]: ``g`` per face in shift order (east,
     north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
     ``coupling`` to the mass nodes; ``denom`` is their sum. ``active`` marks
-    the cells that are not boundary padding. ``air`` marks the interior-air
-    cells, whose mass nodes the step updates, and ``mass_t0`` is the update's
-    ``rho c z^2 / (k dt)``; with mass off, they and ``coupling`` are None.
+    the cells that are not boundary padding, and ``red_black`` stacks the
+    two halves of them with ``r + c`` even and odd. ``air`` marks the
+    interior-air cells, whose mass nodes the step updates, and ``mass_t0``
+    is the update's ``rho c z^2 / (k dt)``; with mass off, they and
+    ``coupling`` are None.
     ``exterior_cells`` are the flat indices of the cells with a non-zero
     exterior long-wave weight, inner envelope layers included, and
     ``exterior_weights`` their ``(3, n)`` weights; ``solar`` is the solar
@@ -198,6 +189,7 @@ class Plan:
     config: SimulationConfig
     exchange: Optional[RadiationExchangeMatrix]
     active: np.ndarray
+    red_black: np.ndarray
     g: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     convection: np.ndarray
     capacity: np.ndarray
@@ -262,72 +254,16 @@ def prepare(
         raise SolverError(
             f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
         )
+    even = np.add.outer(np.arange(grid.rows), np.arange(grid.cols)) % 2 == 0
+    red_black = np.stack((active & even, active & ~even))
     cells = weights = None
     if config.enable_exterior_lw:
         weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
         cells = np.flatnonzero(weights.any(axis=0))
         weights = weights.reshape(3, -1)[:, cells]
     solar = solar_basis(grid, mats) if config.enable_solar else None
-    return Plan(grid, mats, config, exchange, active, g, convection, capacity, coupling,
-                denom, air, mass_t0, cells, weights, solar, *lw_index)
-
-
-class _AndersonHistory:
-    """The last ``ANDERSON_WINDOW`` differences of residuals and Picard images.
-
-    Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011):
-    with ``dF`` and ``dG`` the stored differences of residuals ``f = G(x) - x``
-    and of images ``G(x)``, the next iterate is ``G(x_k) - dG gamma``, where
-    ``gamma`` minimizes ``|f_k - dF gamma|`` through the ridge-regularized
-    normal equations. The differences sit in a ring of ``ANDERSON_WINDOW``
-    slots; their Gram matrix gains one row and column per iteration.
-    """
-
-    def __init__(self, shape: Tuple[int, int]):
-        m = ANDERSON_WINDOW
-        self.d_residual = np.empty((m,) + shape)
-        self.d_image = np.empty((m,) + shape)
-        self.flat_residual = self.d_residual.reshape(m, -1)
-        self.flat_image = self.d_image.reshape(m, -1)
-        self.gram = np.empty((m, m))
-        self.eye = np.eye(m)
-        self.count = self.slot = 0
-
-    def restart(self) -> None:
-        """Drop every difference."""
-        self.count = self.slot = 0
-
-    def mix(
-        self,
-        x: np.ndarray,
-        image: np.ndarray,
-        last_image: np.ndarray,
-        residual: np.ndarray,
-        last_residual: np.ndarray,
-    ) -> bool:
-        """Add the newest differences and write the mixed iterate into ``x``.
-
-        Returns False, with ``x`` not written, when the normal equations
-        are singular or give a non-finite ``gamma``.
-        """
-        s = self.slot
-        np.subtract(residual, last_residual, out=self.d_residual[s])
-        np.subtract(image, last_image, out=self.d_image[s])
-        self.count = c = min(self.count + 1, ANDERSON_WINDOW)
-        self.slot = (s + 1) % ANDERSON_WINDOW
-        d_residual = self.flat_residual[:c]
-        self.gram[s, :c] = self.gram[:c, s] = d_residual @ d_residual[s]
-        gram = self.gram[:c, :c]
-        normal = gram + (ANDERSON_RIDGE * gram.trace()) * self.eye[:c, :c]
-        try:
-            gamma = np.linalg.solve(normal, d_residual @ residual.reshape(-1))
-        except np.linalg.LinAlgError:
-            return False
-        if not np.isfinite(gamma).all():
-            return False
-        np.matmul(gamma, self.flat_image[:c], out=x.reshape(-1))
-        np.subtract(image, x, out=x)
-        return True
+    return Plan(grid, mats, config, exchange, active, red_black, g, convection, capacity,
+                coupling, denom, air, mass_t0, cells, weights, solar, *lw_index)
 
 
 def update_mass(
@@ -352,8 +288,8 @@ def step(
     ``config.convergence_epsilon`` or the budget runs out (reported, never
     silent). An iterate that is not finite and > 0 K aborts naming the cell.
     With ``state.t_before`` set, the first iterate is predicted from it; a
-    converged plain-Picard step returns its extrapolated fixed point, and
-    its new state keeps ``state.t`` as ``t_before`` (see the module notes).
+    converged step returns its extrapolated fixed point, and its new state
+    keeps ``state.t`` as ``t_before`` (see the module notes).
     """
     started = time.perf_counter()
     grid, config, exchange, g = plan.grid, plan.config, plan.exchange, plan.g
@@ -376,42 +312,47 @@ def step(
 
     shape = (grid.rows, grid.cols)
     pad = np.full((grid.rows + 2, grid.cols + 2), t_inf)
-    # After a plain-Picard step, start from the linear prediction in time.
-    # Its first pass cannot end the step, so a budget of one pass starts from t.
+    # Start from the linear prediction in time. Its first pass cannot end
+    # the step, so a budget of one pass starts from t.
     predicted = state.t_before is not None and config.max_inner_iterations > 1
     x = np.where(plan.active, 2.0 * state.t - state.t_before if predicted else state.t, t_inf)
     image = np.full(shape, t_inf)
     numer, term = np.empty(shape), np.empty(shape)
     numer_flat = numer.reshape(-1)
     residual, last_residual = np.empty(shape), np.empty(shape)
-    last_image = history = None
+    sweeps = (plan.active,)  # one Jacobi update until the gate opens
     converged = False
     max_delta = last_delta = np.inf
     iterations = mixed_from = 0
     for iterations in range(1, config.max_inner_iterations + 1):
-        # image = G(x), the Picard update of the iterate x
-        east, north, west, south = shift_fields(pad, x)
-        np.multiply(g[0], east, out=term)
-        np.add(const, term, out=numer)
-        np.multiply(g[1], north, out=term)
-        numer += term
-        np.multiply(g[2], west, out=term)
-        numer += term
-        np.multiply(g[3], south, out=term)
-        numer += term
+        # image = G(x): radiation lagged at x, then each sweep updates its
+        # cells from the freshest field, x for the first and image after.
         if config.enable_exterior_lw:
-            cells = plan.exterior_cells
-            numer_flat[cells] += assemble_exterior_lw_tensor(
-                plan.exterior_weights, x.reshape(-1)[cells],
+            exterior = assemble_exterior_lw_tensor(
+                plan.exterior_weights, x.reshape(-1)[plan.exterior_cells],
                 boundary.t_gnd, boundary.t_sky, t_inf,
             )
         if config.enable_interior_lw:
             surface_t = exchange.surface_temperatures(x.reshape(-1), plan.surface_cells)
             flux = apply_interior_lw(exchange, surface_t)
-            numer_flat[plan.lw_cells] += scatter_interior_lw(
-                exchange, flux, plan.surface_slots, plan.lw_cells.size
-            )
-        np.divide(numer, plan.denom, out=image, where=plan.active)
+            interior = scatter_interior_lw(exchange, flux, plan.surface_slots, plan.lw_cells.size)
+        field = x
+        for live in sweeps:
+            east, north, west, south = shift_fields(pad, field)
+            np.multiply(g[0], east, out=term)
+            np.add(const, term, out=numer)
+            np.multiply(g[1], north, out=term)
+            numer += term
+            np.multiply(g[2], west, out=term)
+            numer += term
+            np.multiply(g[3], south, out=term)
+            numer += term
+            if config.enable_exterior_lw:
+                numer_flat[plan.exterior_cells] += exterior
+            if config.enable_interior_lw:
+                numer_flat[plan.lw_cells] += interior
+            np.divide(numer, plan.denom, out=image, where=live)
+            field = image
         try:
             _check_temperatures(image, f"iteration {iterations}")
         except SolverError as exc:
@@ -424,26 +365,15 @@ def step(
             break
         if iterations == config.max_inner_iterations:
             break
-        if history is None and max_delta > MIXING_GATE * last_delta:
-            # Plain Picard so far, so the iterate is the last image.
-            history = _AndersonHistory(shape)
-            last_image, x = x, np.empty(shape)
-            mixed_from = iterations
-        if history is None:
-            x, image = image, x
-        else:
-            if max_delta > last_delta or not history.mix(
-                x, image, last_image, residual, last_residual
-            ):
-                history.restart()
-                np.copyto(x, image)
-            image, last_image = last_image, image
+        if not mixed_from and max_delta > MIXING_GATE * last_delta:
+            sweeps, mixed_from = plan.red_black, iterations
+        x, image = image, x
         residual, last_residual = last_residual, residual
         last_delta = max_delta
 
     error_estimate = math.nan
-    if converged and not mixed_from and iterations > 1 and max_delta > 0.0 and last_delta > 0.0:
-        # Aitken's delta-squared with one global ratio: the remaining Picard
+    if converged and iterations > 1 and max_delta > 0.0 and last_delta > 0.0:
+        # Aitken's delta-squared with one global ratio: the remaining
         # changes, each ratio times the last, sum to ratio / (1 - ratio) of it.
         ratio = max_delta / last_delta
         if ratio < EXTRAPOLATION_LIMIT and np.vdot(residual, last_residual) > 0.0:
@@ -464,7 +394,7 @@ def step(
         t_mass=t_mass,
         step_index=state.step_index + 1,
         sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
-        t_before=None if mixed_from else state.t,
+        t_before=state.t,
     )
     report = StepReport(
         inner_iterations=iterations,

@@ -291,17 +291,44 @@ def set_grid(key, value):
          r"materials\[0\] \(wall\): tilt=nan must be finite"),
         (set_property(0, "tilt", 200.0), ValidationError,
          r"tilt=200.0 outside \[0, 180\] at cell \(0, 0\)"),
+        (set_property(0, "conductivity", -1.0), ConfigError,
+         r"materials\[0\] \(wall\): conductivity=-1.0 must be >= 0"),
+        (set_property(1, "specific_heat", -5.0), ConfigError,
+         r"materials\[1\] \(air\): specific_heat=-5.0 must be >= 0"),
+        (set_property(1, "density", -1.2), ConfigError,
+         r"materials\[1\] \(air\): density=-1.2 must be >= 0"),
+        (set_property(1, "h_exterior", -3.0), ConfigError,
+         r"materials\[1\] \(air\): h_exterior=-3.0 must be >= 0"),
         (set_grid("z", math.nan), ConfigError, r"grid.z=nan must be finite"),
         (set_grid("cell_size", math.nan), ConfigError, r"grid.cell_size=nan must be finite"),
     ],
     ids=["conductivity-nan", "emissivity-nan", "absorptivity-nan", "specific_heat-nan",
-         "h_exterior-nan", "h_exterior-inf", "tilt-nan", "tilt-200", "z-nan", "cell_size-nan"],
+         "h_exterior-nan", "h_exterior-inf", "tilt-nan", "tilt-200", "conductivity-negative",
+         "specific_heat-negative", "density-negative", "unexposed-h_exterior-negative",
+         "z-nan", "cell_size-nan"],
 )
 def test_bad_number_fails_at_load_naming_the_entry(edit, error, message):
     doc = minimal_doc()
     edit(doc)
     with pytest.raises(error, match=message):
         load_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "name, index, message",
+    [
+        ("k_face", (2, 1, 3), r"^k_face\[west\]=-0.5 must be >= 0 at cell \(1, 3\)$"),
+        ("h_face", (1, 0, 2), r"^h_face\[north\]=-0.5 must be >= 0 at cell \(0, 2\)$"),
+        ("heat_capacity", (2, 4), r"^heat_capacity=-0.5 must be >= 0 at cell \(2, 4\)$"),
+        ("density", (3, 1), r"^density=-0.5 must be >= 0 at cell \(3, 1\)$"),
+    ],
+    ids=["k_face", "h_face", "heat_capacity", "density"],
+)
+def test_negative_material_field_named_by_array_direction_and_cell(name, index, message):
+    grid, mats, _ = load_doc(minimal_doc())
+    getattr(mats, name)[index] = -0.5
+    with pytest.raises(ValidationError, match=message):
+        mats.validate(grid)
 
 
 def set_section(section, key, value):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
@@ -55,6 +58,27 @@ def test_init_rejects_nonpositive_k():
     config = mass_config(mass_params=MassParams(k_mass=0.0))
     with pytest.raises(ValueError, match="k_mass"):
         hg.prepare(grid, small_mats(), config)
+
+
+def prepare_with_mass_param(canonical_paths, key, value):
+    config = mass_config(mass_params=MassParams(**{key: value}))
+    return hg.prepare(small_grid(), small_mats(), config)
+
+
+def load_with_mass_param(canonical_paths, key, value):
+    doc = yaml.safe_load(Path(canonical_paths[0]).read_text(encoding="utf-8"))
+    doc["simulation"]["mass_params"][key] = value
+    return hg.load_building(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("key", ["rho_mass", "c_mass"])
+@pytest.mark.parametrize(
+    "entry", [prepare_with_mass_param, load_with_mass_param], ids=["prepare", "load_building"]
+)
+def test_negative_mass_parameter_rejected_naming_it(canonical_paths, entry, key):
+    with pytest.raises(hg.ValidationError, match=rf"^mass_params\.{key}=-1\.0 must be >= 0$"):
+        entry(canonical_paths, key, -1.0)
+    entry(canonical_paths, key, 0.0)  # the t0 -> 0 limit stays allowed
 
 
 def test_mass_starts_at_air_temperature():
