@@ -3,7 +3,12 @@ Command-line driver: run, compare, and benchmark the two solvers.
 
 ``run`` simulates a building against a weather file and writes per-step
 temperature snapshots, a convergence trace, and a manifest of the resolved
-configuration. ``compare`` runs both solvers on identical inputs and
+configuration. Once stepping is done, the snapshot formatting (float
+``repr``, the bulk of a run's wall time on large plans) is spread over the
+CPUs the process may use by forked writers; the files are byte-identical
+whatever that count is. On Python 3.12+ ``os.fork`` in this multi-threaded
+process (numpy's BLAS pool) emits a ``DeprecationWarning``, which is left
+for the caller to see. ``compare`` runs both solvers on identical inputs and
 reports their per-cell agreement. ``bench`` times both solvers and writes
 a benchmark table.
 
@@ -15,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -73,17 +79,95 @@ def default_weather_path() -> Path:
     return Path(str(resources.files("heatgrid.data") / "summer_day_weather.csv"))
 
 
+def _writer_count(n_snapshots: int) -> int:
+    """Processes that share the snapshot writing: one per CPU this process
+    may use, at most one per snapshot, and 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_snapshots))
+
+
+def _fork_writer(write, share) -> Tuple[int, int]:
+    """Fork a process that runs ``write(share)`` and leaves by ``os._exit``.
+
+    Returns the child's pid and the read end of a pipe that carries the
+    child's exception text, or nothing when it succeeded.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            write(share)
+            status = 0
+        except Exception as exc:  # the parent raises it
+            os.write(write_fd, f"{type(exc).__name__}: {exc}".encode()[:4096])
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap_writer(pid: int, read_fd: int) -> Optional[str]:
+    """Wait for a forked writer; returns what went wrong, or None."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        message = pipe.read().decode(errors="replace")
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return None
+    return message or f"exit status {code}"
+
+
 def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
+    """Write one CSV per snapshot, the formatting shared out over forked writers.
+
+    Writer ``k`` of ``n`` (see ``_writer_count``) writes ``snapshots[k::n]``;
+    this process writes share 0 and then reaps every writer, also when its
+    own share raises. A snapshot that cannot be written does not stop the
+    others; the first failure of this process, or else of a writer, raises
+    ``OSError`` naming the file, so the files written never depend on ``n``.
+    """
     header = "row,col,cv_type,t" + (",t_mass" if with_mass else "")
     kinds = grid.cv_type.tolist()
     cells = [f"{r},{c},{kinds[r][c]}" for r in range(grid.rows) for c in range(grid.cols)]
-    for snap in snapshots:
-        columns = [cells, map(repr, snap.t.ravel().tolist())]
-        if with_mass:
-            columns.append(map(repr, snap.t_mass.ravel().tolist()))
-        body = "\n".join(map(",".join, zip(*columns)))
-        path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
-        path.write_text(f"{header}\n{body}\n", encoding="utf-8")
+
+    def write(share):
+        failure = None  # the first; later snapshots are still written
+        for snap in share:
+            columns = [cells, map(repr, snap.t.ravel().tolist())]
+            if with_mass:
+                columns.append(map(repr, snap.t_mass.ravel().tolist()))
+            body = "\n".join(map(",".join, zip(*columns)))
+            path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
+            try:
+                path.write_text(f"{header}\n{body}\n", encoding="utf-8")
+            except OSError as exc:
+                failure = failure or exc
+        if failure:
+            raise failure
+
+    workers = _writer_count(len(snapshots))
+    writers = []
+    try:
+        for k in range(1, workers):
+            writers.append(_fork_writer(write, snapshots[k::workers]))
+        write(snapshots[0::workers])
+    finally:
+        failures = [_reap_writer(pid, read_fd) for pid, read_fd in writers]
+    for k, failure in enumerate(failures, start=1):
+        if failure:
+            raise OSError(f"snapshot writer {k} of {workers}: {failure}")
 
 
 def _write_trace(out_dir: Path, reports) -> None:

@@ -23,7 +23,8 @@ first pass whose largest change exceeds ``MIXING_GATE`` times the previous
 one, every later pass of the step is a red-black Gauss-Seidel sweep: the
 live cells with ``r + c`` even are updated from the iterate, then the odd
 ones from the even values just written. A cell's four neighbours all have
-the other colour, so each half is one whole-grid array update. For the
+the other colour, so each half is one whole-grid conduction and one
+division over that colour's flat cell indices. For the
 5-point stencil this ordering is consistently ordered, so a swept pass
 contracts by the square of the Jacobi factor and keeps its fixed point
 (Young, *Iterative Solution of Large Linear Systems*, 1971). Both kinds of
@@ -170,11 +171,11 @@ class Plan:
     same building. Conductances [W/K]: ``g`` per face in shift order (east,
     north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
     ``coupling`` to the mass nodes; ``denom`` is their sum. ``active`` marks
-    the cells that are not boundary padding, and ``red_black`` stacks the
-    two halves of them with ``r + c`` even and odd. ``air`` marks the
-    interior-air cells, whose mass nodes the step updates, and ``mass_t0``
-    is the update's ``rho c z^2 / (k dt)``; with mass off, they and
-    ``coupling`` are None.
+    the cells that are not boundary padding, and ``red_cells`` and
+    ``black_cells`` are the flat indices of those with ``r + c`` even and
+    odd. ``air`` marks the interior-air cells, whose mass nodes the step
+    updates, and ``mass_t0`` is the update's ``rho c z^2 / (k dt)``; with
+    mass off, they and ``coupling`` are None.
     ``exterior_cells`` are the flat indices of the cells with a non-zero
     exterior long-wave weight, inner envelope layers included, and
     ``exterior_weights`` their ``(3, n)`` weights; ``solar`` is the solar
@@ -189,7 +190,8 @@ class Plan:
     config: SimulationConfig
     exchange: Optional[RadiationExchangeMatrix]
     active: np.ndarray
-    red_black: np.ndarray
+    red_cells: np.ndarray
+    black_cells: np.ndarray
     g: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     convection: np.ndarray
     capacity: np.ndarray
@@ -255,15 +257,15 @@ def prepare(
             f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
         )
     even = np.add.outer(np.arange(grid.rows), np.arange(grid.cols)) % 2 == 0
-    red_black = np.stack((active & even, active & ~even))
+    red_cells, black_cells = np.flatnonzero(active & even), np.flatnonzero(active & ~even)
     cells = weights = None
     if config.enable_exterior_lw:
         weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
         cells = np.flatnonzero(weights.any(axis=0))
         weights = weights.reshape(3, -1)[:, cells]
     solar = solar_basis(grid, mats) if config.enable_solar else None
-    return Plan(grid, mats, config, exchange, active, red_black, g, convection, capacity,
-                coupling, denom, air, mass_t0, cells, weights, solar, *lw_index)
+    return Plan(grid, mats, config, exchange, active, red_cells, black_cells, g, convection,
+                capacity, coupling, denom, air, mass_t0, cells, weights, solar, *lw_index)
 
 
 def update_mass(
@@ -318,9 +320,9 @@ def step(
     x = np.where(plan.active, 2.0 * state.t - state.t_before if predicted else state.t, t_inf)
     image = np.full(shape, t_inf)
     numer, term = np.empty(shape), np.empty(shape)
-    numer_flat = numer.reshape(-1)
+    numer_flat, denom_flat = numer.reshape(-1), plan.denom.reshape(-1)
     residual, last_residual = np.empty(shape), np.empty(shape)
-    sweeps = (plan.active,)  # one Jacobi update until the gate opens
+    sweeps = (None,)  # one Jacobi update of plan.active until the gate opens
     converged = False
     max_delta = last_delta = np.inf
     iterations = mixed_from = 0
@@ -337,7 +339,7 @@ def step(
             flux = apply_interior_lw(exchange, surface_t)
             interior = scatter_interior_lw(exchange, flux, plan.surface_slots, plan.lw_cells.size)
         field = x
-        for live in sweeps:
+        for cells in sweeps:
             east, north, west, south = shift_fields(pad, field)
             np.multiply(g[0], east, out=term)
             np.add(const, term, out=numer)
@@ -351,7 +353,10 @@ def step(
                 numer_flat[plan.exterior_cells] += exterior
             if config.enable_interior_lw:
                 numer_flat[plan.lw_cells] += interior
-            np.divide(numer, plan.denom, out=image, where=live)
+            if cells is None:
+                np.divide(numer, plan.denom, out=image, where=plan.active)
+            else:  # an alternating mask would defeat the ufunc's contiguous loop
+                image.reshape(-1)[cells] = numer_flat[cells] / denom_flat[cells]
             field = image
         try:
             _check_temperatures(image, f"iteration {iterations}")
@@ -366,7 +371,7 @@ def step(
         if iterations == config.max_inner_iterations:
             break
         if not mixed_from and max_delta > MIXING_GATE * last_delta:
-            sweeps, mixed_from = plan.red_black, iterations
+            sweeps, mixed_from = (plan.red_cells, plan.black_cells), iterations
         x, image = image, x
         residual, last_residual = last_residual, residual
         last_delta = max_delta
