@@ -531,7 +531,8 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     location used for solar geometry.
     """
     try:
-        doc = yaml.safe_load(config_text)
+        # libyaml's parser where PyYAML was built with it; same documents
+        doc = yaml.load(config_text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):

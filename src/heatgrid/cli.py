@@ -3,8 +3,10 @@ Command-line driver: run, compare, and benchmark the two solvers.
 
 ``run`` simulates a building against a weather file and writes per-step
 temperature snapshots, a convergence trace, and a manifest of the resolved
-configuration. Once stepping is done, the snapshot formatting (float
-``repr``, the bulk of a run's wall time on large plans) is spread over the
+configuration. Snapshot values are written as ``repr`` writes them, by a
+vectorized formatter that gives ``repr``'s bytes for 100 <= x < 512 (any
+other value, or an exact 17th-digit tie, sends its block through ``repr``
+itself). Once stepping is done, the snapshot formatting is spread over the
 CPUs the process may use by forked writers; the files are byte-identical
 whatever that count is. On Python 3.12+ ``os.fork`` in this multi-threaded
 process (numpy's BLAS pool) emits a ``DeprecationWarning``, which is left
@@ -79,6 +81,165 @@ def default_weather_path() -> Path:
     return Path(str(resources.files("heatgrid.data") / "summer_day_weather.csv"))
 
 
+# Snapshot text: ``_float_text`` gives the bytes of ``repr(x)`` for a whole
+# array of temperatures at once. Proof sketch for its domain 100 <= x < 512:
+#
+# * There a double's spacing is at most 2^-44 < 1e-13, so its rounding
+#   interval holds at most one decimal with 13 fractional digits (16
+#   significant). When one does, it is the shortest round trip: a shorter
+#   decimal is also a multiple of 1e-13, so the same one. ``repr`` prints it
+#   with trailing zeros stripped down to one ("300.0"). It is n - 1, n or
+#   n + 1 for n = rint(x * 1e13), and c / 1e13 == x tests a candidate c:
+#   c < 2^53 and 1e13 are exact doubles, so IEEE division rounds as
+#   ``float(str)`` does. Division rounds monotonically, so when n / 1e13 is
+#   not x, only the neighbour on x's side of it can be.
+# * Otherwise ``repr`` prints 17 digits, round(x * 10^14): the nearest such
+#   decimal is at most 0.5e-14 away, less than half the spacing on either
+#   side (at least 2^-47), so it round-trips. The spacing is at least 2^-46,
+#   so M = x * 2^46 is an integer below 2^55 and
+#   x * 10^14 = M * 5^14 / 2^32 (frexp's m * 2^53 * 5^14 >> (39 - e), with
+#   the mantissa shifted by e - 7). With 5^14 = 2^32 + F and M split at bit
+#   32 into H and L, that is M + H*F + L*F / 2^32, where L*F < 2^63: exact in
+#   uint64. A remainder of exactly half (a tie at the 17th digit) is flagged.
+# * Values outside the domain, non-finite ones and ties are flagged; the
+#   caller formats those with ``repr``.
+#
+# Integer arrays stay uint64 throughout: numpy < 2 promotes a uint64/int64
+# mix to float64.
+
+_U64 = np.uint64
+_FIVE14_LOW = _U64(5**14 - 2**32)
+_LOW32 = _U64(2**32 - 1)
+_HALF32 = _U64(2**31)
+#: Values formatted at once; larger calls run slower as temporaries leave cache.
+_TEXT_CHUNK = 4096
+
+
+def _text_tables():
+    """4-digit ASCII groups as uint32 words, "ddd." words for the integer
+    part, and each group's digit count without its trailing zeros."""
+    n = np.arange(10000, dtype=np.int16)
+    ascii4 = np.empty((n.size, 4), np.uint8)
+    for k, scale in enumerate((1000, 100, 10, 1)):
+        ascii4[:, k] = n // scale % 10 + ord("0")
+    int_dot = np.concatenate([ascii4[:512, 1:], np.full((512, 1), ord("."), np.uint8)], axis=1)
+    trailing = (n % 10 == 0).astype(np.int8) + (n % 100 == 0) + (n % 1000 == 0)
+    kept = np.where(n == 0, -99, 4 - trailing).astype(np.int8)  # -99: ends nothing
+    return ascii4.view(np.uint32).ravel(), int_dot.view(np.uint32).ravel(), kept
+
+
+_GROUP_TEXT, _INT_DOT_TEXT, _GROUP_KEPT = _text_tables()
+
+
+def _float_text(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes of ``repr`` for every value of a float64 array.
+
+    Returns ``(text, length, uncovered)``: row ``i`` of the ``(n, 20)`` uint8
+    array ``text`` starts with the ``length[i]`` bytes of ``repr(values[i])``
+    unless ``uncovered[i]``, which flags a value outside 100 <= x < 512, not
+    finite, or an exact tie at the 17th digit (see the notes above).
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    text = np.empty((values.size, 5), np.uint32)
+    length = np.empty(values.size, np.intp)
+    uncovered = np.empty(values.size, bool)
+    for start in range(0, values.size, _TEXT_CHUNK):
+        part = slice(start, start + _TEXT_CHUNK)
+        _float_text_chunk(values[part], text[part], length[part], uncovered[part])
+    return text.view(np.uint8), length, uncovered
+
+
+def _float_text_chunk(x, text, length, uncovered) -> None:
+    with np.errstate(invalid="ignore"):  # a NaN compares False; some numpy 1.x warn
+        covered = (x >= 100.0) & (x < 512.0)
+    if not covered.all():
+        x = np.where(covered, x, 256.0)  # keeps the arithmetic below quiet
+    # 16 significant digits, when a 13-decimal c lies in x's rounding interval
+    n = np.rint(x * 1e13)
+    n += np.sign(x - n / 1e13)  # n itself, or the neighbour on x's side
+    short = n / 1e13 == x
+    # 17 digits: round(M * 5^14 / 2^32) for M = x * 2^46
+    m = (x * 2.0**46).astype(_U64)
+    low = (m & _LOW32) * _FIVE14_LOW
+    digits = m + (m >> _U64(32)) * _FIVE14_LOW + ((low + _HALF32) >> _U64(32))
+    np.logical_or(~covered, ((low & _LOW32) == _HALF32) & ~short, out=uncovered)
+    digits = np.where(short, n.astype(_U64) * _U64(10), digits)
+    # "ddd." then 14 fraction digits in groups of 4, 4, 4 and 2
+    whole = digits // _U64(10**14)
+    digits -= whole * _U64(10**14)
+    groups = []
+    for scale in (10**10, 10**6, 10**2):
+        group = digits // _U64(scale)
+        digits -= group * _U64(scale)
+        groups.append(group)
+    groups.append(digits * _U64(100))
+    groups = [group.astype(np.intp) for group in groups]  # table indices, < 10^4
+    np.take(_INT_DOT_TEXT, whole.astype(np.intp), out=text[:, 0], mode="clip")
+    for slot, group in enumerate(groups, start=1):
+        np.take(_GROUP_TEXT, group, out=text[:, slot], mode="clip")
+    # keep fraction digits up to the last non-zero one, and at least one
+    kept = [_GROUP_KEPT.take(group) + 4 * k for k, group in enumerate(groups)]
+    np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]), out=length)
+    np.maximum(length, 1, out=length)
+    length += 4
+
+
+def _field_used() -> np.ndarray:
+    """Bytes in use of a 20-byte value field, as words, by text length."""
+    used = np.arange(20) < np.arange(19)[:, None]
+    used[:, 18] = True  # the separator after the value
+    used[:, 19] = False
+    return used.view(np.uint32)
+
+
+_FIELD_USED = _field_used()
+
+
+class _SnapshotRows:
+    """The CSV rows of up to ``capacity`` snapshots, one fixed-width byte row
+    per cell, with a mask of the bytes in use.
+
+    A row is the cell's ``r,c,kind,`` prefix padded to whole 4-byte words,
+    then per field 20 bytes: the value's text, its separator (``,`` or a
+    newline) and a pad byte. ``fill`` writes the values' text and returns
+    the bodies, taken out by one masked copy.
+    """
+
+    def __init__(self, cells: List[str], n_fields: int, capacity: int):
+        prefix = (",".join(cells) + ",").encode()
+        widths = np.array([len(cell) + 1 for cell in cells])
+        self.start = -(-int(widths.max()) // 4) * 4
+        head = np.arange(self.start) < widths[:, None]
+        shape = (capacity, len(cells), self.start + 20 * n_fields)
+        self.rows, self.used = np.zeros(shape, np.uint8), np.zeros(shape, bool)
+        self.rows[:, :, :self.start][:, head] = np.frombuffer(prefix, np.uint8)
+        self.used[:, :, :self.start] = head
+        self.separators = [self.start + 20 * j + 18 for j in range(n_fields)]
+        self.separator_bytes = np.frombuffer(b"," * (n_fields - 1) + b"\n", np.uint8)
+        self.rows[:, :, self.separators] = self.separator_bytes
+        self.fixed = int(widths.sum()) + n_fields * len(cells)
+
+    def fill(self, values: np.ndarray) -> Optional[List[memoryview]]:
+        """CSV bodies for ``values`` of shape (snapshots, fields, cells), or
+        None when ``_float_text`` does not cover one of them."""
+        k, n_fields, n_cells = values.shape
+        text, length, uncovered = _float_text(values)
+        if uncovered.any():
+            return None
+        text = text.view(np.uint32).reshape(k, n_fields, n_cells, 5)
+        length = length.reshape(k, n_fields, n_cells)
+        rows, used = self.rows[:k], self.used[:k]
+        rows32, used32 = rows.view(np.uint32), used.view(np.uint32)
+        for j in range(n_fields):
+            word = self.start // 4 + 5 * j
+            rows32[:, :, word:word + 5] = text[:, j]
+            used32[:, :, word:word + 5] = _FIELD_USED.take(length[:, j], axis=0)
+        rows[:, :, self.separators] = self.separator_bytes
+        body = memoryview(rows[used])
+        ends = np.cumsum(self.fixed + length.sum(axis=(1, 2))).tolist()
+        return [body[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def _writer_count(n_snapshots: int) -> int:
     """Processes that share the snapshot writing: one per CPU this process
     may use, at most one per snapshot, and 1 without ``os.fork``."""
@@ -137,23 +298,37 @@ def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
     own share raises. A snapshot that cannot be written does not stop the
     others; the first failure of this process, or else of a writer, raises
     ``OSError`` naming the file, so the files written never depend on ``n``.
+
+    A writer formats its share in blocks of about ``_TEXT_CHUNK`` values
+    through ``_float_text`` and ``_SnapshotRows``, element-wise numpy work
+    that calls no BLAS and starts no thread; a block holding a value that
+    ``_float_text`` does not cover is formatted value by value with ``repr``.
     """
-    header = "row,col,cv_type,t" + (",t_mass" if with_mass else "")
+    header = ("row,col,cv_type,t" + (",t_mass" if with_mass else "") + "\n").encode()
     kinds = grid.cv_type.tolist()
     cells = [f"{r},{c},{kinds[r][c]}" for r in range(grid.rows) for c in range(grid.cols)]
+    fields = ("t", "t_mass") if with_mass else ("t",)
+    per_block = max(1, _TEXT_CHUNK // (len(cells) * len(fields)))
+
+    def repr_body(snap) -> bytes:
+        columns = [cells] + [map(repr, getattr(snap, f).ravel().tolist()) for f in fields]
+        return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
 
     def write(share):
+        rows = _SnapshotRows(cells, len(fields), min(per_block, len(share)))
         failure = None  # the first; later snapshots are still written
-        for snap in share:
-            columns = [cells, map(repr, snap.t.ravel().tolist())]
-            if with_mass:
-                columns.append(map(repr, snap.t_mass.ravel().tolist()))
-            body = "\n".join(map(",".join, zip(*columns)))
-            path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
-            try:
-                path.write_text(f"{header}\n{body}\n", encoding="utf-8")
-            except OSError as exc:
-                failure = failure or exc
+        for start in range(0, len(share), per_block):
+            block = share[start:start + per_block]
+            values = np.stack([[getattr(s, f).ravel() for f in fields] for s in block])
+            bodies = rows.fill(values) or [repr_body(snap) for snap in block]
+            for snap, body in zip(block, bodies):
+                path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
+                try:
+                    with open(path, "wb") as f:
+                        f.write(header)
+                        f.write(body)
+                except OSError as exc:
+                    failure = failure or exc
         if failure:
             raise failure
 

@@ -361,7 +361,14 @@ def step(
         try:
             _check_temperatures(image, f"iteration {iterations}")
         except SolverError as exc:
-            raise SolverError(f"{exc}{boundary.heat_source_note()}") from None
+            change = float(np.abs(image - x).max())
+            note = boundary.heat_source_note()
+            if change > last_delta:  # False for a NaN change and on the first pass
+                note += (
+                    f"; the iteration diverged (pass-to-pass change grew from "
+                    f"{last_delta:.4g} K to {change:.4g} K) at dt = {config.dt:g} s"
+                )
+            raise SolverError(f"{exc}{note}") from None
 
         np.subtract(image, x, out=residual)
         max_delta = float(np.abs(residual, out=term).max())

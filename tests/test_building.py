@@ -20,6 +20,8 @@ from heatgrid.building import (
     _assign_face_coefficients,
 )
 
+from _factories import tiled_building_yaml
+
 
 def minimal_doc(rows=5, cols=6, extra_zones=(), **sim):
     doc = {
@@ -433,6 +435,22 @@ def test_unknown_property_key_rejected():
 def test_invalid_yaml_is_config_error():
     with pytest.raises(ConfigError, match="invalid YAML"):
         hg.load_building("grid: [unclosed")
+
+
+def test_invalid_yaml_error_gives_its_line():
+    text = "grid:\n  rows: 3\n  cols: [4\nzones: []\n"
+    with pytest.raises(ConfigError, match=r"^invalid YAML: (?s:.*)line 3, column 9"):
+        hg.load_building(text)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("plan", ["bundled", "tiled"])
+def test_libyaml_and_python_loaders_read_equal_documents(canonical_paths, plan):
+    if plan == "bundled":
+        text = canonical_paths[0].read_text(encoding="utf-8")
+    else:
+        text = tiled_building_yaml(6, 8, room=10)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_rect_material_override():

@@ -8,7 +8,10 @@ import pytest
 import yaml
 
 import heatgrid as hg
+from heatgrid import cli
 from heatgrid.cli import main
+
+from _factories import tiled_building_yaml
 
 
 def write_conduction_only(tmp_path, canonical_paths, epsilon=1e-9):
@@ -130,6 +133,45 @@ def test_one_writer_forks_nothing(tmp_path, monkeypatch):
     allow_cpus(monkeypatch, 4)
     assert main(["run", "--steps", "3", "--out", str(tmp_path / "no_fork")]) == 0
     assert len(list((tmp_path / "no_fork").glob("snapshot_*.csv"))) == 3
+
+
+def repr_snapshot(grid, snap, with_mass):
+    """The snapshot text as written with one ``repr`` per value."""
+    kinds = grid.cv_type.tolist()
+    cells = [f"{r},{c},{kinds[r][c]}" for r in range(grid.rows) for c in range(grid.cols)]
+    fields = [snap.t] + ([snap.t_mass] if with_mass else [])
+    rows = zip(cells, *(map(repr, f.ravel().tolist()) for f in fields))
+    return "row,col,cv_type,t" + (",t_mass" if with_mass else "") + "\n" + "".join(
+        ",".join(row) + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("plan", ["bundled", "tiled", "no_mass", "out_of_domain"])
+def test_snapshots_match_the_repr_formatter(tmp_path, monkeypatch, canonical_paths, plan, cpus):
+    building, weather = canonical_paths
+    if plan == "tiled":
+        building = tmp_path / "tiled.yaml"
+        building.write_text(tiled_building_yaml(2, 3, room=4))
+    elif plan == "no_mass":
+        building = write_conduction_only(tmp_path, canonical_paths, epsilon=1e-3)
+    elif plan == "out_of_domain":  # a field the formatter leaves to repr, in the first block
+        def odd_episode(*args, **kwargs):
+            snapshots, reports = hg.run_episode(*args, **kwargs)
+            snapshots[2].t[0, :3] = [99.5, 512.0, 1e300]
+            return snapshots, reports
+
+        monkeypatch.setattr(cli, "run_episode", odd_episode)
+    allow_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    steps = 9  # the bundled plan's snapshots are formatted 7 at a time
+    assert main(["run", "--steps", str(steps), "--building", str(building),
+                 "--weather", str(weather), "--out", str(out)]) == 0
+    grid, mats, config = hg.load_building_file(building)
+    snapshots, _ = cli.run_episode(grid, mats, config, hg.load_weather_file(weather), steps)
+    for snap in snapshots:
+        written = (out / f"snapshot_{snap.step_index:04d}.csv").read_text(encoding="utf-8")
+        assert written == repr_snapshot(grid, snap, config.enable_interior_mass)
 
 
 def test_zero_steps_is_usage_error(tmp_path, canonical_paths):

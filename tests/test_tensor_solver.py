@@ -832,3 +832,10 @@ def test_oscillating_iteration_is_not_extrapolated(monkeypatch):
     assert report.converged and report.mixed_from == 0 and report.inner_iterations > 2
     assert np.isnan(report.error_estimate)
     assert abs(new.t[0, 0] - hg.step(start, tight, bc)[0].t[0, 0]) < report.max_delta
+
+
+def test_day_long_step_reports_a_diverged_iteration(canonical, canonical_weather):
+    grid, mats, config = canonical
+    config = dataclasses.replace(config, dt=86400.0)
+    with pytest.raises(SolverError, match=r"(?s)iteration diverged.*at dt = 86400 s"):
+        hg.run_episode(grid, mats, config, canonical_weather, 1)
