@@ -19,7 +19,7 @@ faces have length U.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Dict, Optional, Tuple
 
@@ -463,12 +463,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _mapping(raw, where: str) -> dict:
-    """``raw`` as a mapping, None (an empty YAML section) as an empty one; else ``ConfigError``."""
+def _known_keys(mapping: dict, keys, where: str) -> None:
+    """Raise ``ConfigError`` naming ``where`` if ``mapping`` holds a key not in ``keys``."""
+    unknown = set(mapping) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(map(str, unknown))}")
+
+
+def _mapping(raw, where: str, keys) -> dict:
+    """``raw`` as a mapping of some of ``keys``, None (an empty YAML section) as an
+    empty one; else ``ConfigError``."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    _known_keys(raw, keys, where)
     return raw
 
 
@@ -537,8 +546,11 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         raise ConfigError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("building config must be a mapping of sections")
+    _known_keys(doc, ("grid", "zones", "materials", "simulation", "site"), "building config")
 
-    grid_sec = _mapping(_require(doc, "grid", "building config"), "grid section")
+    grid_sec = _mapping(
+        _require(doc, "grid", "building config"), "grid section", ("rows", "cols", "z", "cell_size")
+    )
     rows = _integer(_require(grid_sec, "rows", "grid section"), "grid.rows")
     cols = _integer(_require(grid_sec, "cols", "grid section"), "grid.cols")
     z = _finite(_require(grid_sec, "z", "grid section"), "grid.z")
@@ -561,6 +573,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         where = f"zones[{i}]" + (f" ({zone.get('name')})" if isinstance(zone, dict) else "")
         if not isinstance(zone, dict):
             raise ConfigError(f"{where}: zone entries must be mappings")
+        _known_keys(zone, ("name", "cv_type", "rect"), where)
         kind = _parse_cv_type(_require(zone, "cv_type", where), where)
         r0, c0, r1, c1 = _parse_rect(_require(zone, "rect", where), where, rows, cols)
         cv[r0 : r1 + 1, c0 : c1 + 1] = int(kind)
@@ -572,8 +585,10 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     grid = BuildingGrid.from_cv_types(cv, size_u, size_v, z)
     grid.source_config = doc
 
-    sim_sec = _mapping(doc.get("simulation"), "simulation section")
-    mass_sec = _mapping(sim_sec.get("mass_params"), "simulation.mass_params section")
+    sim_keys = [f.name for f in fields(SimulationConfig) if f.name != "site"]
+    sim_sec = _mapping(doc.get("simulation"), "simulation section", sim_keys)
+    mass_keys = [f.name for f in fields(MassParams)]
+    mass_sec = _mapping(sim_sec.get("mass_params"), "simulation.mass_params section", mass_keys)
 
     def sim(parse, key, default):
         return parse(sim_sec.get(key, default), f"simulation.{key}")
@@ -597,7 +612,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
             c_mass=mass("c_mass", 1200.0),
         ),
     )
-    site_sec = _mapping(doc.get("site"), "site section")
+    site_sec = _mapping(doc.get("site"), "site section", ("latitude", "longitude", "albedo"))
     if site_sec:
         config.site = SitePosition(
             latitude=_finite(_require(site_sec, "latitude", "site section"), "site.latitude"),
@@ -629,10 +644,10 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         )
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: material entries must be mappings")
-        props = _mapping(_require(entry, "properties", where), f"{where}: properties")
-        unknown = set(props) - _PROPERTY_DEFAULTS.keys()
-        if unknown:
-            raise ConfigError(f"{where}: unknown property keys {sorted(unknown)}")
+        _known_keys(entry, ("name", "cv_type", "rect", "properties"), where)
+        props = _mapping(
+            _require(entry, "properties", where), f"{where}: properties", _PROPERTY_DEFAULTS
+        )
         if "cv_type" in entry:
             mask = grid.cv_type == int(_parse_cv_type(entry["cv_type"], where))
         elif "rect" in entry:

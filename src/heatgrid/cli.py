@@ -6,11 +6,8 @@ temperature snapshots, a convergence trace, and a manifest of the resolved
 configuration. Snapshot values are written as ``repr`` writes them, by a
 vectorized formatter that gives ``repr``'s bytes for 100 <= x < 512 (any
 other value, or an exact 17th-digit tie, sends its block through ``repr``
-itself). Once stepping is done, the snapshot formatting is spread over the
-CPUs the process may use by forked writers; the files are byte-identical
-whatever that count is. On Python 3.12+ ``os.fork`` in this multi-threaded
-process (numpy's BLAS pool) emits a ``DeprecationWarning``, which is left
-for the caller to see. ``compare`` runs both solvers on identical inputs and
+itself). The snapshots are formatted and written in this process once the
+last step is done. ``compare`` runs both solvers on identical inputs and
 reports their per-cell agreement. ``bench`` times both solvers and writes
 a benchmark table.
 
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -240,69 +236,14 @@ class _SnapshotRows:
         return [body[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _writer_count(n_snapshots: int) -> int:
-    """Processes that share the snapshot writing: one per CPU this process
-    may use, at most one per snapshot, and 1 without ``os.fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_snapshots))
-
-
-def _fork_writer(write, share) -> Tuple[int, int]:
-    """Fork a process that runs ``write(share)`` and leaves by ``os._exit``.
-
-    Returns the child's pid and the read end of a pipe that carries the
-    child's exception text, or nothing when it succeeded.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            write(share)
-            status = 0
-        except Exception as exc:  # the parent raises it
-            os.write(write_fd, f"{type(exc).__name__}: {exc}".encode()[:4096])
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap_writer(pid: int, read_fd: int) -> Optional[str]:
-    """Wait for a forked writer; returns what went wrong, or None."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        message = pipe.read().decode(errors="replace")
-    _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return None
-    return message or f"exit status {code}"
-
-
 def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
-    """Write one CSV per snapshot, the formatting shared out over forked writers.
+    """Write one CSV per snapshot, formatted in blocks of about ``_TEXT_CHUNK``
+    values through ``_float_text`` and ``_SnapshotRows``.
 
-    Writer ``k`` of ``n`` (see ``_writer_count``) writes ``snapshots[k::n]``;
-    this process writes share 0 and then reaps every writer, also when its
-    own share raises. A snapshot that cannot be written does not stop the
-    others; the first failure of this process, or else of a writer, raises
-    ``OSError`` naming the file, so the files written never depend on ``n``.
-
-    A writer formats its share in blocks of about ``_TEXT_CHUNK`` values
-    through ``_float_text`` and ``_SnapshotRows``, element-wise numpy work
-    that calls no BLAS and starts no thread; a block holding a value that
-    ``_float_text`` does not cover is formatted value by value with ``repr``.
+    A block holding a value that ``_float_text`` does not cover is formatted
+    value by value with ``repr``. A snapshot that cannot be written does not
+    stop the others; the first failure is raised afterwards, as the
+    ``OSError`` naming its file.
     """
     header = ("row,col,cv_type,t" + (",t_mass" if with_mass else "") + "\n").encode()
     kinds = grid.cv_type.tolist()
@@ -314,35 +255,22 @@ def _write_snapshots(out_dir: Path, grid, snapshots, with_mass: bool) -> None:
         columns = [cells] + [map(repr, getattr(snap, f).ravel().tolist()) for f in fields]
         return ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
 
-    def write(share):
-        rows = _SnapshotRows(cells, len(fields), min(per_block, len(share)))
-        failure = None  # the first; later snapshots are still written
-        for start in range(0, len(share), per_block):
-            block = share[start:start + per_block]
-            values = np.stack([[getattr(s, f).ravel() for f in fields] for s in block])
-            bodies = rows.fill(values) or [repr_body(snap) for snap in block]
-            for snap, body in zip(block, bodies):
-                path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
-                try:
-                    with open(path, "wb") as f:
-                        f.write(header)
-                        f.write(body)
-                except OSError as exc:
-                    failure = failure or exc
-        if failure:
-            raise failure
-
-    workers = _writer_count(len(snapshots))
-    writers = []
-    try:
-        for k in range(1, workers):
-            writers.append(_fork_writer(write, snapshots[k::workers]))
-        write(snapshots[0::workers])
-    finally:
-        failures = [_reap_writer(pid, read_fd) for pid, read_fd in writers]
-    for k, failure in enumerate(failures, start=1):
-        if failure:
-            raise OSError(f"snapshot writer {k} of {workers}: {failure}")
+    rows = _SnapshotRows(cells, len(fields), min(per_block, len(snapshots)))
+    failure = None  # the first; later snapshots are still written
+    for start in range(0, len(snapshots), per_block):
+        block = snapshots[start:start + per_block]
+        values = np.stack([[getattr(s, f).ravel() for f in fields] for s in block])
+        bodies = rows.fill(values) or [repr_body(snap) for snap in block]
+        for snap, body in zip(block, bodies):
+            path = out_dir / f"snapshot_{snap.step_index:04d}.csv"
+            try:
+                with open(path, "wb") as f:
+                    f.write(header)
+                    f.write(body)
+            except OSError as exc:
+                failure = failure or exc
+    if failure:
+        raise failure
 
 
 def _write_trace(out_dir: Path, reports) -> None:

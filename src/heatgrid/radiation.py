@@ -508,12 +508,16 @@ def _check_reciprocity(
         )
 
 
+#: The column names of the surface-index rows in exchange-matrix text.
+_SURFACE_HEADER = ["surface", "row", "col", "face", "area"]
+
+
 def save_exchange_matrix(matrix: RadiationExchangeMatrix) -> str:
     """Serialize to delimited text: a surface-index header, then the dense matrix."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n_surfaces", matrix.n_surfaces])
-    writer.writerow(["surface", "row", "col", "face", "area"])
+    writer.writerow(_SURFACE_HEADER)
     for i, (r, c, d) in enumerate(matrix.surfaces):
         writer.writerow([i, r, c, DIR_ORIENTATION[d], repr(float(matrix.areas[i]))])
     writer.writerow(["matrix"])
@@ -533,6 +537,10 @@ def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
         raise ValueError(f"line {rows[0][0]}: n_surfaces {n} is negative")
     if len(rows) < 2 + n + 1 + n:
         raise ValueError(f"exchange matrix text truncated for n_surfaces={n}")
+    if len(rows) > 2 + n + 1 + n:
+        raise ValueError(f"line {rows[3 + 2 * n][0]}: text after the {n} matrix rows")
+    if rows[1][1] != _SURFACE_HEADER:
+        raise ValueError(f"line {rows[1][0]}: expected the header {','.join(_SURFACE_HEADER)}")
     listed = rows[2 : 2 + n]
     surfaces = []
     for e in listed:

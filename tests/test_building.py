@@ -404,6 +404,34 @@ def test_section_that_is_not_a_mapping_fails_naming_it(edit, message):
         load_doc(doc)
 
 
+def set_entry(section, i, key, value):
+    def edit(doc):
+        doc[section][i][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_top("simulaton", {"dt": 3600.0}), r"^building config: unknown keys \['simulaton'\]$"),
+        (set_section("grid", "colums", 6), r"^grid section: unknown keys \['colums'\]$"),
+        (set_section("simulation", "dtt", 3600), r"^simulation section: unknown keys \['dtt'\]$"),
+        (set_section("simulation", "mass_params", {"k_mas": 2.0}),
+         r"^simulation.mass_params section: unknown keys \['k_mas'\]$"),
+        (set_section("site", "altitude", 1600.0), r"^site section: unknown keys \['altitude'\]$"),
+        (set_entry("zones", 1, "colour", "blue"), r"^zones\[1\] \(air\): unknown keys \['colour'\]$"),
+        (set_entry("materials", 0, "selector", "rect"),
+         r"^materials\[0\] \(wall\): unknown keys \['selector'\]$"),
+    ],
+    ids=["top", "grid", "simulation", "mass_params", "site", "zone", "material"],
+)
+def test_unknown_key_fails_naming_it_and_its_section(edit, message):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        load_doc(doc)
+
+
 def test_uncovered_cell_rejected():
     doc = minimal_doc()
     doc["zones"][0]["rect"] = [0, 0, 4, 4]  # shell no longer spans all columns

@@ -80,44 +80,13 @@ def test_snapshots_byte_identical_across_runs(tmp_path, canonical_paths):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def allow_cpus(monkeypatch, count):
-    """Let the process see ``count`` usable CPUs, so that many snapshot writers run."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_snapshots_byte_identical_whatever_the_writer_count(tmp_path, monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    outs = []
-    for cpus in (2, 1):
-        allow_cpus(monkeypatch, cpus)
-        outs.append(tmp_path / f"cpus{cpus}")
-        assert main(["run", "--steps", "7", "--out", str(outs[-1])]) == 0
-    assert len(forks) == 1  # one extra writer with two CPUs, none with one
-    names = sorted(p.name for p in outs[0].glob("snapshot_*.csv"))
-    assert names == [f"snapshot_{i:04d}.csv" for i in range(1, 8)]
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-@pytest.mark.parametrize("cpus, broken", [(1, 2), (2, 2), (2, 1)])
-def test_failed_snapshot_writer_reported_and_reaped(tmp_path, monkeypatch, capsys, cpus, broken):
-    # with two CPUs a forked writer owns snapshot 2 and this process snapshot 1
-    allow_cpus(monkeypatch, cpus)
+def test_failed_snapshot_reported_and_others_written(tmp_path, capsys):
     out = tmp_path / "out"
-    (out / f"snapshot_{broken:04d}.csv").mkdir(parents=True)
+    (out / "snapshot_0002.csv").mkdir(parents=True)
     assert main(["run", "--steps", "3", "--out", str(out)]) == 1
-    assert f"snapshot_{broken:04d}.csv" in capsys.readouterr().err
-    for i in {1, 2, 3} - {broken}:
+    assert "snapshot_0002.csv" in capsys.readouterr().err
+    for i in (1, 3):
         assert (out / f"snapshot_{i:04d}.csv").is_file()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_writer_forks_nothing(tmp_path, monkeypatch):
@@ -125,14 +94,9 @@ def test_one_writer_forks_nothing(tmp_path, monkeypatch):
         raise AssertionError("forked a snapshot writer")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    allow_cpus(monkeypatch, 4)
-    assert main(["run", "--steps", "1", "--out", str(tmp_path / "one_step")]) == 0
-    allow_cpus(monkeypatch, 1)
-    assert main(["run", "--steps", "3", "--out", str(tmp_path / "one_cpu")]) == 0
-    monkeypatch.delattr(os, "fork")
-    allow_cpus(monkeypatch, 4)
-    assert main(["run", "--steps", "3", "--out", str(tmp_path / "no_fork")]) == 0
-    assert len(list((tmp_path / "no_fork").glob("snapshot_*.csv"))) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert main(["run", "--steps", "3", "--out", str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == 3
 
 
 def repr_snapshot(grid, snap, with_mass):
@@ -146,9 +110,8 @@ def repr_snapshot(grid, snap, with_mass):
     )
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("plan", ["bundled", "tiled", "no_mass", "out_of_domain"])
-def test_snapshots_match_the_repr_formatter(tmp_path, monkeypatch, canonical_paths, plan, cpus):
+def test_snapshots_match_the_repr_formatter(tmp_path, monkeypatch, canonical_paths, plan):
     building, weather = canonical_paths
     if plan == "tiled":
         building = tmp_path / "tiled.yaml"
@@ -162,7 +125,6 @@ def test_snapshots_match_the_repr_formatter(tmp_path, monkeypatch, canonical_pat
             return snapshots, reports
 
         monkeypatch.setattr(cli, "run_episode", odd_episode)
-    allow_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     steps = 9  # the bundled plan's snapshots are formatted 7 at a time
     assert main(["run", "--steps", str(steps), "--building", str(building),

@@ -395,8 +395,13 @@ def test_pair_indices_outside_surfaces_rejected():
         (("n_surfaces,2", "n_surfaces,two"), r"line 1: 'two' is not a valid n_surfaces"),
         (("n_surfaces,2", "n_surfaces,-1"), r"line 1: n_surfaces -1 is negative"),
         (("0,0,0,south", "0,top,0,south"), r"line 3: 'top' is not a valid row"),
+        (("surface,row,col,face,area", "surface,row,col,face,size"),
+         r"line 2: expected the header surface,row,col,face,area"),
+        (("0.5,0.0\n", "0.5,0.0\n0.5,0.0\n"), r"line 8: text after the 2 matrix rows"),
+        (("0.5,0.0\n", "0.5,0.0\njunk,1,2\n"), r"line 8: text after the 2 matrix rows"),
     ],
-    ids=["face", "no-area", "short-row", "bad-entry", "count-word", "count-negative", "row-word"],
+    ids=["face", "no-area", "short-row", "bad-entry", "count-word", "count-negative", "row-word",
+         "column-header", "repeated-row", "junk-row"],
 )
 def test_malformed_matrix_text_names_line_and_field(edit, message):
     matrix = hg.RadiationExchangeMatrix.from_dense(
