@@ -19,7 +19,7 @@ faces have length U.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import IntEnum
 from typing import Dict, Optional, Tuple
 
@@ -55,13 +55,7 @@ DIR_OFFSETS = ((0, 1), (-1, 0), (0, -1), (1, 0))
 #: Facade orientation name for an exposed face in each direction.
 DIR_ORIENTATION = ("east", "north", "west", "south")
 
-_CV_TYPE_NAMES = {
-    "interior_air": CvType.INTERIOR_AIR,
-    "exterior_wall": CvType.EXTERIOR_WALL,
-    "interior_wall": CvType.INTERIOR_WALL,
-    "boundary": CvType.BOUNDARY,
-    "window": CvType.WINDOW,
-}
+_CV_TYPE_NAMES = {kind.name.lower(): kind for kind in CvType}
 
 
 class ConfigError(ValueError):
@@ -409,14 +403,9 @@ class SimulationConfig:
     site: Optional[SitePosition] = None
 
     def validate(self) -> None:
-        for key, value in (
-            ("dt", self.dt),
-            ("convergence_epsilon", self.convergence_epsilon),
-            ("initial_temperature", self.initial_temperature),
-            ("mass_params.k_mass", self.mass_params.k_mass),
-            ("mass_params.rho_mass", self.mass_params.rho_mass),
-            ("mass_params.c_mass", self.mass_params.c_mass),
-        ):
+        values = {k: getattr(self, k) for k in ("dt", "convergence_epsilon", "initial_temperature")}
+        values.update((f"mass_params.{k}", v) for k, v in asdict(self.mass_params).items())
+        for key, value in values.items():
             if not np.isfinite(value):
                 raise ValidationError(f"{key}={value} must be finite")
         if self.site is not None:
@@ -508,6 +497,28 @@ def _flag(raw, where: str) -> bool:
     return raw
 
 
+#: The reader of each ``simulation`` key, in ``SimulationConfig`` field order.
+_SIMULATION_READERS = dict(
+    dt=_finite, convergence_epsilon=_finite, max_inner_iterations=_integer,
+    enable_interior_lw=_flag, enable_exterior_lw=_flag, enable_solar=_flag,
+    enable_interior_mass=_flag, envelope_layer_divisor=_integer, initial_temperature=_finite,
+)
+
+
+def _settings(cls, section: dict, prefix: str, readers=None) -> dict:
+    """Keyword arguments of dataclass ``cls`` for the keys ``section`` states, read in field
+    order by ``readers[key]`` (all by ``_finite`` if ``readers`` is None). A field with no
+    reader is left out; one with no default must be stated."""
+    settings = {}
+    for f in fields(cls):
+        read = _finite if readers is None else readers.get(f.name)
+        if read and f.name in section:
+            settings[f.name] = read(section[f.name], f"{prefix}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing {f.name!r} in {prefix} section")
+    return settings
+
+
 def _parse_rect(raw, where: str, rows: int, cols: int) -> Tuple[int, int, int, int]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
         raise ConfigError(f"{where}: rect must be [row0, col0, row1, col1], got {raw!r}")
@@ -589,36 +600,13 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     sim_sec = _mapping(doc.get("simulation"), "simulation section", sim_keys)
     mass_keys = [f.name for f in fields(MassParams)]
     mass_sec = _mapping(sim_sec.get("mass_params"), "simulation.mass_params section", mass_keys)
-
-    def sim(parse, key, default):
-        return parse(sim_sec.get(key, default), f"simulation.{key}")
-
-    def mass(key, default):
-        return _finite(mass_sec.get(key, default), f"simulation.mass_params.{key}")
-
     config = SimulationConfig(
-        dt=sim(_finite, "dt", 300.0),
-        convergence_epsilon=sim(_finite, "convergence_epsilon", 0.001),
-        max_inner_iterations=sim(_integer, "max_inner_iterations", 500),
-        enable_interior_lw=sim(_flag, "enable_interior_lw", True),
-        enable_exterior_lw=sim(_flag, "enable_exterior_lw", True),
-        enable_solar=sim(_flag, "enable_solar", True),
-        enable_interior_mass=sim(_flag, "enable_interior_mass", True),
-        envelope_layer_divisor=sim(_integer, "envelope_layer_divisor", 1),
-        initial_temperature=sim(_finite, "initial_temperature", 293.15),
-        mass_params=MassParams(
-            k_mass=mass("k_mass", 1.0),
-            rho_mass=mass("rho_mass", 800.0),
-            c_mass=mass("c_mass", 1200.0),
-        ),
+        **_settings(SimulationConfig, sim_sec, "simulation", _SIMULATION_READERS),
+        mass_params=MassParams(**_settings(MassParams, mass_sec, "simulation.mass_params")),
     )
-    site_sec = _mapping(doc.get("site"), "site section", ("latitude", "longitude", "albedo"))
+    site_sec = _mapping(doc.get("site"), "site section", [f.name for f in fields(SitePosition)])
     if site_sec:
-        config.site = SitePosition(
-            latitude=_finite(_require(site_sec, "latitude", "site section"), "site.latitude"),
-            longitude=_finite(_require(site_sec, "longitude", "site section"), "site.longitude"),
-            albedo=_finite(site_sec.get("albedo", 0.2), "site.albedo"),
-        )
+        config.site = SitePosition(**_settings(SitePosition, site_sec, "site"))
     config.validate()
 
     mats = _build_materials(doc, grid)

@@ -284,24 +284,16 @@ def _write_trace(out_dir: Path, reports) -> None:
     (out_dir / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _config_manifest(config) -> dict:
-    doc = asdict(config)
-    doc["site"] = asdict(config.site) if config.site else None
-    return doc
-
-
-def _write_manifest(out_dir: Path, args, config, extra: Optional[dict] = None) -> None:
+def _write_manifest(out_dir: Path, args, config) -> None:
     manifest = {
         "tool": f"heatgrid {__version__}",
         "building": str(args.building),
         "weather": str(args.weather),
         "steps": args.steps,
-        "config": _config_manifest(config),
+        "config": asdict(config),
     }
     if getattr(args, "solver", None):
         manifest["solver"] = args.solver
-    if extra:
-        manifest.update(extra)
     (out_dir / "manifest.yaml").write_text(
         yaml.safe_dump(manifest, sort_keys=False), encoding="utf-8"
     )

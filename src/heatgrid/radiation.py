@@ -202,6 +202,13 @@ class RadiationExchangeMatrix:
         self.areas = np.asarray(self.areas, dtype=float)
         if self.areas.shape != (self.n_surfaces,):
             raise ValueError("surface list and area vector must match n_surfaces")
+        bad = ~(np.isfinite(self.areas) & (self.areas > 0.0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"surface {i} at cell {self.surfaces[i][:2]} has area "
+                f"{float(self.areas[i])!r} m^2; it must be finite and > 0"
+            )
         groups = [(np.asarray(m, dtype=np.intp), np.asarray(f, dtype=float)) for m, f in groups]
         self.surface_rows = np.array([s[0] for s in self.surfaces], dtype=np.intp)
         self.surface_cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
@@ -532,6 +539,7 @@ def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows or rows[0][1][0] != "n_surfaces":
         raise ValueError("exchange matrix text must start with an n_surfaces row")
+    _field_count(rows[0], 2, "the n_surfaces row")
     n = _field(rows[0], 1, "n_surfaces", int)
     if n < 0:
         raise ValueError(f"line {rows[0][0]}: n_surfaces {n} is negative")
@@ -543,12 +551,17 @@ def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
         raise ValueError(f"line {rows[1][0]}: expected the header {','.join(_SURFACE_HEADER)}")
     listed = rows[2 : 2 + n]
     surfaces = []
-    for e in listed:
+    for i, e in enumerate(listed):
+        _field_count(e, len(_SURFACE_HEADER), f"surface {i}")
+        number = _field(e, 0, "surface", int)
+        if number != i:
+            raise ValueError(f"line {e[0]}: surface {number} listed where surface {i} belongs")
         r, c = _field(e, 1, "row", int), _field(e, 2, "col", int)
         surfaces.append((r, c, _field(e, 3, "face", DIR_ORIENTATION.index)))
     areas = np.array([_field(e, 4, "area", float) for e in listed])
     if rows[2 + n][1][0] != "matrix":
         raise ValueError("missing matrix marker row")
+    _field_count(rows[2 + n], 1, "the matrix marker row")
     coefficients = np.zeros((n, n))
     for i, (line, row) in enumerate(rows[3 + n : 3 + 2 * n]):
         if len(row) != n:
@@ -558,6 +571,13 @@ def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
         except ValueError as exc:
             raise ValueError(f"line {line}: matrix row {i}: {exc}") from None
     return RadiationExchangeMatrix.from_dense(coefficients, surfaces, areas)
+
+
+def _field_count(entry: Tuple[int, List[str]], count: int, name: str) -> None:
+    """Raise naming the line if a ``(line, row)`` text entry has more than ``count`` fields."""
+    line, row = entry
+    if len(row) > count:
+        raise ValueError(f"line {line}: {name} has {len(row)} fields, expected {count}")
 
 
 def _field(entry: Tuple[int, List[str]], k: int, name: str, parse):

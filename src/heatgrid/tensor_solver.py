@@ -452,7 +452,8 @@ def run_episode(
     Prepares one plan and drives any solver exposing the common
     ``(state, plan, boundary)`` step signature (the vectorized one by
     default) from the uniform initial state. The weather series must cover
-    the whole horizon; failures carry the step index.
+    the whole horizon; failures carry the step index. Solar gains without
+    a site fail before the plan is prepared.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps={n_steps} must be >= 1")
@@ -460,6 +461,8 @@ def run_episode(
         raise ValueError("snapshot_every must be >= 1")
     if q_x is not None and np.shape(q_x) != (grid.rows, grid.cols):
         raise ValueError(f"q_x shape {np.shape(q_x)} != grid shape {(grid.rows, grid.cols)}")
+    if config.enable_solar and config.site is None:
+        raise ValueError("simulation.enable_solar is true but the plan has no site section")
     plan = prepare(grid, mats, config, exchange)
     state = make_initial_state(grid, config, records)
 

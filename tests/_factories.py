@@ -63,6 +63,36 @@ def rooms_building_yaml(row_sizes, col_sizes) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
+def padded_l_building_yaml() -> str:
+    """Two rooms in an L-shaped footprint, padded to a 9 x 10 grid by boundary cells.
+
+    The west wing (rows 1-7, cols 1-4) holds a 5 x 2 room and the south
+    wing (rows 4-7, cols 1-8) a 2 x 3 room, split by a partition in column
+    4; each room has one window. Every cell outside the L is boundary
+    padding, so the exterior also reaches the plan through the notch at
+    its north-east. Materials, solver settings and site come from the
+    bundled plan.
+    """
+    bundled = yaml.safe_load(default_building_path().read_text(encoding="utf-8"))
+    doc = {
+        "grid": {"rows": 9, "cols": 10, "z": 3.0, "cell_size": 0.5},
+        "zones": [
+            {"name": "padding", "cv_type": "boundary", "rect": [0, 0, 8, 9]},
+            {"name": "west_wing", "cv_type": "exterior_wall", "rect": [1, 1, 7, 4]},
+            {"name": "south_wing", "cv_type": "exterior_wall", "rect": [4, 1, 7, 8]},
+            {"name": "west_room", "cv_type": "interior_air", "rect": [2, 2, 6, 3]},
+            {"name": "south_room", "cv_type": "interior_air", "rect": [5, 5, 6, 7]},
+            {"name": "partition", "cv_type": "interior_wall", "rect": [4, 4, 6, 4]},
+            {"name": "north_window", "cv_type": "window", "rect": [1, 2, 1, 2]},
+            {"name": "south_window", "cv_type": "window", "rect": [7, 6, 7, 6]},
+        ],
+        "materials": bundled["materials"],
+        "simulation": bundled["simulation"],
+        "site": bundled["site"],
+    }
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
 def layered_sloped_building_yaml() -> str:
     """One room inside a double-thickness shell, part of it tilted.
 

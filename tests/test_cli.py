@@ -181,6 +181,51 @@ def test_section_that_is_not_a_mapping_reported_without_traceback(tmp_path, cano
     assert out.stderr == "error: site section must be a mapping, got 5\n"
 
 
+def test_module_entry_point_runs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(hg.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "heatgrid", "run", "--steps", "2", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == 2
+
+
+def test_unconverged_steps_warned_and_exit_1(tmp_path, canonical_paths, capsys):
+    doc = yaml.safe_load(canonical_paths[0].read_text())
+    doc["simulation"]["max_inner_iterations"] = 1
+    building = tmp_path / "one_iteration.yaml"
+    building.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = tmp_path / "out"
+    code = main(["run", "--steps", "2", "--building", str(building),
+                 "--weather", str(canonical_paths[1]), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "warning: 2 step(s) did not converge\n"
+    assert len(list(out.glob("snapshot_*.csv"))) == 2
+    assert (out / "trace.csv").read_text().count(",False,") == 2
+
+
+def test_solar_without_site_fails_before_the_plan_is_built(
+    tmp_path, canonical_paths, capsys, monkeypatch
+):
+    doc = yaml.safe_load(canonical_paths[0].read_text())
+    del doc["site"]
+    assert doc["simulation"]["enable_solar"] is True
+    building = tmp_path / "no_site.yaml"
+    building.write_text(yaml.safe_dump(doc, sort_keys=False))
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("plan prepared")
+
+    monkeypatch.setattr(hg.tensor_solver, "prepare", no_prepare)
+    code = main(["run", "--building", str(building), "--weather", str(canonical_paths[1]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: simulation.enable_solar is true but the plan has no site section\n"
+    )
+
+
 def test_compare_conduction_only_passes_tightly(tmp_path, canonical_paths):
     building = write_conduction_only(tmp_path, canonical_paths)
     out = tmp_path / "cmp"

@@ -20,7 +20,12 @@ from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
-from _factories import layered_sloped_building_yaml, random_case, rooms_building_yaml
+from _factories import (
+    layered_sloped_building_yaml,
+    padded_l_building_yaml,
+    random_case,
+    rooms_building_yaml,
+)
 
 
 def dark_boundary(t_inf):
@@ -190,6 +195,25 @@ def test_solvers_agree_on_multilayer_walls_and_tilted_envelope():
     for a, b in zip(snaps_t, snaps_o):
         rel = np.abs(a.t - b.t) / np.abs(b.t)
         assert rel.max() <= 1e-5
+
+
+def test_solvers_agree_on_a_padded_l_shaped_footprint(canonical_weather):
+    # boundary padding around a non-rectangular footprint: both solvers pin
+    # the padding to ambient and expose the envelope faces that touch it
+    grid, mats, config = hg.load_building(padded_l_building_yaml())
+    padding = grid.cv_type == int(CvType.BOUNDARY)
+    inside = np.argwhere(~padding)
+    (r0, c0), (r1, c1) = inside.min(axis=0), inside.max(axis=0)
+    assert padding[r0 : r1 + 1, c0 : c1 + 1].any()  # the footprint is not its bounding box
+    assert grid.n_zones == 2
+
+    tensor, reports = hg.run_episode(grid, mats, config, canonical_weather, 4)
+    oracle, _ = hg.run_episode(grid, mats, config, canonical_weather, 4, stepper=hg.oracle_step)
+    assert all(r.converged for r in reports)
+    t_air = canonical_weather[0].t_air
+    for a, b in zip(tensor, oracle):
+        assert (a.t[padding] == t_air).all() and (b.t[padding] == t_air).all()
+        assert float((np.abs(a.t - b.t) / np.abs(b.t)).max()) <= 1e-5
 
 
 def test_energy_audit_balances_on_tight_convergence(rng):

@@ -399,9 +399,15 @@ def test_pair_indices_outside_surfaces_rejected():
          r"line 2: expected the header surface,row,col,face,area"),
         (("0.5,0.0\n", "0.5,0.0\n0.5,0.0\n"), r"line 8: text after the 2 matrix rows"),
         (("0.5,0.0\n", "0.5,0.0\njunk,1,2\n"), r"line 8: text after the 2 matrix rows"),
+        (("n_surfaces,2", "n_surfaces,2,junk"),
+         r"line 1: the n_surfaces row has 3 fields, expected 2"),
+        (("matrix", "matrix,junk"), r"line 5: the matrix marker row has 2 fields, expected 1"),
+        (("0,0,0,south,1.0", "0,0,0,south,1.0,junk"), r"line 3: surface 0 has 6 fields, expected 5"),
+        (("0,0,0,south", "7,0,0,south"), r"line 3: surface 7 listed where surface 0 belongs"),
     ],
     ids=["face", "no-area", "short-row", "bad-entry", "count-word", "count-negative", "row-word",
-         "column-header", "repeated-row", "junk-row"],
+         "column-header", "repeated-row", "junk-row", "count-extra-field", "marker-extra-field",
+         "surface-extra-field", "surface-number"],
 )
 def test_malformed_matrix_text_names_line_and_field(edit, message):
     matrix = hg.RadiationExchangeMatrix.from_dense(
@@ -411,6 +417,20 @@ def test_malformed_matrix_text_names_line_and_field(edit, message):
     assert edit[0] in text
     with pytest.raises(ValueError, match=message):
         hg.load_exchange_matrix(text.replace(edit[0], edit[1], 1))
+
+
+@pytest.mark.parametrize("area", [math.nan, math.inf, -1.5, 0.0])
+def test_bad_surface_area_rejected_naming_surface_and_cell(area):
+    surfaces = [(0, 0, 3), (2, 0, 1)]
+    factors = np.array([[0.0, 0.5], [0.5, 0.0]])
+    message = rf"surface 1 at cell \(2, 0\) has area {area!r} m\^2; it must be finite and > 0"
+    with pytest.raises(ValueError, match=message):
+        hg.RadiationExchangeMatrix.from_dense(factors, surfaces, np.array([1.0, area]))
+    text = hg.save_exchange_matrix(
+        hg.RadiationExchangeMatrix.from_dense(factors, surfaces, np.ones(2))
+    )
+    with pytest.raises(ValueError, match=message):
+        hg.load_exchange_matrix(text.replace("1,2,0,north,1.0", f"1,2,0,north,{area!r}"))
 
 
 @pytest.mark.parametrize(

@@ -317,6 +317,18 @@ def test_episode_rejects_zero_steps(canonical, canonical_weather):
         hg.run_episode(grid, mats, config, canonical_weather, 0)
 
 
+def test_solar_without_site_rejected_naming_both_entries(canonical, canonical_weather):
+    grid, mats, config = canonical
+    config = dataclasses.replace(config, site=None)
+    with pytest.raises(ValueError, match="simulation.enable_solar is true but the plan has no site"):
+        hg.run_episode(grid, mats, config, canonical_weather, 1)
+    # a direct caller of the boundary assembly gets its own check
+    with pytest.raises(ValueError, match="solar gains enabled but no site position given"):
+        hg.boundary_for_time(canonical_weather, None, canonical_weather[0].timestamp)
+    dark = dataclasses.replace(config, enable_solar=False)
+    assert len(hg.run_episode(grid, mats, dark, canonical_weather, 1)[1]) == 1
+
+
 def test_episode_snapshot_cadence(canonical, canonical_weather):
     grid, mats, config = canonical
     snaps, reports = hg.run_episode(
