@@ -146,38 +146,53 @@ def _float_text(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _float_text_chunk(x, text, length, uncovered) -> None:
+    # Ufuncs write into a few chunk-sized buffers (``n``, ``f``, ``m``, ``low``
+    # and ``digits``) with ``out=`` rather than allocate a temporary each.
     with np.errstate(invalid="ignore"):  # a NaN compares False; some numpy 1.x warn
         covered = (x >= 100.0) & (x < 512.0)
     if not covered.all():
         x = np.where(covered, x, 256.0)  # keeps the arithmetic below quiet
     # 16 significant digits, when a 13-decimal c lies in x's rounding interval
-    n = np.rint(x * 1e13)
-    n += np.sign(x - n / 1e13)  # n itself, or the neighbour on x's side
-    short = n / 1e13 == x
+    n = np.multiply(x, 1e13)
+    np.rint(n, out=n)
+    f = np.divide(n, 1e13)
+    np.subtract(x, f, out=f)
+    n += np.sign(f, out=f)  # n itself, or the neighbour on x's side
+    short = np.divide(n, 1e13, out=f) == x
     # 17 digits: round(M * 5^14 / 2^32) for M = x * 2^46
-    m = (x * 2.0**46).astype(_U64)
-    low = (m & _LOW32) * _FIVE14_LOW
-    digits = m + (m >> _U64(32)) * _FIVE14_LOW + ((low + _HALF32) >> _U64(32))
-    np.logical_or(~covered, ((low & _LOW32) == _HALF32) & ~short, out=uncovered)
-    digits = np.where(short, n.astype(_U64) * _U64(10), digits)
-    # "ddd." then 14 fraction digits in groups of 4, 4, 4 and 2
-    whole = digits // _U64(10**14)
-    digits -= whole * _U64(10**14)
-    groups = []
-    for scale in (10**10, 10**6, 10**2):
-        group = digits // _U64(scale)
-        digits -= group * _U64(scale)
-        groups.append(group)
-    groups.append(digits * _U64(100))
-    groups = [group.astype(np.intp) for group in groups]  # table indices, < 10^4
-    np.take(_INT_DOT_TEXT, whole.astype(np.intp), out=text[:, 0], mode="clip")
-    for slot, group in enumerate(groups, start=1):
-        np.take(_GROUP_TEXT, group, out=text[:, slot], mode="clip")
+    m = np.multiply(x, 2.0**46, out=f).astype(_U64)
+    low = np.bitwise_and(m, _LOW32)
+    low *= _FIVE14_LOW
+    digits = np.right_shift(m, _U64(32))
+    digits *= _FIVE14_LOW
+    digits += m
+    np.add(low, _HALF32, out=m)
+    digits += np.right_shift(m, _U64(32), out=m)
+    tie = np.bitwise_and(low, _LOW32, out=low) == _HALF32
+    tie &= ~short
+    np.logical_or(~covered, tie, out=uncovered)
+    np.copyto(m, n, casting="unsafe")
+    m *= _U64(10)
+    digits = np.where(short, m, digits)
+    # "ddd." then 14 fraction digits in groups of 4, 4, 4 and 2; each group
+    # lands in ``low``, whose values (below 10^4) index the tables as intp
+    group = low
+    np.floor_divide(digits, _U64(10**14), out=group)
+    digits -= np.multiply(group, _U64(10**14), out=m)
+    np.take(_INT_DOT_TEXT, group.view(np.intp), out=text[:, 0], mode="clip")
     # keep fraction digits up to the last non-zero one, and at least one
-    kept = [_GROUP_KEPT.take(group) + 4 * k for k, group in enumerate(groups)]
-    np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]), out=length)
-    np.maximum(length, 1, out=length)
-    length += 4
+    kept = np.ones(x.size, np.int8)
+    for k, scale in enumerate((10**10, 10**6, 10**2, None)):
+        if scale is None:
+            np.multiply(digits, _U64(100), out=group)
+        else:
+            np.floor_divide(digits, _U64(scale), out=group)
+            digits -= np.multiply(group, _U64(scale), out=m)
+        np.take(_GROUP_TEXT, group.view(np.intp), out=text[:, k + 1], mode="clip")
+        last = _GROUP_KEPT.take(group.view(np.intp))
+        last += 4 * k
+        np.maximum(kept, last, out=kept)
+    np.add(kept, 4, out=length)
 
 
 def _field_used() -> np.ndarray:

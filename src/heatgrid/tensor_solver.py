@@ -4,7 +4,8 @@ Vectorized whole-grid temperature solver.
 ``prepare`` computes once per run everything no step changes: the face
 conductances, the balance denominator, the mass coupling, the envelope
 index with its exterior long-wave weights, the flat cell indices of the
-interior exchange surfaces, and the solar basis. Each
+interior exchange surfaces, the radiation's Newton coefficients, the
+sweep settings, and the solar basis. Each
 ``step(state, plan, boundary)`` then solves the nonlinear balance by
 Picard fixed-point iteration. It forms the constant part of the numerator
 (heat source, convection, stored heat, mass coupling, solar) once; each
@@ -17,21 +18,35 @@ convergence threshold. With every radiation feature and the mass coupling
 disabled a single pass from the state's field reduces to the bare
 conduction-convection update.
 
-The sweep turns red-black on the measured contraction. A step's passes
-start as Jacobi updates of every live cell from the iterate. From the
-first pass whose largest change exceeds ``MIXING_GATE`` times the previous
-one, every later pass of the step is a red-black Gauss-Seidel sweep: the
-live cells with ``r + c`` even are updated from the iterate, then the odd
-ones from the even values just written. A cell's four neighbours all have
-the other colour, so each half is one whole-grid conduction and one
-division over that colour's flat cell indices. For the
-5-point stencil this ordering is consistently ordered, so a swept pass
-contracts by the square of the Jacobi factor and keeps its fixed point
-(Young, *Iterative Solution of Large Linear Systems*, 1971). Both kinds of
-pass lag the exterior and interior long-wave at the pass's starting
-iterate. The benchmark plans at dt=300 s contract fast enough that the
-gate stays shut, so every pass there is a Jacobi update; at dt=3,600 s,
-where a Jacobi pass contracts by about 0.7, sweeps take over after a few.
+A step's passes are Jacobi updates or red-black sweeps. A Jacobi pass
+updates every live cell from the iterate. A swept pass updates the live
+cells with ``r + c`` even from the iterate, then the odd ones from the
+even values just written; a cell's four neighbours all have the other
+colour, so each half is one whole-grid conduction and one whole-grid
+update, weighted by a per-colour gain that is zero off the colour. For
+the 5-point stencil this ordering is consistently ordered (Young,
+*Iterative Solution of Large Linear Systems*, 1971): a Gauss-Seidel sweep
+contracts by the square of the Jacobi radius ``rho_J``, and
+over-relaxing each colour, ``x + omega (GS - x)``, by ``omega = 2 / (1 +
+sqrt(1 - rho_J^2))`` contracts by about ``omega - 1``. ``prepare``
+estimates ``rho_J`` of the conduction balance by power iteration. When
+``rho_J^2 > MIXING_GATE`` every pass of every step is an over-relaxed
+sweep. Otherwise a step starts with Jacobi passes, and from the first pass
+whose largest change exceeds ``MIXING_GATE`` times the previous one, every
+later pass is a sweep with ``omega = 1``.
+
+Every pass lags the exterior and interior long-wave at its starting
+iterate ``x``. A swept pass also puts each radiating cell's Newton
+diagonal ``d = 4 sum(w) x^3 + 4 sigma sum_s A_s R_s x^3`` on its
+balance: ``d x`` joins the numerator and ``d`` the denominator, which
+cancel at the fixed point. So a colour's correction is ``omega (numer -
+denom x) / (denom + d)``. Without ``d`` over-relaxed sweeps diverge at
+long steps, where radiation dominates the contraction; with it a
+radiation-dominated cell converges like Newton's method. Jacobi passes
+keep the plain lagged radiation, so steps under the gate, the benchmark
+plans at dt=300 s among them, run the same arithmetic as plain Picard
+passes. On the bundled plan, steps of 1,800 s and more sweep from their
+first pass.
 
 Predict, then extrapolate. A step whose state carries ``t_before`` starts
 from the linear prediction ``2 t - t_before`` rather than from ``t``, and
@@ -42,7 +57,11 @@ with the one global ratio ``rho = delta_k / delta_{k-1}`` of its last two
 largest changes, when ``rho < EXTRAPOLATION_LIMIT`` and the last two
 residuals point the same way (an oscillating iteration would be pushed
 away from its fixed point); otherwise it returns the last update
-``G(x_k)``. The prediction halves the passes at dt=300 s, and the
+``G(x_k)``. Over-relaxed residuals turn from pass to pass, so a step
+that sweeps from its first pass and converges after three or more passes
+first tries two global ratios, fitted to its last three residuals (see
+``_two_ratio_correction``), and falls back to Aitken's rule when the fit
+is not determined. The prediction halves the passes at dt=300 s, and the
 extrapolation removes the one-sided stopping error that the iteration
 would otherwise carry from step to step in the stored heat.
 
@@ -78,6 +97,7 @@ from .building import (
 )
 from .conditions import SolverError, StepBoundary, boundary_for_time
 from .radiation import (
+    STEFAN_BOLTZMANN,
     RadiationExchangeMatrix,
     SolarBasis,
     apply_interior_lw,
@@ -91,12 +111,16 @@ from .radiation import (
 from .weather import WeatherRecord
 
 
-#: Sweeps turn red-black after the first pass whose largest change is more
-#: than this fraction of the previous one. At dt=300 s a Jacobi pass
-#: contracts by at most 0.35 on the bundled plan and 0.31 on a 5,963-CV one,
-#: so the gate stays shut and those steps keep their Jacobi passes. At
-#: dt=3,600 s a Jacobi pass contracts by 0.46-0.83 from the fourth pass on.
+#: A plan whose squared Jacobi radius exceeds this sweeps from every step's
+#: first pass; under it, a step's sweeps start after the first pass whose
+#: largest change is more than this fraction of the previous one. At
+#: dt=300 s the row-sum bound on the squared radius is 0.20 on the bundled
+#: plan and on a 5,963-CV one, and a Jacobi pass contracts by at most 0.35,
+#: so those steps keep their Jacobi passes. At dt=3,600 s the squared
+#: radius is about 0.65.
 MIXING_GATE = 0.5
+#: Power iterations of the Jacobi radius estimate in ``prepare``.
+RADIUS_ITERATIONS = 20
 #: A converged step returns its last update extrapolated by Aitken's
 #: delta-squared only when its last two changes shrank by a ratio below
 #: this. The correction is ratio / (1 - ratio) times the last change,
@@ -149,8 +173,9 @@ class StepReport:
     """Outcome of one timestep's inner iteration.
 
     ``max_delta`` is the largest change of the last pass; ``mixed_from``
-    the pass after which sweeps turned red-black, or 0 when every pass was
-    a Jacobi update. ``error_estimate`` is the largest per-cell correction
+    the first red-black pass: 1 when the plan sweeps from the start, the
+    pass after the gate opened otherwise, and 0 when every pass was a
+    Jacobi update. ``error_estimate`` is the largest per-cell correction
     the extrapolated return added to the last update [K], ``nan`` when the
     step returned that update as it was.
     """
@@ -170,10 +195,13 @@ class Plan:
     No solver writes to a plan, so one serves any number of states on the
     same building. Conductances [W/K]: ``g`` per face in shift order (east,
     north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
-    ``coupling`` to the mass nodes; ``denom`` is their sum. ``active`` marks
-    the cells that are not boundary padding, and ``red_cells`` and
-    ``black_cells`` are the flat indices of those with ``r + c`` even and
-    odd. ``air`` marks the interior-air cells, whose mass nodes the step
+    ``coupling`` to the mass nodes; ``denom`` is their sum on live cells
+    and 1 on boundary padding. ``active`` marks the live cells, those that
+    are not boundary padding. ``omega`` is the over-relaxation factor of a
+    swept pass, 1 unless ``sweep_from_start``, and ``colour_gains`` are
+    ``omega / denom`` on the live cells with ``r + c`` even and odd, 0
+    elsewhere.
+    ``air`` marks the interior-air cells, whose mass nodes the step
     updates, and ``mass_t0`` is the update's ``rho c z^2 / (k dt)``; with
     mass off, they and ``coupling`` are None.
     ``exterior_cells`` are the flat indices of the cells with a non-zero
@@ -182,7 +210,12 @@ class Plan:
     basis. ``surface_cells``, ``lw_cells`` and ``surface_slots`` are the
     exchange matrix's ``cell_index``: the flat cell of each interior
     surface, the distinct cells owning one, and each surface's position
-    among them. Each is None with its feature off.
+    among them. Each is None with its feature off. ``newton_cells`` are
+    the flat indices of the cells whose radiation depends on their own
+    temperature, and ``newton`` turns the cube of that temperature into
+    the radiation's Newton diagonal relative to ``denom`` [1/K^3]: ``4
+    sum(w)`` over the cell's exterior weights plus ``4 sigma sum_s A_s R_s``
+    over the interior surfaces it owns, ``R_s`` each one's row sum.
     """
 
     grid: BuildingGrid
@@ -190,8 +223,9 @@ class Plan:
     config: SimulationConfig
     exchange: Optional[RadiationExchangeMatrix]
     active: np.ndarray
-    red_cells: np.ndarray
-    black_cells: np.ndarray
+    omega: float
+    sweep_from_start: bool
+    colour_gains: Tuple[np.ndarray, np.ndarray]
     g: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     convection: np.ndarray
     capacity: np.ndarray
@@ -205,6 +239,8 @@ class Plan:
     surface_cells: Optional[np.ndarray]
     lw_cells: Optional[np.ndarray]
     surface_slots: Optional[np.ndarray]
+    newton_cells: np.ndarray
+    newton: np.ndarray
 
 
 def prepare(
@@ -256,16 +292,109 @@ def prepare(
         raise SolverError(
             f"non-positive balance denominator {denom[r, c]} at cell ({r}, {c})"
         )
+    denom = np.where(active, denom, 1.0)
+    radius_squared = _jacobi_radius_squared(g, denom, active)
+    sweep_from_start = radius_squared > MIXING_GATE
+    omega = 2.0 / (1.0 + math.sqrt(1.0 - min(radius_squared, 1.0))) if sweep_from_start else 1.0
     even = np.add.outer(np.arange(grid.rows), np.arange(grid.cols)) % 2 == 0
-    red_cells, black_cells = np.flatnonzero(active & even), np.flatnonzero(active & ~even)
+    gain = np.where(active, omega / denom, 0.0)
+    colour_gains = (np.where(even, gain, 0.0), np.where(even, 0.0, gain))
     cells = weights = None
+    newton = np.zeros(grid.rows * grid.cols)
     if config.enable_exterior_lw:
         weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
         cells = np.flatnonzero(weights.any(axis=0))
         weights = weights.reshape(3, -1)[:, cells]
+        newton[cells] += 4.0 * weights.sum(axis=0)
+    if config.enable_interior_lw:
+        row_sums = np.zeros(exchange.n_surfaces + 1)  # entry n takes the padding slots
+        for index, _, sums in exchange.blocks:
+            row_sums[index] = sums
+        newton[lw_index[1]] += 4.0 * STEFAN_BOLTZMANN * np.bincount(
+            lw_index[2], weights=exchange.areas * row_sums[:-1], minlength=lw_index[1].size
+        )
+    newton_cells = np.flatnonzero(newton)
     solar = solar_basis(grid, mats) if config.enable_solar else None
-    return Plan(grid, mats, config, exchange, active, red_cells, black_cells, g, convection,
-                capacity, coupling, denom, air, mass_t0, cells, weights, solar, *lw_index)
+    return Plan(grid, mats, config, exchange, active, omega, sweep_from_start, colour_gains, g,
+                convection, capacity, coupling, denom, air, mass_t0, cells, weights, solar,
+                *lw_index, newton_cells, newton[newton_cells] / denom.reshape(-1)[newton_cells])
+
+
+def _jacobi_radius_squared(
+    g: Tuple[np.ndarray, ...], denom: np.ndarray, active: np.ndarray
+) -> float:
+    """The squared spectral radius of a Jacobi pass over the conduction balance.
+
+    That pass multiplies the error by ``D^-1 N``, with ``D`` the balance
+    denominator and ``N`` the conductances between live neighbours. Face
+    conductances are symmetric, so its eigenvalues are those of the
+    symmetric ``S = D^-1/2 N D^-1/2``, and on the two-coloured grid they
+    come in pairs ``+-rho``. ``RADIUS_ITERATIONS`` power iterations of ``S``
+    from ``D^1/2`` estimate ``rho^2`` from below by the Rayleigh quotient
+    ``|S v|^2 / |v|^2`` of ``S^2``. When the row-sum bound
+    ``max(sum g / D)`` squared is at most ``MIXING_GATE``, it is returned
+    without iterating.
+    """
+    scale = np.where(active, 1.0 / np.sqrt(denom), 0.0)
+    bound_squared = float(((g[0] + g[1] + g[2] + g[3]) * scale**2).max()) ** 2
+    if bound_squared <= MIXING_GATE:
+        return bound_squared
+    pad = np.zeros((denom.shape[0] + 2, denom.shape[1] + 2))
+    v = np.where(active, np.sqrt(denom), 0.0)
+    v /= math.sqrt(np.vdot(v, v))
+    radius_squared = 0.0
+    for _ in range(RADIUS_ITERATIONS):
+        east, north, west, south = shift_fields(pad, scale * v)
+        v = scale * (g[0] * east + g[1] * north + g[2] * west + g[3] * south)
+        radius_squared = float(np.vdot(v, v))
+        if radius_squared == 0.0:
+            break
+        v /= math.sqrt(radius_squared)
+    return radius_squared
+
+
+def _add_conduction(
+    numer: np.ndarray, start: np.ndarray, g: Tuple[np.ndarray, ...],
+    neighbours: Tuple[np.ndarray, ...], term: np.ndarray,
+) -> None:
+    """``numer = start + sum_d g_d neighbour_d``, through the buffer ``term``."""
+    np.multiply(g[0], neighbours[0], out=term)
+    np.add(start, term, out=numer)
+    np.multiply(g[1], neighbours[1], out=term)
+    numer += term
+    np.multiply(g[2], neighbours[2], out=term)
+    numer += term
+    np.multiply(g[3], neighbours[3], out=term)
+    numer += term
+
+
+def _two_ratio_correction(
+    residual: np.ndarray, last: np.ndarray, older: np.ndarray
+) -> Optional[np.ndarray]:
+    """The remaining changes of an over-relaxed step, summed, or None.
+
+    Over-relaxed residuals turn from pass to pass, so one ratio cannot
+    follow them. Fit ``r_k = a r_{k-1} + b r_{k-2}`` over the grid by least
+    squares to the last three residuals; if the later ones follow the same
+    recurrence, they sum to ``((a + b) r_k + b r_{k-1}) / (1 - a - b)``
+    (Shanks' second-order transform; ``b = 0`` gives Aitken's). None when
+    the two older residuals are nearly parallel (the squared sine of their
+    angle below 1e-6), so that the fit is not determined, or when
+    ``1 - a - b`` is at most ``1 - EXTRAPOLATION_LIMIT``, the bound on
+    Aitken's ``1 - ratio``.
+    """
+    a11, a12, a22 = np.vdot(last, last), np.vdot(last, older), np.vdot(older, older)
+    det = a11 * a22 - a12 * a12
+    if not det > 1e-6 * a11 * a22:
+        return None
+    c1, c2 = np.vdot(last, residual), np.vdot(older, residual)
+    a, b = (c1 * a22 - c2 * a12) / det, (c2 * a11 - c1 * a12) / det
+    remaining = 1.0 - a - b
+    if not remaining > 1.0 - EXTRAPOLATION_LIMIT:
+        return None
+    correction = np.multiply(residual, (a + b) / remaining)
+    correction += last * (b / remaining)
+    return correction
 
 
 def update_mass(
@@ -320,44 +449,64 @@ def step(
     x = np.where(plan.active, 2.0 * state.t - state.t_before if predicted else state.t, t_inf)
     image = np.full(shape, t_inf)
     numer, term = np.empty(shape), np.empty(shape)
-    numer_flat, denom_flat = numer.reshape(-1), plan.denom.reshape(-1)
-    residual, last_residual = np.empty(shape), np.empty(shape)
-    sweeps = (None,)  # one Jacobi update of plan.active until the gate opens
+    numer_flat = numer.reshape(-1)
+    gains = None  # flat copies of the colour gains, made by the step's first swept pass
+    # the residuals of the last passes, pass k's at k modulo their count
+    residuals = [np.empty(shape) for _ in range(3 if plan.sweep_from_start else 2)]
+    swept = plan.sweep_from_start
+    mixed_from = 1 if swept else 0
     converged = False
     max_delta = last_delta = np.inf
-    iterations = mixed_from = 0
+    iterations = 0
     for iterations in range(1, config.max_inner_iterations + 1):
-        # image = G(x): radiation lagged at x, then each sweep updates its
-        # cells from the freshest field, x for the first and image after.
+        # image = G(x), with radiation lagged at x
+        x_flat = x.reshape(-1)
         if config.enable_exterior_lw:
             exterior = assemble_exterior_lw_tensor(
-                plan.exterior_weights, x.reshape(-1)[plan.exterior_cells],
+                plan.exterior_weights, x_flat[plan.exterior_cells],
                 boundary.t_gnd, boundary.t_sky, t_inf,
             )
         if config.enable_interior_lw:
-            surface_t = exchange.surface_temperatures(x.reshape(-1), plan.surface_cells)
+            surface_t = exchange.surface_temperatures(x_flat, plan.surface_cells)
             flux = apply_interior_lw(exchange, surface_t)
             interior = scatter_interior_lw(exchange, flux, plan.surface_slots, plan.lw_cells.size)
-        field = x
-        for cells in sweeps:
-            east, north, west, south = shift_fields(pad, field)
-            np.multiply(g[0], east, out=term)
-            np.add(const, term, out=numer)
-            np.multiply(g[1], north, out=term)
-            numer += term
-            np.multiply(g[2], west, out=term)
-            numer += term
-            np.multiply(g[3], south, out=term)
-            numer += term
+        if not swept:  # one Jacobi update of every live cell from x
+            _add_conduction(numer, const, g, shift_fields(pad, x), term)
             if config.enable_exterior_lw:
                 numer_flat[plan.exterior_cells] += exterior
             if config.enable_interior_lw:
                 numer_flat[plan.lw_cells] += interior
-            if cells is None:
-                np.divide(numer, plan.denom, out=image, where=plan.active)
-            else:  # an alternating mask would defeat the ufunc's contiguous loop
-                image.reshape(-1)[cells] = numer_flat[cells] / denom_flat[cells]
-            field = image
+            np.divide(numer, plan.denom, out=image, where=plan.active)
+        else:
+            # Each colour moves its cells omega of the way to their
+            # Gauss-Seidel value: by gain (numer - denom x), with gain
+            # omega / (denom + d) on the colour and d the Newton diagonal of
+            # the cell's radiation at x. Red cells read x, black ones the red
+            # values just written.
+            if gains is None:
+                gains = [gain.reshape(-1).copy() for gain in plan.colour_gains]
+                newton_gains = [gain[plan.newton_cells] for gain in gains]
+                base = np.empty(shape)
+                base_flat = base.reshape(-1)
+            np.multiply(plan.denom, x, out=base)
+            np.subtract(const, base, out=base)
+            if config.enable_exterior_lw:
+                base_flat[plan.exterior_cells] += exterior
+            if config.enable_interior_lw:
+                base_flat[plan.lw_cells] += interior
+            x_newton = x_flat[plan.newton_cells]
+            growth = plan.newton * x_newton  # (denom + d) / denom, once 1 is added
+            growth *= x_newton
+            growth *= x_newton
+            growth += 1.0
+            for gain, newton_gain in zip(gains, newton_gains):
+                gain[plan.newton_cells] = newton_gain / growth
+            field = x
+            for gain in gains:
+                _add_conduction(numer, base, g, shift_fields(pad, field), term)
+                numer_flat *= gain
+                np.add(field, numer, out=image)
+                field = image
         try:
             _check_temperatures(image, f"iteration {iterations}")
         except SolverError as exc:
@@ -370,6 +519,7 @@ def step(
                 )
             raise SolverError(f"{exc}{note}") from None
 
+        residual = residuals[iterations % len(residuals)]
         np.subtract(image, x, out=residual)
         max_delta = float(np.abs(residual, out=term).max())
         if max_delta < config.convergence_epsilon and (iterations > 1 or not predicted):
@@ -377,22 +527,30 @@ def step(
             break
         if iterations == config.max_inner_iterations:
             break
-        if not mixed_from and max_delta > MIXING_GATE * last_delta:
-            sweeps, mixed_from = (plan.red_cells, plan.black_cells), iterations
+        if not swept and max_delta > MIXING_GATE * last_delta:
+            swept, mixed_from = True, iterations + 1
         x, image = image, x
-        residual, last_residual = last_residual, residual
         last_delta = max_delta
 
     error_estimate = math.nan
     if converged and iterations > 1 and max_delta > 0.0 and last_delta > 0.0:
-        # Aitken's delta-squared with one global ratio: the remaining
-        # changes, each ratio times the last, sum to ratio / (1 - ratio) of it.
+        last_residual = residuals[(iterations - 1) % len(residuals)]
+        correction = None
+        if plan.sweep_from_start and iterations > 2:
+            older = residuals[(iterations - 2) % len(residuals)]
+            correction = _two_ratio_correction(residual, last_residual, older)
         ratio = max_delta / last_delta
-        if ratio < EXTRAPOLATION_LIMIT and np.vdot(residual, last_residual) > 0.0:
+        if correction is not None:
+            error_estimate = float(np.abs(correction).max())
+        elif ratio < EXTRAPOLATION_LIMIT and np.vdot(residual, last_residual) > 0.0:
+            # Aitken's delta-squared with one global ratio: the remaining
+            # changes, each ratio times the last, sum to ratio / (1 - ratio) of it.
             gain = ratio / (1.0 - ratio)
-            residual *= gain
-            image += residual
+            correction = residual
+            correction *= gain
             error_estimate = max_delta * gain
+        if correction is not None:
+            image += correction
 
     t_mass = None
     if config.enable_interior_mass:

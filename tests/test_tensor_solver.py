@@ -10,6 +10,7 @@ from heatgrid.building import (
     DIR_EAST,
     DIR_NORTH,
     DIR_OFFSETS,
+    DIR_SOUTH,
     DIR_WEST,
     BuildingGrid,
     CvType,
@@ -292,9 +293,9 @@ def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
             continue
         poisoned.add(f.name)
     assert poisoned == {
-        "g", "convection", "capacity", "coupling", "denom", "mass_t0", "exterior_weights",
-        "solar.absorptivity", "solar.areas", "solar.transmissivity", "solar.window_areas",
-        "solar.plan_area",
+        "omega", "colour_gains", "g", "convection", "capacity", "coupling", "denom", "mass_t0",
+        "exterior_weights", "newton", "solar.absorptivity", "solar.areas", "solar.transmissivity",
+        "solar.window_areas", "solar.plan_area",
     }
     poisoned_plan = dataclasses.replace(plan, **poison)
     state = hg.make_initial_state(grid, config, canonical_weather)
@@ -553,13 +554,15 @@ def one_radiating_cell(**overrides):
     depends on the iterate, and every residual is a multiple of one unit
     vector. The exchange area is set directly: the loader's envelope rules
     allow at most two exposed faces, and a one-cell grid exposes four.
+    ``density`` (default 200 kg/m^3) sets the stored heat; the other keywords
+    are config values.
     """
     grid = BuildingGrid.from_cv_types(np.array([[int(CvType.INTERIOR_WALL)]]), 0.5, 0.5, 3.0)
     grid.delta_x[:] = 2.0
     mats = MaterialField.zeros(1, 1)
     mats.emissivity[:] = 0.9
     mats.heat_capacity[:] = 1000.0
-    mats.density[:] = 200.0
+    mats.density[:] = overrides.pop("density", 200.0)
     settings = dict(dt=3600.0, enable_exterior_lw=True, convergence_epsilon=1e-12)
     settings.update(overrides)
     return hg.prepare(grid, mats, bare_config(**settings))
@@ -567,6 +570,8 @@ def one_radiating_cell(**overrides):
 
 def test_small_steps_never_mix(canonical, canonical_weather):
     grid, mats, config = canonical
+    plan = hg.prepare(grid, mats, config)
+    assert not plan.sweep_from_start and plan.omega == 1.0
     _, reports = hg.run_episode(grid, mats, config, canonical_weather, 250)
     assert all(r.converged and r.mixed_from == 0 for r in reports)
     # the plain Picard count of the canonical day from predicted starts
@@ -586,9 +591,10 @@ def test_hourly_steps_mix_to_fewer_iterations_and_a_closer_fixed_point(
         return max(float((np.abs(a.t - b.t) / b.t).max()) for a, b in zip(snapshots, reference))
 
     mixed, reports = hg.run_episode(grid, mats, config, canonical_weather, 24)
-    assert all(r.converged and r.mixed_from >= 2 for r in reports)
+    # every pass is an over-relaxed sweep
+    assert all(r.converged and r.mixed_from == 1 for r in reports)
     mixed_passes = np.mean([r.inner_iterations for r in reports])
-    assert mixed_passes <= 12.0
+    assert mixed_passes <= 8.0
     assert distance(mixed) <= 5e-6
     monkeypatch.setattr(tensor_solver, "MIXING_GATE", np.inf)
     _, reports = hg.run_episode(grid, mats, config, canonical_weather, 24)
@@ -602,50 +608,80 @@ def test_slowly_contracting_cell_converges_to_the_plain_fixed_point():
     new, report = hg.step(hg.ThermalState(t=np.array([[300.0]])), plan, bc)
     contraction = 4.0 * plan.exterior_weights.sum() * new.t[0, 0] ** 3 / plan.denom[0, 0]
     assert contraction > 0.5
-    assert report.converged and report.mixed_from == 2
+    # no conduction, so no sweep from the start: the gate opens after pass 2
+    assert not plan.sweep_from_start
+    assert report.converged and report.mixed_from == 3
     assert report.inner_iterations < plan.config.max_inner_iterations
-    # the Picard map's fixed point: the root of the cell's balance, by Newton
+    assert abs(new.t[0, 0] - newton_root(plan, 300.0, 290.0, 270.0)) < 1e-9
+
+
+def newton_root(plan, t_start, t_air, t_sky):
+    """The root of ``one_radiating_cell``'s balance (ground at air temperature), by Newton."""
     w_gnd, w_sky, w_air = plan.exterior_weights[:, 0]
     capacity = plan.capacity[0, 0]
-    t = 300.0
+    t = t_start
     for _ in range(50):
-        balance = (capacity * (300.0 - t) + w_gnd * (290.0**4 - t**4)
-                   + w_sky * (270.0**4 - t**4) + w_air * (290.0**4 - t**4))
+        balance = (capacity * (t_start - t) + w_gnd * (t_air**4 - t**4)
+                   + w_sky * (t_sky**4 - t**4) + w_air * (t_air**4 - t**4))
         t += balance / (capacity + 4.0 * (w_gnd + w_sky + w_air) * t**3)
-    assert abs(new.t[0, 0] - t) < 1e-9
+    return t
 
 
-def python_red_black_pass(plan, x, const, boundary):
-    """One swept pass in plain Python: exterior long-wave lagged at ``x``,
-    then the live cells with ``r + c`` even, then the odd ones, each cell
-    updated in place from its neighbours' freshest values."""
+def test_radiation_dominated_cell_converges_on_the_newton_diagonal():
+    # at density 100 a lagged-radiation pass expands: |G'| is about 1.44 at the root
+    plan = one_radiating_cell(density=100.0)
+    bc = dark_boundary(290.0, t_sky=270.0)
+    new, report = hg.step(hg.ThermalState(t=np.array([[300.0]])), plan, bc)
+    root = newton_root(plan, 300.0, 290.0, 270.0)
+    contraction = 4.0 * plan.exterior_weights.sum() * root**3 / plan.denom[0, 0]
+    assert contraction > 1.4
+    assert report.converged and report.inner_iterations <= 20
+    assert abs(new.t[0, 0] - root) < 1e-9
+
+
+def python_red_black_pass(plan, x, const, boundary, omega):
+    """One swept pass in plain Python: radiation and its Newton diagonal
+    lagged at ``x``, then the live cells with ``r + c`` even, then the odd
+    ones, each cell moved ``omega`` of the way from its value to its
+    Gauss-Seidel value, from its neighbours' freshest values."""
     rows, cols = x.shape
     t_inf = boundary.t_inf
-    radiation = {}
+    radiation, diagonal = {}, {}
     for k, cell in enumerate(plan.exterior_cells.tolist()):
-        t4 = float(x.flat[cell]) ** 4
+        t = float(x.flat[cell])
         w_gnd, w_sky, w_air = plan.exterior_weights[:, k].tolist()
         radiation[divmod(cell, cols)] = (
-            w_gnd * (boundary.t_gnd**4 - t4)
-            + w_sky * (boundary.t_sky**4 - t4)
-            + w_air * (t_inf**4 - t4)
+            w_gnd * (boundary.t_gnd**4 - t**4)
+            + w_sky * (boundary.t_sky**4 - t**4)
+            + w_air * (t_inf**4 - t**4)
         )
+        diagonal[divmod(cell, cols)] = 4.0 * (w_gnd + w_sky + w_air) * t**3
+    if plan.exchange is not None:
+        factors = plan.exchange.coefficients.tolist()
+        cells = list(zip(plan.exchange.surface_rows.tolist(), plan.exchange.surface_cols.tolist()))
+        for i, (cell, area) in enumerate(zip(cells, plan.exchange.areas.tolist())):
+            t = float(x[cell])
+            flux = sum(f * (float(x[other]) ** 4 - t**4) for f, other in zip(factors[i], cells))
+            radiation[cell] = radiation.get(cell, 0.0) + hg.STEFAN_BOLTZMANN * flux * area
+            diagonal[cell] = (
+                diagonal.get(cell, 0.0) + 4.0 * hg.STEFAN_BOLTZMANN * area * sum(factors[i]) * t**3
+            )
     t = x.tolist()
     for parity in (0, 1):
         for r in range(rows):
             for c in range(cols):
                 if (r + c) % 2 != parity or not plan.active[r, c]:
                     continue
-                total = float(const[r, c])
-                for d, (dr, dc) in enumerate(DIR_OFFSETS):
+                d = diagonal.get((r, c), 0.0)
+                total = float(const[r, c]) + radiation.get((r, c), 0.0) + d * t[r][c]
+                for k, (dr, dc) in enumerate(DIR_OFFSETS):
                     inside = 0 <= r + dr < rows and 0 <= c + dc < cols
-                    total += float(plan.g[d][r, c]) * (t[r + dr][c + dc] if inside else t_inf)
-                total += radiation.get((r, c), 0.0)
-                t[r][c] = total / float(plan.denom[r, c])
+                    total += float(plan.g[k][r, c]) * (t[r + dr][c + dc] if inside else t_inf)
+                t[r][c] += omega * (total / (float(plan.denom[r, c]) + d) - t[r][c])
     return np.array(t)
 
 
-def test_swept_pass_is_a_red_black_gauss_seidel_sweep(monkeypatch, rng):
+def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rng):
     images = []  # every pass's image the step checks
     check = tensor_solver._check_temperatures
 
@@ -655,7 +691,27 @@ def test_swept_pass_is_a_red_black_gauss_seidel_sweep(monkeypatch, rng):
         check(t, context)
 
     monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
-    monkeypatch.setattr(tensor_solver, "MIXING_GATE", 0.0)
+
+    # an hour on the bundled plan: over-relaxed sweeps from the first pass,
+    # with the exterior and the interior long-wave on the diagonal
+    grid, mats, config = canonical
+    plan = hg.prepare(grid, mats, dataclasses.replace(
+        config, dt=3600.0, enable_solar=False, enable_interior_mass=False,
+        convergence_epsilon=1e-9,
+    ))
+    assert plan.sweep_from_start and plan.omega > 1.1
+    t = rng.uniform(285.0, 305.0, (grid.rows, grid.cols))
+    bc = dark_boundary(288.0, t_gnd=286.0, t_sky=265.0)
+    _, report = hg.step(hg.ThermalState(t=t), plan, bc)
+    assert report.converged and report.mixed_from == 1 and report.inner_iterations >= 5
+    const = plan.convection * bc.t_inf + plan.capacity * t
+    for before, after in zip([t] + images[:-1], images):
+        expected = python_red_black_pass(plan, before, const, bc, plan.omega)
+        assert np.abs(after - expected).max() <= 1e-12
+
+    # a plan under the gate, with boundary padding: Jacobi passes until the
+    # gate opens, then sweeps at omega = 1
+    images.clear()
     grid, mats = random_raw_case(rng, 5, 7)
     grid.cv_type[0, :2] = int(CvType.BOUNDARY)
     grid.delta_x[:] = np.where(grid.exposed_faces > 0, rng.uniform(0.3, 1.0, (5, 7)), 0.0)
@@ -663,16 +719,46 @@ def test_swept_pass_is_a_red_black_gauss_seidel_sweep(monkeypatch, rng):
     plan = hg.prepare(grid, mats, bare_config(
         dt=3600.0, enable_exterior_lw=True, convergence_epsilon=1e-9
     ))
+    assert not plan.sweep_from_start and plan.omega == 1.0
     assert 0 < plan.exterior_cells.size < grid.rows * grid.cols
+    monkeypatch.setattr(tensor_solver, "MIXING_GATE", 0.0)
     t = rng.uniform(285.0, 305.0, (5, 7))
     bc = dark_boundary(288.0, t_gnd=286.0, t_sky=265.0, q_x=rng.uniform(-50.0, 50.0, (5, 7)))
     _, report = hg.step(hg.ThermalState(t=t), plan, bc)
-    # the gate needs a previous pass, so the sweep turns red-black after the second
-    assert report.converged and report.mixed_from == 2 and report.inner_iterations >= 5
+    # the gate needs a previous pass, so sweeps start at the third
+    assert report.converged and report.mixed_from == 3 and report.inner_iterations >= 5
     const = plan.convection * bc.t_inf + plan.capacity * t + bc.q_x
-    for before, after in zip(images[2:-1], images[3:]):
-        expected = python_red_black_pass(plan, before, const, bc)
+    for before, after in zip(images[1:-1], images[2:]):
+        expected = python_red_black_pass(plan, before, const, bc, 1.0)
         assert np.abs(after - expected).max() <= 1e-12
+
+
+def symmetric_raw_case(rng, rows, cols):
+    """``random_raw_case`` with each face's conductivity shared by both its cells."""
+    grid, mats = random_raw_case(rng, rows, cols)
+    k_ew = rng.uniform(0.05, 2.0, (rows, cols + 1))  # column c: the face west of cell c
+    k_ns = rng.uniform(0.05, 2.0, (rows + 1, cols))  # row r: the face north of cell r
+    mats.k_face[DIR_EAST], mats.k_face[DIR_WEST] = k_ew[:, 1:], k_ew[:, :-1]
+    mats.k_face[DIR_NORTH], mats.k_face[DIR_SOUTH] = k_ns[:-1], k_ns[1:]
+    return grid, mats
+
+
+def test_jacobi_radius_matches_the_dense_eigenvalue(rng):
+    grid, mats = symmetric_raw_case(rng, 6, 8)
+    grid.cv_type[0, :3] = int(CvType.BOUNDARY)
+    mats.h_face *= 0.02  # weak films, so that conduction dominates the balance
+    plan = hg.prepare(grid, mats, bare_config(dt=1e6))
+    assert plan.sweep_from_start and 1.0 < plan.omega < 2.0
+    # omega = 2 / (1 + sqrt(1 - rho^2)), solved for rho
+    radius = np.sqrt(1.0 - (2.0 / plan.omega - 1.0) ** 2)
+    n = grid.rows * grid.cols
+    jacobi = np.zeros((n, n))
+    for k, (dr, dc) in enumerate(DIR_OFFSETS):
+        for r, c in zip(*np.nonzero(plan.active)):
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < grid.rows and 0 <= cc < grid.cols and plan.active[rr, cc]:
+                jacobi[r * grid.cols + c, rr * grid.cols + cc] = plan.g[k][r, c] / plan.denom[r, c]
+    assert abs(radius - np.abs(np.linalg.eigvals(jacobi)).max()) <= 1e-3
 
 
 def test_swept_and_jacobi_passes_share_the_hourly_fixed_point(canonical_weather, monkeypatch):
@@ -681,7 +767,7 @@ def test_swept_and_jacobi_passes_share_the_hourly_fixed_point(canonical_weather,
         config, dt=3600.0, convergence_epsilon=1e-11, max_inner_iterations=5000
     )
     swept, reports = hg.run_episode(grid, mats, tight, canonical_weather, 4)
-    assert all(r.converged and r.mixed_from >= 2 for r in reports)
+    assert all(r.converged and r.mixed_from == 1 for r in reports)
     monkeypatch.setattr(tensor_solver, "MIXING_GATE", np.inf)
     jacobi, reports = hg.run_episode(grid, mats, tight, canonical_weather, 4)
     assert all(r.converged and r.mixed_from == 0 for r in reports)
@@ -705,7 +791,7 @@ def test_budget_spent_while_mixing_is_reported_not_raised(monkeypatch):
         hg.ThermalState(t=np.array([[300.0]])), plan, dark_boundary(290.0, t_sky=270.0)
     )
     assert not report.converged
-    assert report.inner_iterations == 4 and report.mixed_from == 2
+    assert report.inner_iterations == 4 and report.mixed_from == 3
     assert report.max_delta >= plan.config.convergence_epsilon
     # the step returns its last Picard image, not the mix made from it
     assert len(images) == 4 and np.array_equal(new.t, images[-1])
@@ -832,6 +918,29 @@ def test_extrapolated_return_below_the_ratio_limit_only(monkeypatch, contraction
         assert np.array_equal(new.t, images[-1]) and np.isnan(report.error_estimate)
 
 
+def test_over_relaxed_return_is_exact_on_two_cells(monkeypatch):
+    # one cell of each colour: the swept error lives in a plane, so its
+    # residuals follow a two-term recurrence exactly; over-relaxation turns
+    # them from pass to pass, so one ratio would not do
+    images = []  # every image the step checks
+    check = tensor_solver._check_temperatures
+
+    def recording_check(t, context):
+        if context.startswith("iteration"):
+            images.append(t.copy())
+        check(t, context)
+
+    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
+    plan, (capacity, h) = two_coupled_cells(0.9)
+    assert plan.sweep_from_start and plan.omega > 1.3
+    t, t_inf = np.full((1, 2), 300.0), 290.0
+    new, report = hg.step(hg.ThermalState(t=t), plan, dark_boundary(t_inf))
+    assert report.converged and report.mixed_from == 1 and report.inner_iterations > 3
+    fixed_point = (capacity * 300.0 + h * t_inf) / (capacity + h)
+    assert np.abs(new.t - fixed_point).max() < 1e-11 < np.abs(images[-1] - fixed_point).max()
+    assert report.error_estimate == pytest.approx(np.abs(new.t - images[-1]).max(), abs=1e-13)
+
+
 def test_oscillating_iteration_is_not_extrapolated(monkeypatch):
     # lagged radiation alone overshoots, so each Picard change reverses the
     # last; an extrapolation along it would step away from the fixed point
@@ -846,7 +955,20 @@ def test_oscillating_iteration_is_not_extrapolated(monkeypatch):
     assert abs(new.t[0, 0] - hg.step(start, tight, bc)[0].t[0, 0]) < report.max_delta
 
 
-def test_day_long_step_reports_a_diverged_iteration(canonical, canonical_weather):
+def test_day_long_step_converges_near_the_tight_fixed_point(canonical, canonical_weather):
+    grid, mats, config = canonical
+    config = dataclasses.replace(config, dt=86400.0)
+    tight = dataclasses.replace(config, convergence_epsilon=1e-11, max_inner_iterations=5000)
+    (reference,), _ = hg.run_episode(grid, mats, tight, canonical_weather, 1)
+    (state,), (report,) = hg.run_episode(grid, mats, config, canonical_weather, 1)
+    assert report.converged and report.mixed_from == 1
+    assert float((np.abs(state.t - reference.t) / reference.t).max()) <= 5e-6
+
+
+def test_day_long_step_reports_a_diverged_iteration(canonical, canonical_weather, monkeypatch):
+    # Jacobi passes lag the radiation with nothing on the diagonal, and at
+    # this step length they expand
+    monkeypatch.setattr(tensor_solver, "MIXING_GATE", np.inf)
     grid, mats, config = canonical
     config = dataclasses.replace(config, dt=86400.0)
     with pytest.raises(SolverError, match=r"(?s)iteration diverged.*at dt = 86400 s"):
