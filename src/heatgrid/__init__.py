@@ -40,8 +40,6 @@ from .radiation import (
     assemble_solar_tensors,
     build_exchange_matrix_2d,
     exterior_lw_weights,
-    load_exchange_matrix,
-    save_exchange_matrix,
     scatter_interior_lw,
     solar_basis,
     view_factors,
@@ -110,7 +108,6 @@ __all__ = [
     "exterior_lw_weights",
     "load_building",
     "load_building_file",
-    "load_exchange_matrix",
     "load_weather",
     "load_weather_file",
     "make_initial_state",
@@ -121,7 +118,6 @@ __all__ = [
     "record_at",
     "run_episode",
     "save_building",
-    "save_exchange_matrix",
     "scatter_interior_lw",
     "shift_fields",
     "sky_temperature",

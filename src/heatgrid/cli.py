@@ -8,7 +8,8 @@ vectorized formatter that gives ``repr``'s bytes for 100 <= x < 512 (any
 other value, or an exact 17th-digit tie, sends its block through ``repr``
 itself). The snapshots are formatted and written in this process once the
 last step is done. ``compare`` runs both solvers on identical inputs and
-reports their per-cell agreement. ``bench`` times both solvers and writes
+reports their per-cell agreement and each solver's unconverged steps.
+``bench`` times both solvers and writes
 a benchmark table.
 
 Both solvers are driven through the same step interface; nothing here
@@ -23,7 +24,7 @@ import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -52,12 +53,18 @@ REFERENCE_BENCHMARK = {
 
 @dataclass
 class ComparisonReport:
-    """Per-cell agreement between the two solvers over a run."""
+    """Per-cell agreement between the two solvers over a run.
+
+    ``unconverged_steps`` lists, per solver, the steps (numbered from 1, as
+    in ``trace.csv``) that did not converge; the comparison fails while any
+    solver has one.
+    """
 
     per_cell_max_rel_diff: float
     per_cell_max_abs_diff: float
     sig_figs_agreement: int
     passed: bool
+    unconverged_steps: Dict[str, List[int]]
 
 
 @dataclass
@@ -341,11 +348,13 @@ def cmd_run(args) -> int:
 def compare_runs(grid, mats, config, records, steps: int) -> ComparisonReport:
     """Run every registered solver on identical inputs and diff the fields."""
     trajectories = {}
+    unconverged = {}
     for name, solver in SOLVERS.items():
-        snapshots, _reports = run_episode(
+        snapshots, reports = run_episode(
             grid, mats, config, records, steps, stepper=solver
         )
         trajectories[name] = snapshots
+        unconverged[name] = [i for i, r in enumerate(reports, start=1) if not r.converged]
 
     names = list(trajectories)
     first, second = trajectories[names[0]], trajectories[names[1]]
@@ -360,7 +369,8 @@ def compare_runs(grid, mats, config, records, steps: int) -> ComparisonReport:
         per_cell_max_rel_diff=max_rel,
         per_cell_max_abs_diff=max_abs,
         sig_figs_agreement=sig_figs,
-        passed=max_rel <= 1e-5,
+        passed=max_rel <= 1e-5 and not any(unconverged.values()),
+        unconverged_steps=unconverged,
     )
 
 
@@ -369,12 +379,14 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = compare_runs(grid, mats, config, records, args.steps)
+    unconverged = sorted(report.unconverged_steps.items())
     doc = {
         "solvers": sorted(SOLVERS),
         "steps": args.steps,
         "per_cell_max_rel_diff": report.per_cell_max_rel_diff,
         "per_cell_max_abs_diff": report.per_cell_max_abs_diff,
         "sig_figs_agreement": report.sig_figs_agreement,
+        "unconverged_steps": {name: len(steps) for name, steps in unconverged},
         "pass": report.passed,
     }
     (out_dir / "comparison.yaml").write_text(
@@ -386,6 +398,10 @@ def cmd_compare(args) -> int:
         f"({report.sig_figs_agreement} significant figures) -> "
         + ("PASS" if report.passed else "FAIL")
     )
+    for name, steps in unconverged:
+        if steps:
+            print(f"warning: {name}: {len(steps)} step(s) did not converge, "
+                  f"the first at step {steps[0]}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

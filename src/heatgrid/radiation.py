@@ -8,10 +8,7 @@ temperature. Interior surfaces exchange through gray-body exchange
 factors held in one form only: dense blocks, one per group of surfaces
 that exchange with each other (for a built plan, one per zone), padded
 into a few size classes. Zones never exchange with each other, so neither
-the build nor the solve of a built plan forms an S x S array. The dense
-matrix exists only in the delimited-text format and on request
-(``RadiationExchangeMatrix.coefficients``); loading it finds the groups
-again as the connected components of its nonzero entries. A builder
+the build nor the solve of a built plan forms an S x S array. A builder
 derives the factors with the 2D crossed-strings method; it needs
 rectangular zones and rejects any other with an ``OpenCavityError``
 naming the zone and its bounding box. Solar fluxes are
@@ -31,8 +28,6 @@ that a step's solar tensors touch.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import InitVar, dataclass, field
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -214,41 +209,6 @@ class RadiationExchangeMatrix:
         self.surface_cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
         self.blocks = _pack_blocks(self.surfaces, groups)
 
-    @classmethod
-    def from_dense(
-        cls,
-        coefficients: np.ndarray,
-        surfaces: List[Tuple[int, int, int]],
-        areas: np.ndarray,
-    ) -> "RadiationExchangeMatrix":
-        """Groups from a dense ``n x n`` factor matrix.
-
-        The groups are the connected components of the nonzero pattern, an
-        entry linking its surfaces both ways, so cross-zone entries merge
-        zones and a surface with no factors is a group of one. Each grows
-        from its lowest surface a frontier at a time, reading each row of
-        the pattern once: O(n^2), as parsing the dense text is.
-        """
-        coefficients = np.asarray(coefficients, dtype=float)
-        n = len(surfaces)
-        if coefficients.shape != (n, n):
-            raise ValueError(
-                f"coefficient matrix shape {coefficients.shape} != ({n}, {n})"
-            )
-        linked = coefficients != 0.0
-        linked |= linked.T
-        label = np.full(n, -1)
-        for seed in range(n):
-            if label[seed] >= 0:
-                continue
-            frontier = [seed]
-            while len(frontier):
-                label[frontier] = seed
-                frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
-        order = np.argsort(label, kind="stable")
-        members = np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if n else []
-        return cls(surfaces, areas, [(m, coefficients[np.ix_(m, m)]) for m in members])
-
     @property
     def n_surfaces(self) -> int:
         return len(self.surfaces)
@@ -257,7 +217,7 @@ class RadiationExchangeMatrix:
     def coefficients(self) -> np.ndarray:
         """Dense ``n x n`` factors, expanded from the blocks on each access.
 
-        For the text format and for inspection; the solvers use the blocks.
+        For inspection and tests; the solvers use the blocks.
         """
         n = self.n_surfaces
         dense = np.zeros((n + 1, n + 1))  # row and column n take the padding slots
@@ -513,82 +473,6 @@ def _check_reciprocity(
             f"exchange factors of zone {zone} violate reciprocity: "
             f"max asymmetry {asymmetry:.3e}"
         )
-
-
-#: The column names of the surface-index rows in exchange-matrix text.
-_SURFACE_HEADER = ["surface", "row", "col", "face", "area"]
-
-
-def save_exchange_matrix(matrix: RadiationExchangeMatrix) -> str:
-    """Serialize to delimited text: a surface-index header, then the dense matrix."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n_surfaces", matrix.n_surfaces])
-    writer.writerow(_SURFACE_HEADER)
-    for i, (r, c, d) in enumerate(matrix.surfaces):
-        writer.writerow([i, r, c, DIR_ORIENTATION[d], repr(float(matrix.areas[i]))])
-    writer.writerow(["matrix"])
-    for row in matrix.coefficients:
-        writer.writerow([repr(float(x)) for x in row])
-    return out.getvalue()
-
-
-def load_exchange_matrix(text: str) -> RadiationExchangeMatrix:
-    """Parse ``save_exchange_matrix`` text; a malformed field raises naming its line."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows or rows[0][1][0] != "n_surfaces":
-        raise ValueError("exchange matrix text must start with an n_surfaces row")
-    _field_count(rows[0], 2, "the n_surfaces row")
-    n = _field(rows[0], 1, "n_surfaces", int)
-    if n < 0:
-        raise ValueError(f"line {rows[0][0]}: n_surfaces {n} is negative")
-    if len(rows) < 2 + n + 1 + n:
-        raise ValueError(f"exchange matrix text truncated for n_surfaces={n}")
-    if len(rows) > 2 + n + 1 + n:
-        raise ValueError(f"line {rows[3 + 2 * n][0]}: text after the {n} matrix rows")
-    if rows[1][1] != _SURFACE_HEADER:
-        raise ValueError(f"line {rows[1][0]}: expected the header {','.join(_SURFACE_HEADER)}")
-    listed = rows[2 : 2 + n]
-    surfaces = []
-    for i, e in enumerate(listed):
-        _field_count(e, len(_SURFACE_HEADER), f"surface {i}")
-        number = _field(e, 0, "surface", int)
-        if number != i:
-            raise ValueError(f"line {e[0]}: surface {number} listed where surface {i} belongs")
-        r, c = _field(e, 1, "row", int), _field(e, 2, "col", int)
-        surfaces.append((r, c, _field(e, 3, "face", DIR_ORIENTATION.index)))
-    areas = np.array([_field(e, 4, "area", float) for e in listed])
-    if rows[2 + n][1][0] != "matrix":
-        raise ValueError("missing matrix marker row")
-    _field_count(rows[2 + n], 1, "the matrix marker row")
-    coefficients = np.zeros((n, n))
-    for i, (line, row) in enumerate(rows[3 + n : 3 + 2 * n]):
-        if len(row) != n:
-            raise ValueError(f"line {line}: matrix row {i} has {len(row)} entries, expected {n}")
-        try:
-            coefficients[i] = [float(x) for x in row]
-        except ValueError as exc:
-            raise ValueError(f"line {line}: matrix row {i}: {exc}") from None
-    return RadiationExchangeMatrix.from_dense(coefficients, surfaces, areas)
-
-
-def _field_count(entry: Tuple[int, List[str]], count: int, name: str) -> None:
-    """Raise naming the line if a ``(line, row)`` text entry has more than ``count`` fields."""
-    line, row = entry
-    if len(row) > count:
-        raise ValueError(f"line {line}: {name} has {len(row)} fields, expected {count}")
-
-
-def _field(entry: Tuple[int, List[str]], k: int, name: str, parse):
-    """Field ``k`` of a ``(line, row)`` text entry; a missing or bad one raises naming both."""
-    line, row = entry
-    if k >= len(row):
-        raise ValueError(f"line {line}: no {name} (field {k + 1})")
-    try:
-        return parse(row[k])
-    except ValueError:
-        raise ValueError(f"line {line}: {row[k]!r} is not a valid {name}") from None
 
 
 # =============================================================================

@@ -238,6 +238,7 @@ def test_compare_conduction_only_passes_tightly(tmp_path, canonical_paths):
     assert code == 0
     doc = yaml.safe_load((out / "comparison.yaml").read_text())
     assert doc["pass"] is True
+    assert doc["unconverged_steps"] == {"iterative": 0, "tensor": 0}
     assert doc["per_cell_max_abs_diff"] < 1e-6
     assert doc["sig_figs_agreement"] >= 5
 
@@ -254,6 +255,25 @@ def test_compare_canonical_plan_passes(tmp_path, canonical_paths):
     doc = yaml.safe_load((out / "comparison.yaml").read_text())
     assert doc["pass"] is True
     assert doc["sig_figs_agreement"] >= 5
+
+
+def test_compare_reports_unconverged_steps(tmp_path, canonical_paths, capsys):
+    # at a one-day step the reference solver spends its whole pass budget;
+    # one step keeps that to a single 500-pass step
+    doc = yaml.safe_load(canonical_paths[0].read_text())
+    doc["simulation"]["dt"] = 86400
+    building = tmp_path / "day_step.yaml"
+    building.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = tmp_path / "cmp"
+    code = main(["compare", "--steps", "1", "--building", str(building),
+                 "--weather", str(canonical_paths[1]), "--out", str(out)])
+    assert code == 1
+    doc = yaml.safe_load((out / "comparison.yaml").read_text())
+    assert doc["unconverged_steps"] == {"iterative": 1, "tensor": 0}
+    assert doc["pass"] is False
+    assert capsys.readouterr().err == (
+        "warning: iterative: 1 step(s) did not converge, the first at step 1\n"
+    )
 
 
 def test_compare_detects_perturbed_material(canonical, canonical_weather):

@@ -271,10 +271,10 @@ def test_isothermal_enclosure_flux_zero():
 
 def test_two_surface_antisymmetry():
     # symmetric coefficients and equal areas: q1 = -q2 * (A2 / A1)
-    matrix = hg.RadiationExchangeMatrix.from_dense(
-        coefficients=np.array([[0.0, 0.8], [0.8, 0.0]]),
+    matrix = hg.RadiationExchangeMatrix(
         surfaces=[(0, 0, 3), (2, 0, 1)],
         areas=np.array([1.5, 1.5]),
+        groups=[([0, 1], np.array([[0.0, 0.8], [0.8, 0.0]]))],
     )
     q = hg.apply_interior_lw(matrix, np.array([310.0, 290.0]))
     assert q[0] == pytest.approx(-q[1] * matrix.areas[1] / matrix.areas[0], rel=1e-12)
@@ -319,59 +319,18 @@ def test_scatter_uses_face_areas():
         assert sums[slots[i]] == pytest.approx(q[i] * matrix.areas[i], rel=1e-15)
 
 
-def test_matrix_text_round_trip(canonical):
-    grid, mats, _ = canonical
-    matrix = hg.build_exchange_matrix_2d(grid, mats)
-    text = hg.save_exchange_matrix(matrix)
-    back = hg.load_exchange_matrix(text)
-    assert back.n_surfaces == matrix.n_surfaces
-    assert back.surfaces == matrix.surfaces
-    assert np.array_equal(back.areas, matrix.areas)
-    assert np.array_equal(back.coefficients, matrix.coefficients)
-
-
-def test_truncated_matrix_text_rejected():
-    _, _, matrix = square_cavity()
-    text = hg.save_exchange_matrix(matrix)
-    with pytest.raises(ValueError, match="truncated"):
-        hg.load_exchange_matrix("\n".join(text.splitlines()[:4]))
-
-
-def test_external_matrix_drops_into_a_run(canonical, canonical_weather):
-    # a matrix that went through the text format drives the solver exactly
-    # like the one built in memory
-    grid, mats, config = canonical
-    built = hg.build_exchange_matrix_2d(grid, mats)
-    imported = hg.load_exchange_matrix(hg.save_exchange_matrix(built))
-    snaps_a, _ = hg.run_episode(
-        grid, mats, config, canonical_weather, 3, exchange=built
-    )
-    snaps_b, _ = hg.run_episode(
-        grid, mats, config, canonical_weather, 3, exchange=imported
-    )
-    for a, b in zip(snaps_a, snaps_b):
-        assert np.array_equal(a.t, b.t)
-
-
-def edited_matrix_text(matrix, i, j, value):
-    """Saved text of ``matrix`` with dense entry ``[i, j]`` replaced by ``value``."""
-    lines = hg.save_exchange_matrix(matrix).splitlines()
-    row = 3 + matrix.n_surfaces + i
-    entries = lines[row].split(",")
-    entries[j] = value
-    lines[row] = ",".join(entries)
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.05"])
 def test_bad_loaded_factor_rejected_naming_pair(canonical, value):
     grid, mats, _ = canonical
     matrix = hg.build_exchange_matrix_2d(grid, mats)
-    i, j = (int(k[7]) for k in np.nonzero(matrix.coefficients))
+    dense = matrix.coefficients
+    i, j = (int(k[7]) for k in np.nonzero(dense))
     (ri, ci, _), (rj, cj, _) = matrix.surfaces[i], matrix.surfaces[j]
-    text = edited_matrix_text(matrix, i, j, value)
+    dense[i, j] = float(value)
     with pytest.raises(ValueError) as err:
-        hg.load_exchange_matrix(text)
+        hg.RadiationExchangeMatrix(
+            matrix.surfaces, matrix.areas, [(np.arange(matrix.n_surfaces), dense)]
+        )
     message = str(err.value)
     assert f"F[{i}, {j}]" in message
     assert f"({ri}, {ci})" in message and f"({rj}, {cj})" in message
@@ -385,52 +344,13 @@ def test_pair_indices_outside_surfaces_rejected():
             hg.RadiationExchangeMatrix(surfaces, np.ones(2), [(members, block)])
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (("0,0,0,south", "0,0,0,up"), r"line 3: 'up' is not a valid face"),
-        (("0,0,0,south,1.0", "0,0,0,south"), r"line 3: no area \(field 5\)"),
-        (("0.0,0.5\n", "0.0\n"), r"line 6: matrix row 0 has 1 entries, expected 2"),
-        (("0.0,0.5\n", "0.0,half\n"), r"line 6: matrix row 0: .*'half'"),
-        (("n_surfaces,2", "n_surfaces,two"), r"line 1: 'two' is not a valid n_surfaces"),
-        (("n_surfaces,2", "n_surfaces,-1"), r"line 1: n_surfaces -1 is negative"),
-        (("0,0,0,south", "0,top,0,south"), r"line 3: 'top' is not a valid row"),
-        (("surface,row,col,face,area", "surface,row,col,face,size"),
-         r"line 2: expected the header surface,row,col,face,area"),
-        (("0.5,0.0\n", "0.5,0.0\n0.5,0.0\n"), r"line 8: text after the 2 matrix rows"),
-        (("0.5,0.0\n", "0.5,0.0\njunk,1,2\n"), r"line 8: text after the 2 matrix rows"),
-        (("n_surfaces,2", "n_surfaces,2,junk"),
-         r"line 1: the n_surfaces row has 3 fields, expected 2"),
-        (("matrix", "matrix,junk"), r"line 5: the matrix marker row has 2 fields, expected 1"),
-        (("0,0,0,south,1.0", "0,0,0,south,1.0,junk"), r"line 3: surface 0 has 6 fields, expected 5"),
-        (("0,0,0,south", "7,0,0,south"), r"line 3: surface 7 listed where surface 0 belongs"),
-    ],
-    ids=["face", "no-area", "short-row", "bad-entry", "count-word", "count-negative", "row-word",
-         "column-header", "repeated-row", "junk-row", "count-extra-field", "marker-extra-field",
-         "surface-extra-field", "surface-number"],
-)
-def test_malformed_matrix_text_names_line_and_field(edit, message):
-    matrix = hg.RadiationExchangeMatrix.from_dense(
-        np.array([[0.0, 0.5], [0.5, 0.0]]), [(0, 0, 3), (2, 0, 1)], np.ones(2)
-    )
-    text = hg.save_exchange_matrix(matrix)
-    assert edit[0] in text
-    with pytest.raises(ValueError, match=message):
-        hg.load_exchange_matrix(text.replace(edit[0], edit[1], 1))
-
-
 @pytest.mark.parametrize("area", [math.nan, math.inf, -1.5, 0.0])
 def test_bad_surface_area_rejected_naming_surface_and_cell(area):
     surfaces = [(0, 0, 3), (2, 0, 1)]
     factors = np.array([[0.0, 0.5], [0.5, 0.0]])
     message = rf"surface 1 at cell \(2, 0\) has area {area!r} m\^2; it must be finite and > 0"
     with pytest.raises(ValueError, match=message):
-        hg.RadiationExchangeMatrix.from_dense(factors, surfaces, np.array([1.0, area]))
-    text = hg.save_exchange_matrix(
-        hg.RadiationExchangeMatrix.from_dense(factors, surfaces, np.ones(2))
-    )
-    with pytest.raises(ValueError, match=message):
-        hg.load_exchange_matrix(text.replace("1,2,0,north,1.0", f"1,2,0,north,{area!r}"))
+        hg.RadiationExchangeMatrix(surfaces, np.array([1.0, area]), [([0, 1], factors)])
 
 
 @pytest.mark.parametrize(
@@ -445,29 +365,10 @@ def test_surface_not_in_exactly_one_group_rejected(members, count):
         hg.RadiationExchangeMatrix(matrix.surfaces, matrix.areas, groups)
 
 
-def test_text_round_trip_keeps_apply_bit_identical(rng):
-    # zones of 2, 3 and 5 surfaces plus one surface with no factors, numbered
-    # in random order
-    n = 11
-    dense = np.zeros((n, n))
-    order = rng.permutation(n)
-    for group in (order[:2], order[2:5], order[5:10]):
-        block = rng.uniform(0.0, 0.2, (group.size, group.size))
-        np.fill_diagonal(block, 0.0)
-        dense[np.ix_(group, group)] = block
-    matrix = hg.RadiationExchangeMatrix.from_dense(
-        dense, [(k, 1, k % 4) for k in range(n)], rng.uniform(0.5, 2.0, n)
-    )
-    back = hg.load_exchange_matrix(hg.save_exchange_matrix(matrix))
-    assert np.array_equal(back.coefficients, dense)
-    temps = rng.uniform(285.0, 315.0, n)
-    assert np.array_equal(hg.apply_interior_lw(back, temps), hg.apply_interior_lw(matrix, temps))
-
-
 def test_row_sum_above_one_rejected():
     with pytest.raises(ValueError, match="row 0 .* sums to"):
-        hg.RadiationExchangeMatrix.from_dense(
-            np.array([[0.0, 1.2], [0.8, 0.0]]), [(0, 0, 3), (2, 0, 1)], np.ones(2)
+        hg.RadiationExchangeMatrix(
+            [(0, 0, 3), (2, 0, 1)], np.ones(2), [([0, 1], np.array([[0.0, 1.2], [0.8, 0.0]]))]
         )
 
 
@@ -674,17 +575,6 @@ def test_tiled_matrix_holds_no_dense_array(tiled):
     assert sum(b.factors.size for b in matrix.blocks) < matrix.n_surfaces**2
 
 
-def test_tiled_matrix_text_round_trip(tiled):
-    _, _, matrix = tiled
-    back = hg.load_exchange_matrix(hg.save_exchange_matrix(matrix))
-    assert back.surfaces == matrix.surfaces
-    assert np.array_equal(back.areas, matrix.areas)
-    assert len(back.blocks) == len(matrix.blocks)
-    for ours, theirs in zip(back.blocks, matrix.blocks):
-        for a, b in zip(ours, theirs):
-            assert np.array_equal(a, b)
-
-
 def test_tiled_oracle_terms_match_vectorized(tiled, rng):
     grid, _, matrix = tiled
     t = rng.uniform(285.0, 315.0, (grid.rows, grid.cols))
@@ -701,7 +591,7 @@ def test_tiled_oracle_terms_match_vectorized(tiled, rng):
 
 
 # -----------------------------------------------------------------------------
-# dense exchange blocks, one per connected group of surfaces
+# dense exchange blocks, one per group of surfaces
 # -----------------------------------------------------------------------------
 
 def assert_blocks_apply_dense_sum(matrix, rng):
@@ -741,72 +631,27 @@ def test_zones_of_near_sizes_share_one_padded_block(rng):
 
 
 def test_many_component_sizes_need_few_classes(rng):
-    # one component of each size 2..40: 39 sizes in four classes, 20-40,
+    # one group of each size 2..40: 39 sizes in four classes, 20-40,
     # 10-19, 5-9 and 2-4
     sizes = range(2, 41)
     n = sum(sizes)
-    dense = np.zeros((n, n))
+    groups = []
     offset = 0
     for m in sizes:
         block = rng.uniform(0.0, 0.5 / m, (m, m))
         np.fill_diagonal(block, 0.0)
-        dense[offset : offset + m, offset : offset + m] = block + block.T
+        groups.append((np.arange(offset, offset + m), block + block.T))
         offset += m
-    matrix = hg.RadiationExchangeMatrix.from_dense(
-        dense, [(k, 0, 0) for k in range(n)], np.ones(n)
-    )
+    matrix = hg.RadiationExchangeMatrix([(k, 0, 0) for k in range(n)], np.ones(n), groups)
     assert [b.index.shape for b in matrix.blocks] == [(21, 40), (10, 19), (5, 9), (3, 4)]
     assert_blocks_apply_dense_sum(matrix, rng)
 
 
-def test_cross_zone_entry_merges_zones_into_one_block(canonical, rng):
-    grid, mats, _ = canonical
-    built = hg.build_exchange_matrix_2d(grid, mats)
-    assert sorted(b.index.shape for b in built.blocks) == [(2, 40)]
-    dense = built.coefficients
-    zone = np.array([
-        grid.zone_id[r + DIR_OFFSETS[d][0], c + DIR_OFFSETS[d][1]] for r, c, d in built.surfaces
-    ])
-    i = int(np.argmin(np.where(zone == 0, dense.sum(axis=1), np.inf)))
-    j = int(np.flatnonzero(zone == 1)[0])
-    dense[i, j] = 1e-3
-    merged = hg.RadiationExchangeMatrix.from_dense(dense, built.surfaces, built.areas)
-    assert [b.index.shape for b in merged.blocks] == [(1, 80)]
-    assert_blocks_apply_dense_sum(merged, rng)
-
-
-def test_path_graph_is_one_block(rng):
-    # a chain of 200 surfaces numbered in random order is one group
-    n = 200
-    chain = rng.permutation(n)
-    dense = np.zeros((n, n))
-    dense[chain[:-1], chain[1:]] = 0.3
-    dense[chain[1:], chain[:-1]] = 0.3
-    matrix = hg.RadiationExchangeMatrix.from_dense(
-        dense, [(k, 0, 0) for k in range(n)], np.ones(n)
-    )
-    assert [b.index.shape for b in matrix.blocks] == [(1, n)]
-    assert_blocks_apply_dense_sum(matrix, rng)
-
-
-def test_one_way_pairs_link_components():
-    # entries listed in one direction only still join their surfaces
-    n = 6
-    dense = np.zeros((n, n))
-    dense[[0, 1, 3], [5, 4, 2]] = 0.5
-    matrix = hg.RadiationExchangeMatrix.from_dense(
-        dense, [(k, 0, 0) for k in range(n)], np.ones(n)
-    )
-    [block] = matrix.blocks
-    assert block.index.tolist() == [[0, 5], [1, 4], [2, 3]]
-    assert np.array_equal(matrix.coefficients, dense)
-
-
 def test_surfaces_without_pairs_are_padded_into_the_smallest_class():
     _, _, matrix = square_cavity()
-    dense = np.zeros((4, 4))
-    dense[[0, 1], [1, 0]] = 0.5
-    lone = hg.RadiationExchangeMatrix.from_dense(dense, matrix.surfaces, matrix.areas)
+    pair = ([0, 1], np.array([[0.0, 0.5], [0.5, 0.0]]))
+    groups = [pair, ([2], np.array([[0.0]])), ([3], np.array([[0.0]]))]
+    lone = hg.RadiationExchangeMatrix(matrix.surfaces, matrix.areas, groups)
     assert [b.index.tolist() for b in lone.blocks] == [[[0, 1], [2, 4], [3, 4]]]
     q = hg.apply_interior_lw(lone, np.array([310.0, 290.0, 350.0, 250.0]))
     assert q[2] == 0.0 and q[3] == 0.0 and q[0] < 0.0 < q[1]

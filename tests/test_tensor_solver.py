@@ -385,14 +385,15 @@ def test_nan_heat_source_raises_naming_cell(canonical, canonical_weather, steppe
 @pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
 @pytest.mark.parametrize("row", [-1, 17])
 def test_exchange_surface_off_grid_raises_naming_it(canonical, canonical_weather, stepper, row):
-    # a loaded matrix may name any cell; one off the grid must not wrap or
-    # escape as an IndexError
+    # a matrix built in code may name any cell; one off the grid must not
+    # wrap or escape as an IndexError
     grid, mats, config = canonical
     built = hg.build_exchange_matrix_2d(grid, mats)
     surfaces = list(built.surfaces)
     _r, c, d = surfaces[3]
     surfaces[3] = (row, c, d)
-    exchange = hg.RadiationExchangeMatrix.from_dense(built.coefficients, surfaces, built.areas)
+    groups = [(np.arange(built.n_surfaces), built.coefficients)]
+    exchange = hg.RadiationExchangeMatrix(surfaces, built.areas, groups)
     with pytest.raises(
         SolverError, match=rf"exchange surface 3 at cell \({row}, {c}\) lies off the 12x23 grid"
     ):
