@@ -20,11 +20,8 @@ from .building import (
     MassParams,
     SimulationConfig,
     ValidationError,
-    assign_zones,
-    classify_exposure,
     load_building,
     load_building_file,
-    save_building,
     shift_fields,
 )
 from .conditions import StepBoundary, boundary_for_time
@@ -100,10 +97,8 @@ __all__ = [
     "apply_interior_lw",
     "assemble_exterior_lw_tensor",
     "assemble_solar_tensors",
-    "assign_zones",
     "boundary_for_time",
     "build_exchange_matrix_2d",
-    "classify_exposure",
     "energy_audit",
     "exterior_lw_weights",
     "load_building",
@@ -117,7 +112,6 @@ __all__ = [
     "prepare",
     "record_at",
     "run_episode",
-    "save_building",
     "scatter_interior_lw",
     "shift_fields",
     "sky_temperature",

@@ -89,9 +89,9 @@ def face_length(u: np.ndarray, v: np.ndarray, direction: int) -> np.ndarray:
 # =============================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuildingGrid:
-    """Geometry of the discretized floor plan.
+    """Geometry of the discretized floor plan; built by ``from_cv_types``.
 
     Attributes
     ----------
@@ -124,35 +124,32 @@ class BuildingGrid:
     u: np.ndarray
     v: np.ndarray
     z: float
-    delta_x: np.ndarray = field(default=None, repr=False)
-    exposed_faces: np.ndarray = field(default=None, repr=False)
-    exposed_mask: np.ndarray = field(default=None, repr=False)
-    zone_id: np.ndarray = field(default=None, repr=False)
-    n_zones: int = 0
-    window_zone: Dict[Tuple[int, int], int] = field(default_factory=dict, repr=False)
-    source_config: Optional[dict] = field(default=None, repr=False, compare=False)
+    delta_x: np.ndarray = field(repr=False)
+    exposed_faces: np.ndarray = field(repr=False)
+    exposed_mask: np.ndarray = field(repr=False)
+    zone_id: np.ndarray = field(repr=False)
+    n_zones: int
+    window_zone: Dict[Tuple[int, int], int] = field(repr=False)
 
     @classmethod
     def from_cv_types(
         cls, cv_type: np.ndarray, u: np.ndarray, v: np.ndarray, z: float
     ) -> "BuildingGrid":
-        """Build a grid from a type map, classify exposure, and label zones."""
+        """Build a grid from a type map and cell sizes: classify exposure, label zones."""
         cv_type = np.asarray(cv_type, dtype=np.int64)
         rows, cols = cv_type.shape
-        grid = cls(
-            rows=rows,
-            cols=cols,
-            cv_type=cv_type,
-            u=np.broadcast_to(np.asarray(u, dtype=float), cv_type.shape).copy(),
-            v=np.broadcast_to(np.asarray(v, dtype=float), cv_type.shape).copy(),
-            z=float(z),
+        u = np.broadcast_to(np.asarray(u, dtype=float), cv_type.shape).copy()
+        v = np.broadcast_to(np.asarray(v, dtype=float), cv_type.shape).copy()
+        exposed_mask, exposed_faces, delta_x = _exposure(cv_type, u, v)
+        zone_id, n_zones, window_zone = _zones(cv_type, exposed_mask)
+        return cls(
+            rows=rows, cols=cols, cv_type=cv_type, u=u, v=v, z=float(z),
+            delta_x=delta_x, exposed_faces=exposed_faces, exposed_mask=exposed_mask,
+            zone_id=zone_id, n_zones=n_zones, window_zone=window_zone,
         )
-        classify_exposure(grid)
-        assign_zones(grid)
-        return grid
 
     def is_envelope(self) -> np.ndarray:
-        return np.isin(self.cv_type, [int(t) for t in ENVELOPE_TYPES])
+        return _envelope(self.cv_type)
 
     def validate(self, allow_inner_envelope: bool = False) -> None:
         """Check structural invariants; raise ValidationError naming the cell."""
@@ -164,8 +161,6 @@ class BuildingGrid:
             if np.any(arr <= 0.0):
                 r, c = np.argwhere(arr <= 0.0)[0]
                 raise ValidationError(f"{name} <= 0 at cell ({r}, {c})")
-        if self.exposed_faces is None:
-            raise ValidationError("exposure not classified; call classify_exposure first")
 
         air_or_partition = np.isin(
             self.cv_type, [int(CvType.INTERIOR_AIR), int(CvType.INTERIOR_WALL)]
@@ -189,22 +184,30 @@ class BuildingGrid:
             raise ValidationError("plan contains no interior air cells")
 
 
-def classify_exposure(grid: BuildingGrid) -> BuildingGrid:
-    """Populate exposure fields: per-direction mask, face count, and delta_x.
+def _envelope(cv_type: np.ndarray) -> np.ndarray:
+    return np.isin(cv_type, [int(t) for t in ENVELOPE_TYPES])
+
+
+def _exposure(
+    cv_type: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-direction exterior mask, exposed-face count and delta_x of a type map.
 
     A face is exposed when its neighbor lies outside the grid or is a
     boundary-padding cell. Envelope cells with more than two exposed faces
     are unsupported geometry (a one-cell wall finger) and rejected.
     """
-    boundary = grid.cv_type == int(CvType.BOUNDARY)
-    pad = np.ones((grid.rows + 2, grid.cols + 2), dtype=bool)  # a face off the grid is exposed
+    rows, cols = cv_type.shape
+    boundary = cv_type == int(CvType.BOUNDARY)
+    pad = np.ones((rows + 2, cols + 2), dtype=bool)  # a face off the grid is exposed
     exposed = np.stack(shift_fields(pad, boundary))
 
     # Boundary cells themselves are the exterior; they expose nothing.
     exposed[:, boundary] = False
 
     counts = exposed.sum(axis=0)
-    too_many = grid.is_envelope() & (counts > 2)
+    envelope = _envelope(cv_type)
+    too_many = envelope & (counts > 2)
     if np.any(too_many):
         r, c = np.argwhere(too_many)[0]
         raise ValidationError(
@@ -212,28 +215,26 @@ def classify_exposure(grid: BuildingGrid) -> BuildingGrid:
             "at most 2 supported"
         )
 
-    delta = np.zeros((grid.rows, grid.cols), dtype=float)
+    delta = np.zeros((rows, cols), dtype=float)
     for d in range(4):
-        delta += np.where(exposed[d], face_length(grid.u, grid.v, d), 0.0)
+        delta += np.where(exposed[d], face_length(u, v, d), 0.0)
     # Exposure length only matters on envelope cells.
-    delta *= grid.is_envelope()
-
-    grid.exposed_mask = exposed
-    grid.exposed_faces = counts.astype(np.int64)
-    grid.delta_x = delta
-    return grid
+    delta *= envelope
+    return exposed, counts.astype(np.int64), delta
 
 
-def assign_zones(grid: BuildingGrid) -> BuildingGrid:
-    """Label connected interior-air regions and map windows to their zones.
+def _zones(
+    cv_type: np.ndarray, exposed_mask: np.ndarray
+) -> Tuple[np.ndarray, int, Dict[Tuple[int, int], int]]:
+    """Zone label per cell, zone count, and the zone behind each window.
 
     Zones are 4-connected components of interior-air cells, numbered in
-    raster order of each zone's first cell. A window's zone is found
-    through its first interior-facing neighbor (marching inward through
-    envelope layers if needed).
+    raster order of each zone's first cell; every other cell reads -1. A
+    window's zone is found through its first interior-facing neighbor
+    (marching inward through envelope layers if needed).
     """
-    rows, cols = grid.rows, grid.cols
-    air_mask = grid.cv_type == int(CvType.INTERIOR_AIR)
+    rows, cols = cv_type.shape
+    air_mask = cv_type == int(CvType.INTERIOR_AIR)
     air = air_mask.tolist()
     labels = [[-1] * cols for _ in range(rows)]
     n_zones = 0
@@ -250,29 +251,30 @@ def assign_zones(grid: BuildingGrid) -> BuildingGrid:
                     labels[nr][nc] = n_zones
                     stack.append((nr, nc))
         n_zones += 1
-    grid.zone_id = np.array(labels, dtype=np.int64).reshape(rows, cols)
-    grid.n_zones = n_zones
+    zone_id = np.array(labels, dtype=np.int64).reshape(rows, cols)
 
-    grid.window_zone = {}
-    windows = np.argwhere(grid.cv_type == int(CvType.WINDOW))
-    for r, c in windows:
-        zone = _zone_behind(grid, int(r), int(c))
+    window_zone = {}
+    for r, c in np.argwhere(cv_type == int(CvType.WINDOW)).tolist():
+        zone = _zone_behind(cv_type, zone_id, exposed_mask, r, c)
         if zone is None:
             raise ValidationError(f"window cell ({r}, {c}) has no interior zone behind it")
-        grid.window_zone[(int(r), int(c))] = zone
-    return grid
+        window_zone[(r, c)] = zone
+    return zone_id, n_zones, window_zone
 
 
-def _zone_behind(grid: BuildingGrid, r: int, c: int) -> Optional[int]:
+def _zone_behind(
+    cv_type: np.ndarray, zone_id: np.ndarray, exposed_mask: np.ndarray, r: int, c: int
+) -> Optional[int]:
     # Direct air neighbor first; then march inward along unexposed
     # directions; finally along diagonals combining them (covers corner
     # windows and windows sitting over a partition end).
+    rows, cols = cv_type.shape
     for dr, dc in DIR_OFFSETS:
         nr, nc = r + dr, c + dc
-        if 0 <= nr < grid.rows and 0 <= nc < grid.cols and grid.zone_id[nr, nc] >= 0:
-            return int(grid.zone_id[nr, nc])
+        if 0 <= nr < rows and 0 <= nc < cols and zone_id[nr, nc] >= 0:
+            return int(zone_id[nr, nc])
     straights = [(dr, dc) for d, (dr, dc) in enumerate(DIR_OFFSETS)
-                 if not grid.exposed_mask[d, r, c]]
+                 if not exposed_mask[d, r, c]]
     diagonals = []
     for i, (ar, ac) in enumerate(straights):
         for br, bc in straights[i + 1:]:
@@ -281,10 +283,10 @@ def _zone_behind(grid: BuildingGrid, r: int, c: int) -> Optional[int]:
                 diagonals.append(combo)
     for dr, dc in straights + diagonals:
         nr, nc = r + dr, c + dc
-        while 0 <= nr < grid.rows and 0 <= nc < grid.cols:
-            if grid.zone_id[nr, nc] >= 0:
-                return int(grid.zone_id[nr, nc])
-            if grid.cv_type[nr, nc] == int(CvType.BOUNDARY):
+        while 0 <= nr < rows and 0 <= nc < cols:
+            if zone_id[nr, nc] >= 0:
+                return int(zone_id[nr, nc])
+            if cv_type[nr, nc] == int(CvType.BOUNDARY):
                 break
             nr, nc = nr + dr, nc + dc
     return None
@@ -594,19 +596,17 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         raise ConfigError(f"cell ({r}, {c}) not covered by any zone rectangle")
 
     grid = BuildingGrid.from_cv_types(cv, size_u, size_v, z)
-    grid.source_config = doc
 
     sim_keys = [f.name for f in fields(SimulationConfig) if f.name != "site"]
     sim_sec = _mapping(doc.get("simulation"), "simulation section", sim_keys)
     mass_keys = [f.name for f in fields(MassParams)]
     mass_sec = _mapping(sim_sec.get("mass_params"), "simulation.mass_params section", mass_keys)
+    site_sec = _mapping(doc.get("site"), "site section", [f.name for f in fields(SitePosition)])
     config = SimulationConfig(
         **_settings(SimulationConfig, sim_sec, "simulation", _SIMULATION_READERS),
         mass_params=MassParams(**_settings(MassParams, mass_sec, "simulation.mass_params")),
+        site=SitePosition(**_settings(SitePosition, site_sec, "site")) if site_sec else None,
     )
-    site_sec = _mapping(doc.get("site"), "site section", [f.name for f in fields(SitePosition)])
-    if site_sec:
-        config.site = SitePosition(**_settings(SitePosition, site_sec, "site"))
     config.validate()
 
     mats = _build_materials(doc, grid)
@@ -701,14 +701,3 @@ def _assign_face_coefficients(
 def load_building_file(path) -> Tuple[BuildingGrid, MaterialField, SimulationConfig]:
     with open(path, "r", encoding="utf-8") as handle:
         return load_building(handle.read())
-
-
-def save_building(grid: BuildingGrid) -> str:
-    """Serialize a loaded building back to the YAML document it came from.
-
-    Reloading the returned text reproduces the grid, materials, and config
-    field for field (loading is deterministic in the source document).
-    """
-    if grid.source_config is None:
-        raise ValueError("grid was not produced by load_building; nothing to serialize")
-    return yaml.safe_dump(grid.source_config, sort_keys=False)

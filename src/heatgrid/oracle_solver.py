@@ -139,7 +139,7 @@ def _interior_lw_terms(
 
 
 def oracle_step(
-    state: ThermalState, plan: Plan, boundary: StepBoundary, reverse_sweep: bool = False
+    state: ThermalState, plan: Plan, boundary: StepBoundary
 ) -> Tuple[ThermalState, StepReport]:
     """One timestep by sequential node-by-node sweeps.
 
@@ -192,8 +192,6 @@ def oracle_step(
         for c in range(cols)
         if kind[r][c] != int(CvType.BOUNDARY)
     ]
-    if reverse_sweep:
-        order = order[::-1]
 
     envelope_cells = [
         (r, c)

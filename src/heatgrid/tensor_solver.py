@@ -581,11 +581,10 @@ def make_initial_state(
     grid: BuildingGrid,
     config: SimulationConfig,
     records: Sequence[WeatherRecord],
-    temperature: Optional[float] = None,
 ) -> ThermalState:
-    """Uniform starting state at the first weather timestamp, mass nodes at air temperature."""
-    t0 = temperature if temperature is not None else config.initial_temperature
-    t = np.full((grid.rows, grid.cols), float(t0))
+    """Uniform starting state at ``config.initial_temperature`` and the first weather
+    timestamp, mass nodes at air temperature."""
+    t = np.full((grid.rows, grid.cols), float(config.initial_temperature))
     return ThermalState(
         t=t,
         t_mass=t.copy() if config.enable_interior_mass else None,

@@ -4,6 +4,8 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all
 even when everything is green).
 """
 
+import dataclasses
+
 import numpy as np
 
 import heatgrid as hg
@@ -151,7 +153,9 @@ def test_equilibrium_fixed_point_both_solvers(canonical):
     plan = hg.prepare(grid, mats, config)
     worst = 0.0
     for stepper in (hg.step, hg.oracle_step):
-        state = hg.make_initial_state(grid, config, records, temperature=t0)
+        state = hg.make_initial_state(
+            grid, dataclasses.replace(config, initial_temperature=t0), records
+        )
         for _ in range(100):
             bc = hg.boundary_for_time(records, config.site, state.sim_clock)
             new, _ = stepper(state, plan, bc)

@@ -136,10 +136,14 @@ def test_snapshots_match_the_repr_formatter(tmp_path, monkeypatch, canonical_pat
         assert written == repr_snapshot(grid, snap, config.enable_interior_mass)
 
 
-def test_zero_steps_is_usage_error(tmp_path, canonical_paths):
+@pytest.mark.parametrize("steps", ["0", "abc", "1.5"])
+def test_zero_steps_is_usage_error(tmp_path, canonical_paths, capsys, steps):
     with pytest.raises(SystemExit) as err:
-        main(["run", "--steps", "0", "--out", str(tmp_path / "x")])
+        main(["run", "--steps", steps, "--out", str(tmp_path / "x")])
     assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"--steps: must be an integer >= 1, got '{steps}'" in stderr
+    assert "_positive_int" not in stderr and "Traceback" not in stderr
 
 
 def test_missing_weather_column_reported(tmp_path, canonical_paths, capsys):

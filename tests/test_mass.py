@@ -83,7 +83,7 @@ def test_negative_mass_parameter_rejected_naming_it(canonical_paths, entry, key)
 
 def test_mass_starts_at_air_temperature():
     grid = small_grid()
-    state = hg.make_initial_state(grid, SimulationConfig(), [], temperature=296.5)
+    state = hg.make_initial_state(grid, SimulationConfig(initial_temperature=296.5), [])
     assert np.array_equal(state.t_mass, np.full((4, 4), 296.5))
     assert state.t_mass is not state.t
 
@@ -150,7 +150,7 @@ def test_update_does_not_mutate_input():
     assert t_mass[0] == 290.0 and t_air[0] == 300.0 and q[0] == 10.0
     # nor does a step mutate the state's nodes
     grid = small_grid()
-    state = hg.make_initial_state(grid, mass_config(), [], temperature=300.0)
+    state = hg.make_initial_state(grid, mass_config(initial_temperature=300.0), [])
     before = state.t_mass.copy()
     boundary = StepBoundary(
         t_inf=280.0, t_gnd=280.0, t_sky=280.0, poa=PoaIrradiance.dark(), q_x=None
