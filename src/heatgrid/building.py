@@ -91,7 +91,7 @@ def face_length(u: np.ndarray, v: np.ndarray, direction: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BuildingGrid:
-    """Geometry of the discretized floor plan; built by ``from_cv_types``.
+    """Geometry of the discretized floor plan; built by ``from_cv_types``, read-only.
 
     Attributes
     ----------
@@ -136,12 +136,14 @@ class BuildingGrid:
         cls, cv_type: np.ndarray, u: np.ndarray, v: np.ndarray, z: float
     ) -> "BuildingGrid":
         """Build a grid from a type map and cell sizes: classify exposure, label zones."""
-        cv_type = np.asarray(cv_type, dtype=np.int64)
+        cv_type = np.array(cv_type, dtype=np.int64)
         rows, cols = cv_type.shape
         u = np.broadcast_to(np.asarray(u, dtype=float), cv_type.shape).copy()
         v = np.broadcast_to(np.asarray(v, dtype=float), cv_type.shape).copy()
         exposed_mask, exposed_faces, delta_x = _exposure(cv_type, u, v)
         zone_id, n_zones, window_zone = _zones(cv_type, exposed_mask)
+        for arr in (cv_type, u, v, delta_x, exposed_faces, exposed_mask, zone_id):
+            arr.flags.writeable = False
         return cls(
             rows=rows, cols=cols, cv_type=cv_type, u=u, v=v, z=float(z),
             delta_x=delta_x, exposed_faces=exposed_faces, exposed_mask=exposed_mask,
@@ -151,7 +153,7 @@ class BuildingGrid:
     def is_envelope(self) -> np.ndarray:
         return _envelope(self.cv_type)
 
-    def validate(self, allow_inner_envelope: bool = False) -> None:
+    def validate(self) -> None:
         """Check structural invariants; raise ValidationError naming the cell."""
         if self.rows * self.cols < 4:
             raise ValidationError(f"grid {self.rows}x{self.cols} has fewer than 4 cells")
@@ -176,10 +178,10 @@ class BuildingGrid:
         if np.any(unexposed):
             r, c = np.argwhere(unexposed)[0]
             kind = CvType(self.cv_type[r, c]).name
-            if kind == "WINDOW" or not allow_inner_envelope:
-                raise ValidationError(
-                    f"{kind} cell ({r}, {c}) has no face adjacent to the exterior"
-                )
+            raise ValidationError(
+                f"{kind} cell ({r}, {c}) has no face adjacent to the exterior; "
+                "an inner layer of a thick wall is an interior_wall cell"
+            )
         if not np.any(self.cv_type == int(CvType.INTERIOR_AIR)):
             raise ValidationError("plan contains no interior air cells")
 
@@ -231,7 +233,7 @@ def _zones(
     Zones are 4-connected components of interior-air cells, numbered in
     raster order of each zone's first cell; every other cell reads -1. A
     window's zone is found through its first interior-facing neighbor
-    (marching inward through envelope layers if needed).
+    (marching inward through wall layers if needed).
     """
     rows, cols = cv_type.shape
     air_mask = cv_type == int(CvType.INTERIOR_AIR)
@@ -399,7 +401,6 @@ class SimulationConfig:
     enable_exterior_lw: bool = True
     enable_solar: bool = True
     enable_interior_mass: bool = True
-    envelope_layer_divisor: int = 1
     initial_temperature: float = 293.15  # K
     mass_params: MassParams = field(default_factory=MassParams)
     site: Optional[SitePosition] = None
@@ -418,8 +419,6 @@ class SimulationConfig:
             raise ValidationError(f"convergence_epsilon={self.convergence_epsilon} must be > 0")
         if self.max_inner_iterations < 1:
             raise ValidationError("max_inner_iterations must be >= 1")
-        if self.envelope_layer_divisor < 1:
-            raise ValidationError("envelope_layer_divisor must be >= 1")
         if self.initial_temperature <= 0.0:
             raise ValidationError("initial_temperature must be > 0 K")
         if self.enable_interior_mass and self.mass_params.k_mass <= 0.0:
@@ -503,7 +502,7 @@ def _flag(raw, where: str) -> bool:
 _SIMULATION_READERS = dict(
     dt=_finite, convergence_epsilon=_finite, max_inner_iterations=_integer,
     enable_interior_lw=_flag, enable_exterior_lw=_flag, enable_solar=_flag,
-    enable_interior_mass=_flag, envelope_layer_divisor=_integer, initial_temperature=_finite,
+    enable_interior_mass=_flag, initial_temperature=_finite,
 )
 
 
@@ -574,8 +573,12 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         size_u, size_v = (_finite(x, "grid.cell_size") for x in cell_size)
     else:
         size_u = size_v = _finite(cell_size, "grid.cell_size")
-    if rows < 1 or cols < 1 or size_u <= 0 or size_v <= 0 or z <= 0:
-        raise ConfigError("grid dimensions, cell_size, and z must be positive")
+    for key, value in (("rows", rows), ("cols", cols)):
+        if value < 1:
+            raise ConfigError(f"grid.{key}={value} must be >= 1")
+    for key, value in (("z", z), ("cell_size", size_u), ("cell_size", size_v)):
+        if value <= 0:
+            raise ConfigError(f"grid.{key}={value} must be > 0")
 
     zones = _require(doc, "zones", "building config")
     if not isinstance(zones, list) or not zones:
@@ -611,7 +614,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
 
     mats = _build_materials(doc, grid)
 
-    grid.validate(allow_inner_envelope=config.envelope_layer_divisor > 1)
+    grid.validate()
     mats.validate(grid)
     return grid, mats, config
 
@@ -636,6 +639,8 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         props = _mapping(
             _require(entry, "properties", where), f"{where}: properties", _PROPERTY_DEFAULTS
         )
+        if "cv_type" in entry and "rect" in entry:
+            raise ConfigError(f"{where}: give cv_type or rect, not both")
         if "cv_type" in entry:
             mask = grid.cv_type == int(_parse_cv_type(entry["cv_type"], where))
         elif "rect" in entry:

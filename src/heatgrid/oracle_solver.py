@@ -58,19 +58,6 @@ def _scalar_exterior_flux(
     )
 
 
-def _exposure_scale_cell(grid, r: int, c: int, layer_divisor: int) -> float:
-    """Exposed-face area [m^2] a cell presents to the exterior."""
-    if grid.exposed_faces[r, c] > 0:
-        return float(grid.delta_x[r, c]) * grid.z
-    if layer_divisor > 1 and int(grid.cv_type[r, c]) in (
-        int(CvType.EXTERIOR_WALL),
-        int(CvType.WINDOW),
-    ):
-        nominal = 0.5 * (float(grid.u[r, c]) + float(grid.v[r, c]))
-        return nominal / layer_divisor * grid.z
-    return 0.0
-
-
 def _solar_terms(grid, mats, boundary, mass_enabled: bool):
     """Scalar re-derivation of the absorbed/transmitted solar assignment."""
     rows, cols = grid.rows, grid.cols
@@ -210,7 +197,7 @@ def oracle_step(
         lwr = [[0.0] * cols for _ in range(rows)]
         if config.enable_exterior_lw:
             for r, c in envelope_cells:
-                scale = _exposure_scale_cell(grid, r, c, config.envelope_layer_divisor)
+                scale = float(grid.delta_x[r, c]) * grid.z
                 if scale:
                     lwr[r][c] = scale * _scalar_exterior_flux(
                         eps_cell[r][c],
@@ -391,8 +378,8 @@ def energy_audit(
             ) * (t_inf - here)
             exterior = 0.0
             if config.enable_exterior_lw:
-                scale = _exposure_scale_cell(grid, r, c, config.envelope_layer_divisor)
-                if scale and kind[r][c] in (int(CvType.EXTERIOR_WALL), int(CvType.WINDOW)):
+                scale = float(grid.delta_x[r, c]) * grid.z
+                if scale:
                     exterior = scale * _scalar_exterior_flux(
                         float(mats.emissivity[r, c]),
                         float(mats.tilt[r, c]),

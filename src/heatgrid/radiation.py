@@ -100,25 +100,16 @@ def view_factors(tilt) -> ViewFactorSet:
     return ViewFactorSet(f_gnd, f_sky, beta, f_sky * (1.0 - beta))
 
 
-def exterior_lw_weights(
-    grid: BuildingGrid, mats: MaterialField, layer_divisor: int
-) -> np.ndarray:
+def exterior_lw_weights(grid: BuildingGrid, mats: MaterialField) -> np.ndarray:
     """Exterior long-wave weights [W/K^4 per cell], shape ``(3, rows, cols)``.
 
     ``eps sigma A (F_gnd, beta F_sky, F_air)``, with ``A`` the exposed area
     [m^2]: the cell's total exposed face length times floor height, so a
-    corner of a square-cell grid gets twice an edge cell's. With
-    ``layer_divisor`` > 1, an envelope cell with no exposed face (an inner
-    layer of a multi-layer wall) gets a nominal face length divided by the
-    layer count; otherwise it gets nothing. Every weight is zero off the
-    envelope. They depend on the plan alone; ``prepare`` computes them once
-    per run.
+    corner of a square-cell grid gets twice an edge cell's. Every weight is
+    zero on a cell with no exposed face. They depend on the plan alone;
+    ``prepare`` computes them once per run.
     """
     scale = grid.delta_x * grid.z
-    if layer_divisor > 1:
-        inner = grid.is_envelope() & (grid.exposed_faces == 0)
-        nominal = 0.5 * (grid.u + grid.v)
-        scale = scale + np.where(inner, nominal / layer_divisor * grid.z, 0.0)
     vf = view_factors(mats.tilt)
     area = mats.emissivity * STEFAN_BOLTZMANN * scale
     return np.stack((area * vf.f_gnd, area * vf.beta * vf.f_sky, area * vf.f_air))

@@ -205,7 +205,7 @@ class Plan:
     updates, and ``mass_t0`` is the update's ``rho c z^2 / (k dt)``; with
     mass off, they and ``coupling`` are None.
     ``exterior_cells`` are the flat indices of the cells with a non-zero
-    exterior long-wave weight, inner envelope layers included, and
+    exterior long-wave weight, the envelope cells with an exposed face, and
     ``exterior_weights`` their ``(3, n)`` weights; ``solar`` is the solar
     basis. ``surface_cells``, ``lw_cells`` and ``surface_slots`` are the
     exchange matrix's ``cell_index``: the flat cell of each interior
@@ -243,32 +243,18 @@ class Plan:
     newton: np.ndarray
 
 
-def prepare(
-    grid: BuildingGrid,
-    mats: MaterialField,
-    config: SimulationConfig,
-    exchange: Optional[RadiationExchangeMatrix] = None,
-) -> Plan:
+def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -> Plan:
     """Check a run's inputs and compute everything its steps share, once.
 
-    Builds the interior exchange matrix when interior long-wave is on and
-    none is given. A config value out of range, an exchange surface whose
-    cell lies off the grid, or a non-positive balance denominator on a
-    live cell raises, naming the key, the surface or the cell.
+    Builds the interior exchange matrix when interior long-wave is on. A
+    config value out of range or a non-positive balance denominator on a
+    live cell raises, naming the key or the cell.
     """
     config.validate()
+    exchange = None
     lw_index = (None, None, None)
     if config.enable_interior_lw:
-        if exchange is None:
-            exchange = build_exchange_matrix_2d(grid, mats)
-        s_rows, s_cols = exchange.surface_rows, exchange.surface_cols
-        off = (s_rows < 0) | (s_rows >= grid.rows) | (s_cols < 0) | (s_cols >= grid.cols)
-        if off.any():
-            i = int(np.argmax(off))
-            raise SolverError(
-                f"exchange surface {i} at cell ({s_rows[i]}, {s_cols[i]}) lies off "
-                f"the {grid.rows}x{grid.cols} grid"
-            )
+        exchange = build_exchange_matrix_2d(grid, mats)
         lw_index = exchange.cell_index(grid)
 
     u, v, z = grid.u, grid.v, grid.z
@@ -302,7 +288,7 @@ def prepare(
     cells = weights = None
     newton = np.zeros(grid.rows * grid.cols)
     if config.enable_exterior_lw:
-        weights = exterior_lw_weights(grid, mats, config.envelope_layer_divisor)
+        weights = exterior_lw_weights(grid, mats)
         cells = np.flatnonzero(weights.any(axis=0))
         weights = weights.reshape(3, -1)[:, cells]
         newton[cells] += 4.0 * weights.sum(axis=0)
@@ -600,7 +586,6 @@ def run_episode(
     records: Sequence[WeatherRecord],
     n_steps: int,
     stepper: Callable = step,
-    exchange: Optional[RadiationExchangeMatrix] = None,
     q_x: Optional[np.ndarray] = None,
     snapshot_every: int = 1,
 ) -> Tuple[List[ThermalState], List[StepReport]]:
@@ -620,7 +605,7 @@ def run_episode(
         raise ValueError(f"q_x shape {np.shape(q_x)} != grid shape {(grid.rows, grid.cols)}")
     if config.enable_solar and config.site is None:
         raise ValueError("simulation.enable_solar is true but the plan has no site section")
-    plan = prepare(grid, mats, config, exchange)
+    plan = prepare(grid, mats, config)
     state = make_initial_state(grid, config, records)
 
     snapshots: List[ThermalState] = []

@@ -128,20 +128,23 @@ def load_weather(csv_text: str) -> List[WeatherRecord]:
     The first row names the columns (must include all of
     ``timestamp, t_air, t_gnd, t_sky, ghi, dni, dhi``), the second row gives
     units (K or C for the temperature columns), and the rest are data rows.
-    An empty ``t_sky`` field is preserved as None.
+    An empty ``t_sky`` field is preserved as None. Blank rows are skipped;
+    an error names the row's line in the file.
     """
     reader = csv.reader(io.StringIO(csv_text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [
+        (reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)
+    ]
     if len(rows) < 3:
         raise WeatherFormatError("weather file needs a header, a units row, and data")
 
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     for column in REQUIRED_COLUMNS:
         if column not in header:
             raise WeatherFormatError(f"missing mandatory column {column!r}")
     index = {column: header.index(column) for column in REQUIRED_COLUMNS}
 
-    units_row = rows[1]
+    units_row = rows[1][1]
     if len(units_row) < len(header):
         units_row = units_row + [""] * (len(header) - len(units_row))
     temp_units = {
@@ -161,7 +164,7 @@ def load_weather(csv_text: str) -> List[WeatherRecord]:
         return value
 
     records: List[WeatherRecord] = []
-    for line_no, row in enumerate(rows[2:], start=3):
+    for line_no, row in rows[2:]:
         if len(row) < len(header):
             row = row + [""] * (len(header) - len(row))
         stamp = _parse_timestamp(row[index["timestamp"]], line_no)

@@ -96,21 +96,20 @@ def padded_l_building_yaml() -> str:
 def layered_sloped_building_yaml() -> str:
     """One room inside a double-thickness shell, part of it tilted.
 
-    The inner shell layer has no exposed face, yet with
-    ``envelope_layer_divisor: 2`` it carries exterior long-wave weight. Part
-    of the north wall is tilted 35 degrees, and the south wall holds a
-    two-cell window.
+    The inner shell layer has no exposed face, so it is an interior wall of
+    the shell's material. Part of the north wall is tilted 35 degrees, and
+    the south wall holds a two-cell window.
     """
     doc = {
         "grid": {"rows": 7, "cols": 8, "z": 3.0, "cell_size": 0.5},
         "zones": [
             {"name": "shell", "cv_type": "exterior_wall", "rect": [0, 0, 6, 7]},
-            {"name": "inner_shell", "cv_type": "exterior_wall", "rect": [1, 1, 5, 6]},
+            {"name": "inner_shell", "cv_type": "interior_wall", "rect": [1, 1, 5, 6]},
             {"name": "air", "cv_type": "interior_air", "rect": [2, 2, 4, 5]},
             {"name": "win", "cv_type": "window", "rect": [6, 3, 6, 4]},
         ],
         "materials": [
-            {"name": "wall", "cv_type": "exterior_wall",
+            {"name": "wall", "rect": [0, 0, 6, 7],
              "properties": {"conductivity": 1.2, "h_exterior": 14.0,
                             "specific_heat": 900.0, "density": 2200.0,
                             "emissivity": 0.9, "absorptivity": 0.5,
@@ -130,7 +129,7 @@ def layered_sloped_building_yaml() -> str:
                             "transmissivity": 0.0, "tilt": 35.0}},
         ],
         "simulation": {"dt": 240.0, "convergence_epsilon": 1e-5,
-                       "max_inner_iterations": 5000, "envelope_layer_divisor": 2,
+                       "max_inner_iterations": 5000,
                        "initial_temperature": 292.0},
         "site": {"latitude": 45.0, "longitude": 10.0, "albedo": 0.25},
     }

@@ -224,6 +224,27 @@ def test_air_touching_exterior_rejected():
         load_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "zones, message",
+    [
+        (({"cv_type": "interior_wall", "rect": [0, 3, 5, 3]},),
+         r"^INTERIOR_WALL cell \(0, 3\) touches the exterior; envelope required$"),
+        (({"cv_type": "exterior_wall", "rect": [1, 1, 4, 5]},
+          {"cv_type": "interior_air", "rect": [2, 2, 3, 4]}),
+         r"^EXTERIOR_WALL cell \(1, 1\) has no face adjacent to the exterior; "
+         r"an inner layer of a thick wall is an interior_wall cell$"),
+    ],
+    ids=["partition-reaches-exterior", "double-exterior-shell"],
+)
+def test_envelope_rejection_names_the_cell(zones, message):
+    doc = minimal_doc(rows=6, cols=7, extra_zones=zones)
+    doc["materials"].append({"cv_type": "interior_wall",
+                             "properties": {"conductivity": 0.7, "specific_heat": 900.0,
+                                            "density": 1800.0, "emissivity": 0.9}})
+    with pytest.raises(ValidationError, match=message):
+        load_doc(doc)
+
+
 def test_transmissive_wall_rejected():
     doc = minimal_doc()
     doc["materials"][0]["properties"]["transmissivity"] = 0.3
@@ -275,6 +296,12 @@ def set_grid(key, value):
     return edit
 
 
+def add_material(entry):
+    def edit(doc):
+        doc["materials"].append(entry)
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, error, message",
     [
@@ -304,11 +331,14 @@ def set_grid(key, value):
          r"materials\[1\] \(air\): h_exterior=-3.0 must be >= 0"),
         (set_grid("z", math.nan), ConfigError, r"grid.z=nan must be finite"),
         (set_grid("cell_size", math.nan), ConfigError, r"grid.cell_size=nan must be finite"),
+        (add_material({"name": "both", "cv_type": "exterior_wall", "rect": [0, 0, 0, 0],
+                       "properties": {}}),
+         ConfigError, r"^materials\[2\] \(both\): give cv_type or rect, not both$"),
     ],
     ids=["conductivity-nan", "emissivity-nan", "absorptivity-nan", "specific_heat-nan",
          "h_exterior-nan", "h_exterior-inf", "tilt-nan", "tilt-200", "conductivity-negative",
          "specific_heat-negative", "density-negative", "unexposed-h_exterior-negative",
-         "z-nan", "cell_size-nan"],
+         "z-nan", "cell_size-nan", "cv_type-and-rect"],
 )
 def test_bad_number_fails_at_load_naming_the_entry(edit, error, message):
     doc = minimal_doc()
@@ -352,7 +382,7 @@ def set_rect_entry(value):
         (set_section("simulation", "enable_solar", "false"),
          r"simulation.enable_solar='false' is not true or false"),
         (set_section("simulation", "envelope_layer_divisor", 1.9),
-         r"simulation.envelope_layer_divisor=1.9 is not an integer"),
+         r"^simulation section: unknown keys \['envelope_layer_divisor'\]$"),
         (set_grid("rows", 12.7), r"grid.rows=12.7 is not an integer"),
         (set_grid("rows", math.nan), r"grid.rows=nan is not an integer"),
         (set_section("simulation", "max_inner_iterations", math.nan),
@@ -361,9 +391,15 @@ def set_rect_entry(value):
         (set_section("simulation", "dt", True), r"simulation.dt=True is not a number"),
         (set_section("site", "latitude", "abc"), r"site.latitude='abc' is not a number"),
         (set_rect_entry("x"), r"zones\[1\] \(air\): rect entry='x' is not an integer"),
+        (set_grid("rows", 0), r"^grid.rows=0 must be >= 1$"),
+        (set_grid("cols", -2), r"^grid.cols=-2 must be >= 1$"),
+        (set_grid("z", -3.0), r"^grid.z=-3.0 must be > 0$"),
+        (set_grid("cell_size", 0.0), r"^grid.cell_size=0.0 must be > 0$"),
+        (set_grid("cell_size", [0.5, -0.5]), r"^grid.cell_size=-0.5 must be > 0$"),
     ],
     ids=["flag-string", "divisor-fraction", "rows-fraction", "rows-nan", "iterations-nan",
-         "dt-string", "dt-flag", "latitude-string", "rect-string"],
+         "dt-string", "dt-flag", "latitude-string", "rect-string", "rows-zero",
+         "cols-negative", "z-negative", "cell_size-zero", "cell_size-pair-negative"],
 )
 def test_bad_setting_fails_at_load_naming_the_key(edit, message):
     doc = minimal_doc()
@@ -501,6 +537,13 @@ def test_grid_is_frozen_and_every_field_is_given():
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.n_zones = 2
+    for f in dataclasses.fields(grid):
+        value = getattr(grid, f.name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[(0,) * value.ndim] = 0
+    cv[0, 0] = int(CvType.BOUNDARY)  # the caller's map stays its own
+    assert grid.cv_type[0, 0] == int(CvType.EXTERIOR_WALL)
     assert all(
         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         for f in dataclasses.fields(BuildingGrid)

@@ -186,12 +186,12 @@ def test_solvers_agree_on_every_feature_combination(
 
 
 def test_solvers_agree_on_multilayer_walls_and_tilted_envelope():
-    # double-thickness shell with layer divisor 2 plus a sloped wall section:
-    # exercises the inner-envelope flux rule and non-vertical view factors
-    # through both implementations
+    # double-thickness shell whose inner layer is an interior wall, plus a
+    # sloped wall section: exercises conduction through both layers and
+    # non-vertical view factors through both implementations
     grid, mats, config = hg.load_building(layered_sloped_building_yaml())
-    inner = grid.is_envelope() & (grid.exposed_faces == 0)
-    assert inner.sum() > 0  # the second wall layer really is unexposed
+    inner = grid.cv_type == int(CvType.INTERIOR_WALL)
+    assert inner.any() and (grid.exposed_faces[inner] == 0).all()
 
     weather = ("timestamp,t_air,t_gnd,t_sky,ghi,dni,dhi\n-,K,K,K,W/m2,W/m2,W/m2\n"
                "2021-08-10T11:00:00Z,301.0,299.0,279.0,700.0,620.0,120.0\n")

@@ -83,7 +83,7 @@ def single_wall_cell(eps, tilt=90.0):
 def wall_cell_flux(grid, mats, t_surf, t_gnd, t_sky, t_air):
     """Exterior long-wave power [W] on cell (0, 1) through the solver's kernel."""
     t = np.full((grid.rows, grid.cols), float(t_surf))
-    weights = hg.exterior_lw_weights(grid, mats, 1)
+    weights = hg.exterior_lw_weights(grid, mats)
     return hg.assemble_exterior_lw_tensor(weights, t, t_gnd, t_sky, t_air)[0, 1]
 
 
@@ -95,7 +95,7 @@ def test_isothermal_flux_is_exactly_zero():
 
 def test_zero_emissivity_flux_is_zero():
     grid, mats = single_wall_cell(0.0, 37.0)
-    weights = hg.exterior_lw_weights(grid, mats, 1)
+    weights = hg.exterior_lw_weights(grid, mats)
     assert (weights == 0.0).all()
     assert wall_cell_flux(grid, mats, 300.0, 290.0, 250.0, 280.0) == 0.0
 
@@ -144,14 +144,14 @@ def test_exterior_flux_preconditions():
 def test_equilibrium_tensor_is_zero():
     grid, mats = ring_building()
     t = np.full((grid.rows, grid.cols), 293.0)
-    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 293.0, 293.0, 293.0)
+    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats), t, 293.0, 293.0, 293.0)
     assert (q == 0.0).all()
 
 
 def test_corner_entry_is_twice_edge_entry():
     grid, mats = ring_building()
     t = np.full((grid.rows, grid.cols), 300.0)
-    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 290.0, 270.0, 285.0)
+    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats), t, 290.0, 270.0, 285.0)
     assert q[0, 0] == 2.0 * q[0, 2]
     air = grid.cv_type == int(CvType.INTERIOR_AIR)
     assert (q[air] == 0.0).all()
@@ -160,28 +160,10 @@ def test_corner_entry_is_twice_edge_entry():
 def test_single_envelope_cell_matches_scalar_path():
     grid, mats = single_wall_cell(0.85)
     t = np.full((3, 4), 305.0)
-    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats, 1), t, 288.0, 260.0, 283.0)
+    q = hg.assemble_exterior_lw_tensor(hg.exterior_lw_weights(grid, mats), t, 288.0, 260.0, 283.0)
     scalar = _scalar_exterior_flux(0.85, 90.0, 305.0, 288.0, 260.0, 283.0)
     assert q[0, 1] == pytest.approx(grid.delta_x[0, 1] * grid.z * scalar, rel=1e-14)
     assert (np.delete(q.ravel(), 1) == 0.0).all()
-
-
-def test_layer_divisor_controls_inner_envelope():
-    cv = np.full((5, 6), int(CvType.EXTERIOR_WALL))
-    cv[2:-2, 2:-2] = int(CvType.INTERIOR_AIR)  # double-thickness shell
-    grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(5, 6)
-    mats.emissivity[:] = 0.9
-    inner = grid.is_envelope() & (grid.exposed_faces == 0)
-    assert inner.any()
-    # vertical walls: F_gnd = 0.5 exactly, so the ground weight is 0.5 eps sigma A
-    single = hg.exterior_lw_weights(grid, mats, layer_divisor=1)
-    assert (single[:, inner] == 0.0).all()
-    double = hg.exterior_lw_weights(grid, mats, layer_divisor=2)
-    expected = 0.5 * (0.5 + 0.5) / 2 * grid.z
-    assert double[0][inner] == pytest.approx(0.5 * 0.9 * STEFAN_BOLTZMANN * expected)
-    exposed = grid.exposed_faces > 0
-    assert np.array_equal(single[:, exposed], double[:, exposed])
 
 
 # -----------------------------------------------------------------------------

@@ -149,3 +149,13 @@ def test_non_finite_value_rejected_naming_line_and_column(column, value):
     )
     with pytest.raises(WeatherFormatError, match=rf"line 4: non-finite '{column}'"):
         hg.load_weather(text)
+
+
+def test_error_names_the_file_line_past_blank_rows():
+    # rows are numbered as the file has them, blank ones counted
+    text = (
+        HEADER + UNITS_K + "2021-06-21T11:00Z,303.15,298.15,,800,700,150\n"
+        "\n,,\n2021-06-21T12:00Z,abc,298.15,,800,700,150\n"
+    )
+    with pytest.raises(WeatherFormatError, match=r"line 6: non-numeric 't_air' value 'abc'"):
+        hg.load_weather(text)
