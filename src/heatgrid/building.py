@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import IntEnum
+from numbers import Integral
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -135,11 +136,21 @@ class BuildingGrid:
     def from_cv_types(
         cls, cv_type: np.ndarray, u: np.ndarray, v: np.ndarray, z: float
     ) -> "BuildingGrid":
-        """Build a grid from a type map and cell sizes: classify exposure, label zones."""
+        """Build a grid from a type map and cell sizes: classify exposure, label zones.
+        A size not finite and > 0 raises ``ValidationError`` naming the cell."""
         cv_type = np.array(cv_type, dtype=np.int64)
         rows, cols = cv_type.shape
         u = np.broadcast_to(np.asarray(u, dtype=float), cv_type.shape).copy()
         v = np.broadcast_to(np.asarray(v, dtype=float), cv_type.shape).copy()
+        if not 0.0 < z < np.inf:
+            raise ValidationError(f"floor height z={z} must be finite and > 0")
+        for name, arr in (("U", u), ("V", v)):
+            bad = ~((arr > 0.0) & (arr < np.inf))
+            if np.any(bad):
+                r, c = np.argwhere(bad)[0]
+                raise ValidationError(
+                    f"{name}={arr[r, c]} at cell ({r}, {c}) must be finite and > 0"
+                )
         exposed_mask, exposed_faces, delta_x = _exposure(cv_type, u, v)
         zone_id, n_zones, window_zone = _zones(cv_type, exposed_mask)
         for arr in (cv_type, u, v, delta_x, exposed_faces, exposed_mask, zone_id):
@@ -154,16 +165,9 @@ class BuildingGrid:
         return _envelope(self.cv_type)
 
     def validate(self) -> None:
-        """Check structural invariants; raise ValidationError naming the cell."""
+        """Check the rules a loaded plan obeys; raise ValidationError naming the cell."""
         if self.rows * self.cols < 4:
             raise ValidationError(f"grid {self.rows}x{self.cols} has fewer than 4 cells")
-        if self.z <= 0.0:
-            raise ValidationError(f"floor height z={self.z} must be positive")
-        for name, arr in (("U", self.u), ("V", self.v)):
-            if np.any(arr <= 0.0):
-                r, c = np.argwhere(arr <= 0.0)[0]
-                raise ValidationError(f"{name} <= 0 at cell ({r}, {c})")
-
         air_or_partition = np.isin(
             self.cv_type, [int(CvType.INTERIOR_AIR), int(CvType.INTERIOR_WALL)]
         )
@@ -299,9 +303,9 @@ def _zone_behind(
 # =============================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaterialField:
-    """Per-cell physical properties aligned to the grid.
+    """Per-cell physical properties aligned to a grid; built by ``for_grid``, read-only.
 
     ``k_face`` and ``h_face`` are per-direction conduction and convection
     coefficient fields, shape (4, rows, cols), direction order east, north,
@@ -320,31 +324,40 @@ class MaterialField:
     tilt: np.ndarray  # deg from horizontal
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MaterialField":
-        shape = (rows, cols)
-        return cls(
-            k_face=np.zeros((4,) + shape),
-            h_face=np.zeros((4,) + shape),
-            heat_capacity=np.zeros(shape),
-            density=np.zeros(shape),
-            emissivity=np.zeros(shape),
-            absorptivity=np.zeros(shape),
-            transmissivity=np.zeros(shape),
-            tilt=np.full(shape, 90.0),
-        )
+    def for_grid(
+        cls, grid: BuildingGrid, *, k_face=0.0, h_face=0.0, heat_capacity=0.0, density=0.0,
+        emissivity=0.0, absorptivity=0.0, transmissivity=0.0, tilt=90.0,
+    ) -> "MaterialField":
+        """Materials of ``grid``, each property a scalar or an array of the grid's shape,
+        (4, rows, cols) for ``k_face`` and ``h_face``; stored as checked, read-only copies.
+
+        A property of the wrong shape or out of range raises ``ValidationError``
+        naming it and the cell.
+        """
+        given = dict(k_face=k_face, h_face=h_face, heat_capacity=heat_capacity, density=density,
+                     emissivity=emissivity, absorptivity=absorptivity,
+                     transmissivity=transmissivity, tilt=tilt)
+        shape = (grid.rows, grid.cols)
+        for name, value in given.items():
+            want = (4,) + shape if name in ("k_face", "h_face") else shape
+            arr = np.full(want, value, float) if np.ndim(value) == 0 else np.array(value, float)
+            if arr.shape != want:
+                raise ValidationError(f"{name} shape {arr.shape} != grid {want}")
+            arr.flags.writeable = False
+            given[name] = arr
+        mats = cls(**given)
+        mats._check(grid)
+        return mats
 
     def volumetric_capacity(self) -> np.ndarray:
         """C * rho [J/(m^3 K)]."""
         return self.heat_capacity * self.density
 
-    def validate(self, grid: BuildingGrid) -> None:
-        shape = (grid.rows, grid.cols)
+    def _check(self, grid: BuildingGrid) -> None:
         for name, top in (
             ("emissivity", 1.0), ("absorptivity", 1.0), ("transmissivity", 1.0), ("tilt", 180.0)
         ):
             arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} shape {arr.shape} != grid {shape}")
             outside = ~((arr >= 0.0) & (arr <= top))  # NaN too
             if np.any(outside):
                 r, c = np.argwhere(outside)[0]
@@ -385,15 +398,17 @@ class MaterialField:
 # =============================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class MassParams:
     k_mass: float = 1.0  # W/(m K)
     rho_mass: float = 800.0  # kg/m^3
     c_mass: float = 1200.0  # J/(kg K)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
+    """Solver settings, checked when made; ``dataclasses.replace`` checks again."""
+
     dt: float = 300.0  # s
     convergence_epsilon: float = 0.001  # K
     max_inner_iterations: int = 500
@@ -405,20 +420,19 @@ class SimulationConfig:
     mass_params: MassParams = field(default_factory=MassParams)
     site: Optional[SitePosition] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         values = {k: getattr(self, k) for k in ("dt", "convergence_epsilon", "initial_temperature")}
         values.update((f"mass_params.{k}", v) for k, v in asdict(self.mass_params).items())
         for key, value in values.items():
             if not np.isfinite(value):
                 raise ValidationError(f"{key}={value} must be finite")
-        if self.site is not None:
-            self.site.validate()
         if self.dt <= 0.0:
             raise ValidationError(f"dt={self.dt} must be positive")
         if self.convergence_epsilon <= 0.0:
             raise ValidationError(f"convergence_epsilon={self.convergence_epsilon} must be > 0")
-        if self.max_inner_iterations < 1:
-            raise ValidationError("max_inner_iterations must be >= 1")
+        iterations = self.max_inner_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, Integral) or iterations < 1:
+            raise ValidationError(f"max_inner_iterations={iterations!r} must be an integer >= 1")
         if self.initial_temperature <= 0.0:
             raise ValidationError("initial_temperature must be > 0 K")
         if self.enable_interior_mass and self.mass_params.k_mass <= 0.0:
@@ -599,6 +613,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         raise ConfigError(f"cell ({r}, {c}) not covered by any zone rectangle")
 
     grid = BuildingGrid.from_cv_types(cv, size_u, size_v, z)
+    grid.validate()
 
     sim_keys = [f.name for f in fields(SimulationConfig) if f.name != "site"]
     sim_sec = _mapping(doc.get("simulation"), "simulation section", sim_keys)
@@ -610,23 +625,16 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
         mass_params=MassParams(**_settings(MassParams, mass_sec, "simulation.mass_params")),
         site=SitePosition(**_settings(SitePosition, site_sec, "site")) if site_sec else None,
     )
-    config.validate()
-
-    mats = _build_materials(doc, grid)
-
-    grid.validate()
-    mats.validate(grid)
-    return grid, mats, config
+    return grid, _build_materials(doc, grid), config
 
 
 def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
-    mats = MaterialField.zeros(grid.rows, grid.cols)
     entries = _require(doc, "materials", "building config")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("materials section must be a non-empty list")
 
-    cell_k = np.zeros((grid.rows, grid.cols))
-    cell_h = np.zeros((grid.rows, grid.cols))
+    cells = {key: np.full((grid.rows, grid.cols), default)
+             for key, default in _PROPERTY_DEFAULTS.items()}
     covered = np.zeros((grid.rows, grid.cols), dtype=bool)
 
     for i, entry in enumerate(entries):
@@ -650,21 +658,11 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         else:
             raise ConfigError(f"{where}: needs a cv_type or rect selector")
 
-        values = {
-            key: _finite(props.get(key, default), f"{where}: {key}")
-            for key, default in _PROPERTY_DEFAULTS.items()
-        }
-        for key, value in values.items():
+        for key, default in _PROPERTY_DEFAULTS.items():
+            value = _finite(props.get(key, default), f"{where}: {key}")
             if value < 0.0:
                 raise ConfigError(f"{where}: {key}={value} must be >= 0")
-        cell_k[mask] = values["conductivity"]
-        cell_h[mask] = values["h_exterior"]
-        mats.heat_capacity[mask] = values["specific_heat"]
-        mats.density[mask] = values["density"]
-        mats.emissivity[mask] = values["emissivity"]
-        mats.absorptivity[mask] = values["absorptivity"]
-        mats.transmissivity[mask] = values["transmissivity"]
-        mats.tilt[mask] = values["tilt"]
+            cells[key][mask] = value
         covered |= mask
 
     needs_props = grid.cv_type != int(CvType.BOUNDARY)
@@ -672,14 +670,15 @@ def _build_materials(doc: dict, grid: BuildingGrid) -> MaterialField:
         r, c = np.argwhere(needs_props & ~covered)[0]
         raise ConfigError(f"cell ({r}, {c}) has no material binding")
 
-    _assign_face_coefficients(grid, mats, cell_k, cell_h)
-    return mats
+    k_face, h_face = _face_coefficients(grid, cells.pop("conductivity"), cells.pop("h_exterior"))
+    cells["heat_capacity"] = cells.pop("specific_heat")  # the rest are named as their field
+    return MaterialField.for_grid(grid, k_face=k_face, h_face=h_face, **cells)
 
 
-def _assign_face_coefficients(
-    grid: BuildingGrid, mats: MaterialField, cell_k: np.ndarray, cell_h: np.ndarray
-) -> None:
-    """Turn per-cell conductivity into per-face fields.
+def _face_coefficients(
+    grid: BuildingGrid, cell_k: np.ndarray, cell_h: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-face ``(k_face, h_face)`` fields from per-cell conductivity and film coefficient.
 
     Interior faces carry the harmonic mean of the two cells' conductivities
     (zero if either side is zero). Exposed faces carry no conduction; they
@@ -693,14 +692,14 @@ def _assign_face_coefficients(
 
     # A face off the grid is exposed, so its zero fill never reaches k_face.
     neighbor_k = shift_fields(np.zeros((grid.rows + 2, grid.cols + 2)), cell_k)
-    for d in range(4):
-        exposed = grid.exposed_mask[d]
-        mats.k_face[d] = np.where(exposed, 0.0, harmonic(cell_k, neighbor_k[d]))
-        mats.h_face[d] = np.where(exposed, cell_h, 0.0)
+    exposed = grid.exposed_mask
+    k_face = np.where(exposed, 0.0, np.stack([harmonic(cell_k, k) for k in neighbor_k]))
+    h_face = np.where(exposed, cell_h, 0.0)
     # Boundary-padding cells take no part in the update at all.
     boundary = grid.cv_type == int(CvType.BOUNDARY)
-    mats.k_face[:, boundary] = 0.0
-    mats.h_face[:, boundary] = 0.0
+    k_face[:, boundary] = 0.0
+    h_face[:, boundary] = 0.0
+    return k_face, h_face
 
 
 def load_building_file(path) -> Tuple[BuildingGrid, MaterialField, SimulationConfig]:

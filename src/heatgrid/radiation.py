@@ -29,6 +29,7 @@ that a step's solar tensors touch.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -185,7 +186,7 @@ class RadiationExchangeMatrix:
     blocks: List[ExchangeBlock] = field(init=False, repr=False)
 
     def __post_init__(self, groups: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
-        self.areas = np.asarray(self.areas, dtype=float)
+        self.areas = np.array(self.areas, dtype=float)
         if self.areas.shape != (self.n_surfaces,):
             raise ValueError("surface list and area vector must match n_surfaces")
         bad = ~(np.isfinite(self.areas) & (self.areas > 0.0))
@@ -199,6 +200,8 @@ class RadiationExchangeMatrix:
         self.surface_rows = np.array([s[0] for s in self.surfaces], dtype=np.intp)
         self.surface_cols = np.array([s[1] for s in self.surfaces], dtype=np.intp)
         self.blocks = _pack_blocks(self.surfaces, groups)
+        for array in (self.areas, self.surface_rows, self.surface_cols, *chain(*self.blocks)):
+            array.flags.writeable = False
 
     @property
     def n_surfaces(self) -> int:
@@ -230,8 +233,11 @@ class RadiationExchangeMatrix:
         return surface_cells, cells, slots
 
     def surface_temperatures(self, temperatures: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Each surface's cell temperature, from a flattened field and ``surface_cells``."""
-        return temperatures.take(cells)
+        """Each surface's cell temperature, from a flattened field and ``surface_cells``.
+
+        Indexing, not ``take``, which copies a read-only index array on every call.
+        """
+        return temperatures[cells]
 
 
 def _pack_blocks(
@@ -511,7 +517,7 @@ def solar_basis(grid: BuildingGrid, mats: MaterialField) -> SolarBasis:
     )
     air = np.flatnonzero(grid.zone_id >= 0)
     air_zone = grid.zone_id.reshape(-1)[air]
-    return SolarBasis(
+    basis = SolarBasis(
         shape=shape,
         cells=cells,
         absorptivity=mats.absorptivity.reshape(-1)[cells],
@@ -524,6 +530,10 @@ def solar_basis(grid: BuildingGrid, mats: MaterialField) -> SolarBasis:
         plan_area=(grid.u * grid.v).reshape(-1)[air],
         zone_cells=np.bincount(air_zone, minlength=grid.n_zones),
     )
+    for array in vars(basis).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return basis
 
 
 def assemble_solar_tensors(

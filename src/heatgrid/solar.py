@@ -110,7 +110,6 @@ def solar_position(site: SitePosition, when: datetime) -> SolarGeometry:
 
     Azimuth is measured clockwise from north in [0, 360).
     """
-    site.validate()
     jd = _julian_day(when)
     t = (jd - 2451545.0) / 36525.0
     declination, eqtime = _declination_and_eqtime(t)

@@ -192,12 +192,12 @@ class StepReport:
 class Plan:
     """A run's inputs and the arrays every step reuses; built by ``prepare``.
 
-    No solver writes to a plan, so one serves any number of states on the
-    same building. Conductances [W/K]: ``g`` per face in shift order (east,
-    north, west, south), ``convection`` to ambient, ``capacity`` C/dt and
-    ``coupling`` to the mass nodes; ``denom`` is their sum on live cells
-    and 1 on boundary padding. ``active`` marks the live cells, those that
-    are not boundary padding. ``omega`` is the over-relaxation factor of a
+    Every array a plan reaches is read-only, so one serves any number of
+    states on the same building. Conductances [W/K]: ``g`` per face in
+    shift order (east, north, west, south), ``convection`` to ambient,
+    ``capacity`` C/dt and ``coupling`` to the mass nodes; ``denom`` is
+    their sum on live cells and 1 on boundary padding. ``active`` marks
+    the live cells, those that are not boundary padding. ``omega`` is the over-relaxation factor of a
     swept pass, 1 unless ``sweep_from_start``, and ``colour_gains`` are
     ``omega / denom`` on the live cells with ``r + c`` even and odd, 0
     elsewhere.
@@ -244,13 +244,12 @@ class Plan:
 
 
 def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -> Plan:
-    """Check a run's inputs and compute everything its steps share, once.
+    """Compute everything a run's steps share, once, into read-only arrays.
 
     Builds the interior exchange matrix when interior long-wave is on. A
-    config value out of range or a non-positive balance denominator on a
-    live cell raises, naming the key or the cell.
+    non-positive balance denominator on a live cell, as ``mats`` made for
+    another grid can give, raises naming the cell.
     """
-    config.validate()
     exchange = None
     lw_index = (None, None, None)
     if config.enable_interior_lw:
@@ -301,9 +300,14 @@ def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -
         )
     newton_cells = np.flatnonzero(newton)
     solar = solar_basis(grid, mats) if config.enable_solar else None
-    return Plan(grid, mats, config, exchange, active, omega, sweep_from_start, colour_gains, g,
+    plan = Plan(grid, mats, config, exchange, active, omega, sweep_from_start, colour_gains, g,
                 convection, capacity, coupling, denom, air, mass_t0, cells, weights, solar,
                 *lw_index, newton_cells, newton[newton_cells] / denom.reshape(-1)[newton_cells])
+    for value in vars(plan).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return plan
 
 
 def _jacobi_radius_squared(

@@ -28,7 +28,7 @@ class WeatherFormatError(ValueError):
 
 @dataclass(frozen=True)
 class WeatherRecord:
-    """One timestamped set of boundary conditions.
+    """One timestamped set of boundary conditions, checked when made.
 
     Attributes
     ----------
@@ -51,19 +51,19 @@ class WeatherRecord:
     dni: float
     dhi: float
 
-    def validate(self) -> None:
-        if self.t_air <= 0.0 or self.t_gnd <= 0.0:
+    def __post_init__(self) -> None:
+        if not (self.t_air > 0.0 and self.t_gnd > 0.0):  # NaN too
             raise WeatherFormatError(
                 f"non-physical temperature at {self.timestamp.isoformat()}: "
                 f"t_air={self.t_air}, t_gnd={self.t_gnd} (must be > 0 K)"
             )
-        if self.t_sky is not None and self.t_sky <= 0.0:
+        if self.t_sky is not None and not self.t_sky > 0.0:
             raise WeatherFormatError(
                 f"non-physical t_sky={self.t_sky} at {self.timestamp.isoformat()}"
             )
         for name in ("ghi", "dni", "dhi"):
             value = getattr(self, name)
-            if value < 0.0:
+            if not value >= 0.0:
                 raise WeatherFormatError(
                     f"negative irradiance {name}={value} at {self.timestamp.isoformat()}"
                 )
@@ -71,18 +71,20 @@ class WeatherRecord:
 
 @dataclass(frozen=True)
 class SitePosition:
-    """Geographic site: latitude/longitude in degrees, ground albedo in [0, 1]."""
+    """Geographic site, checked when made: latitude/longitude [deg], albedo in [0, 1]."""
 
     latitude: float
     longitude: float
     albedo: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key in ("latitude", "longitude", "albedo"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"site.{key}={getattr(self, key)} must be finite")
         if abs(self.latitude) > 90.0:
             raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
+        if abs(self.longitude) > 180.0:
+            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
         if not 0.0 <= self.albedo <= 1.0:
             raise ValueError(f"albedo {self.albedo} outside [0, 1]")
 
@@ -181,7 +183,6 @@ def load_weather(csv_text: str) -> List[WeatherRecord]:
             dni=number("dni"),
             dhi=number("dhi"),
         )
-        record.validate()
         if records and record.timestamp <= records[-1].timestamp:
             raise WeatherFormatError(
                 f"line {line_no}: timestamps must be strictly increasing "

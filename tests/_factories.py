@@ -7,6 +7,7 @@ ranges stay physical and keep the fixed-point iteration well conditioned.
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -14,6 +15,11 @@ import yaml
 
 import heatgrid as hg
 from heatgrid.cli import default_building_path
+
+
+def remade(grid, mats, **changes):
+    """``mats`` made again for ``grid`` by ``MaterialField.for_grid``, with ``changes``."""
+    return hg.MaterialField.for_grid(grid, **{**dataclasses.asdict(mats), **changes})
 
 
 def tiled_building_yaml(n_rows: int = 3, n_cols: int = 3, room: int = 4) -> str:

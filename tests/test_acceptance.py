@@ -243,10 +243,17 @@ def test_solar_conservation_exact():
             cv[ring[i]] = int(CvType.WINDOW)
         cell = float(rng.uniform(0.4, 1.0))
         grid = BuildingGrid.from_cv_types(cv, cell, cell, float(rng.uniform(2.5, 3.5)))
-        mats = MaterialField.zeros(rows, cols)
-        mats.absorptivity[:] = rng.uniform(0.2, 0.7)
+        absorptivity = rng.uniform(0.2, 0.7)
         window = cv == int(CvType.WINDOW)
-        mats.transmissivity[window] = rng.uniform(0.4, 0.75)
+        transmissivity = rng.uniform(0.4, 0.75)
+        mats = MaterialField.for_grid(
+            grid,
+            heat_capacity=1000.0,
+            density=1.0,
+            # a window absorbs at most what it does not transmit
+            absorptivity=np.where(window, min(absorptivity, 1.0 - transmissivity), absorptivity),
+            transmissivity=np.where(window, transmissivity, 0.0),
+        )
         poa = PoaIrradiance({o: float(rng.uniform(0.0, 900.0)) for o in
                              ("north", "east", "south", "west")})
         mass_enabled = bool(rng.integers(0, 2))

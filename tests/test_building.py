@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,10 @@ from heatgrid.building import (
     CvType,
     MaterialField,
     ValidationError,
-    _assign_face_coefficients,
+    _face_coefficients,
 )
 
-from _factories import tiled_building_yaml
+from _factories import remade, tiled_building_yaml
 
 
 def minimal_doc(rows=5, cols=6, extra_zones=(), **sim):
@@ -142,6 +143,29 @@ def test_boundary_ring_counts_as_exterior():
     grid.validate()
 
 
+def nan_at(shape, cell):
+    sizes = np.full(shape, 0.5)
+    sizes[cell] = math.nan
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "u, v, z, message",
+    [
+        (0.5, 0.5, math.nan, r"^floor height z=nan must be finite and > 0$"),
+        (0.5, 0.5, 0.0, r"^floor height z=0.0 must be finite and > 0$"),
+        (nan_at((3, 4), (1, 2)), 0.5, 3.0, r"^U=nan at cell \(1, 2\) must be finite and > 0$"),
+        (0.5, np.full((3, 4), np.inf), 3.0, r"^V=inf at cell \(0, 0\) must be finite and > 0$"),
+        (0.5, -0.5, 3.0, r"^V=-0.5 at cell \(0, 0\) must be finite and > 0$"),
+    ],
+    ids=["z-nan", "z-zero", "u-nan", "v-inf", "v-negative"],
+)
+def test_grid_size_not_finite_and_positive_fails_where_the_grid_is_made(u, v, z, message):
+    cv = np.full((3, 4), int(CvType.EXTERIOR_WALL))
+    with pytest.raises(ValidationError, match=message):
+        BuildingGrid.from_cv_types(cv, u, v, z)
+
+
 def test_three_exposed_faces_rejected():
     cv = np.full((1, 4), int(CvType.EXTERIOR_WALL))
     with pytest.raises(ValidationError, match="exterior faces"):
@@ -195,10 +219,9 @@ def test_exposure_and_face_coefficients_match_a_per_cell_loop(data):
     assert np.array_equal(grid.exposed_mask, exposed)
     assert np.array_equal(grid.exposed_faces, counts)
     assert np.array_equal(grid.delta_x, delta_x)
-    mats = MaterialField.zeros(rows, cols)
-    _assign_face_coefficients(grid, mats, cell_k, cell_h)
-    assert np.array_equal(mats.k_face, k_face)
-    assert np.array_equal(mats.h_face, h_face)
+    got_k, got_h = _face_coefficients(grid, cell_k, cell_h)
+    assert np.array_equal(got_k, k_face)
+    assert np.array_equal(got_h, h_face)
 
 
 # -----------------------------------------------------------------------------
@@ -359,9 +382,42 @@ def test_bad_number_fails_at_load_naming_the_entry(edit, error, message):
 )
 def test_negative_material_field_named_by_array_direction_and_cell(name, index, message):
     grid, mats, _ = load_doc(minimal_doc())
-    getattr(mats, name)[index] = -0.5
+    properties = dataclasses.asdict(mats)
+    properties[name][index] = -0.5
     with pytest.raises(ValidationError, match=message):
-        mats.validate(grid)
+        MaterialField.for_grid(grid, **properties)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["k_face", "h_face", "heat_capacity", "density", "emissivity", "absorptivity",
+     "transmissivity", "tilt"],
+)
+def test_mis_shaped_material_property_fails_naming_it(canonical, name):
+    grid, mats, _ = canonical
+    want = getattr(mats, name).shape
+    with pytest.raises(ValidationError, match=rf"^{name} shape \(12, 24\) != grid "
+                                              rf"{re.escape(str(want))}$"):
+        remade(grid, mats, **{name: np.ones((12, 24))})
+
+
+def test_inputs_are_frozen_and_their_arrays_read_only(canonical):
+    grid, mats, config = canonical
+    for made, name in ((mats, "density"), (config, "dt"), (config.mass_params, "k_mass"),
+                       (config.site, "albedo")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, name, 1.0)
+    for name in ("k_face", "h_face", "heat_capacity", "density", "emissivity", "absorptivity",
+                 "transmissivity", "tilt"):
+        assert not getattr(mats, name).flags.writeable
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0])
+def test_max_inner_iterations_must_be_an_integer_of_at_least_one(canonical, value):
+    _, _, config = canonical
+    message = rf"^max_inner_iterations={value!r} must be an integer >= 1$"
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(config, max_inner_iterations=value)
 
 
 def set_section(section, key, value):
@@ -406,6 +462,21 @@ def test_bad_setting_fails_at_load_naming_the_key(edit, message):
     doc["site"] = {"latitude": 40.0, "longitude": -105.0}
     edit(doc)
     with pytest.raises(ConfigError, match=message):
+        load_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("latitude", 100.0, r"^latitude 100.0 outside \[-90, 90\]$"),
+        ("longitude", 500.0, r"^longitude 500.0 outside \[-180, 180\]$"),
+        ("albedo", 1.5, r"^albedo 1.5 outside \[0, 1\]$"),
+    ],
+)
+def test_site_out_of_range_fails_at_load_naming_the_key(key, value, message):
+    doc = minimal_doc()
+    doc["site"] = {"latitude": 40.0, "longitude": -105.0, key: value}
+    with pytest.raises(ValueError, match=message):
         load_doc(doc)
 
 

@@ -17,12 +17,8 @@ def small_grid(z=3.0):
     return BuildingGrid.from_cv_types(cv, 0.5, 0.5, z)
 
 
-def small_mats():
-    mats = MaterialField.zeros(4, 4)
-    mats.k_face[:] = 0.8
-    mats.heat_capacity[:] = 1000.0
-    mats.density[:] = 1.2
-    return mats
+def small_mats(grid):
+    return MaterialField.for_grid(grid, k_face=0.8, heat_capacity=1000.0, density=1.2)
 
 
 def mass_config(**overrides):
@@ -38,7 +34,7 @@ def test_t0_definition_value():
     config = mass_config(
         dt=300.0, mass_params=MassParams(k_mass=1.0, rho_mass=1000.0, c_mass=1000.0)
     )
-    plan = hg.prepare(grid, small_mats(), config)
+    plan = hg.prepare(grid, small_mats(grid), config)
     air = grid.cv_type == int(CvType.INTERIOR_AIR)
     assert plan.mass_t0 == 30000.0
     assert np.array_equal(plan.air, air)
@@ -48,21 +44,20 @@ def test_t0_definition_value():
 
 def test_t0_halves_when_dt_doubles():
     grid = small_grid()
-    base = hg.prepare(grid, small_mats(), mass_config(dt=300.0))
-    doubled = hg.prepare(grid, small_mats(), mass_config(dt=600.0))
+    base = hg.prepare(grid, small_mats(grid), mass_config(dt=300.0))
+    doubled = hg.prepare(grid, small_mats(grid), mass_config(dt=600.0))
     assert doubled.mass_t0 == pytest.approx(base.mass_t0 / 2.0, rel=1e-15)
 
 
 def test_init_rejects_nonpositive_k():
-    grid = small_grid()
-    config = mass_config(mass_params=MassParams(k_mass=0.0))
     with pytest.raises(ValueError, match="k_mass"):
-        hg.prepare(grid, small_mats(), config)
+        mass_config(mass_params=MassParams(k_mass=0.0))
 
 
 def prepare_with_mass_param(canonical_paths, key, value):
     config = mass_config(mass_params=MassParams(**{key: value}))
-    return hg.prepare(small_grid(), small_mats(), config)
+    grid = small_grid()
+    return hg.prepare(grid, small_mats(grid), config)
 
 
 def load_with_mass_param(canonical_paths, key, value):
@@ -121,7 +116,7 @@ def test_uncoupled_cells_never_change():
     boundary = StepBoundary(
         t_inf=310.0, t_gnd=310.0, t_sky=310.0, poa=PoaIrradiance.dark(), q_x=None
     )
-    new, _ = hg.step(state, hg.prepare(grid, small_mats(), config), boundary)
+    new, _ = hg.step(state, hg.prepare(grid, small_mats(grid), config), boundary)
     assert (new.t_mass[~air] == 280.0).all()
     assert (new.t_mass[air] != 290.0).all()
 
@@ -155,6 +150,6 @@ def test_update_does_not_mutate_input():
     boundary = StepBoundary(
         t_inf=280.0, t_gnd=280.0, t_sky=280.0, poa=PoaIrradiance.dark(), q_x=None
     )
-    new, _ = hg.step(state, hg.prepare(grid, small_mats(), mass_config()), boundary)
+    new, _ = hg.step(state, hg.prepare(grid, small_mats(grid), mass_config()), boundary)
     assert np.array_equal(state.t_mass, before)
     assert not np.array_equal(new.t_mass, before)

@@ -39,9 +39,9 @@ def conduction_case(rng, rows=5, cols=5):
     cv = np.full((rows, cols), int(CvType.EXTERIOR_WALL))
     cv[1:-1, 1:-1] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(rows, cols)
     cell_k = rng.uniform(0.2, 1.5, (rows, cols))
     h_ext = float(rng.uniform(5.0, 15.0))
+    k_face = np.zeros((4, rows, cols))
     for d, (dr, dc) in enumerate(DIR_OFFSETS):
         k = np.zeros((rows, cols))
         for r in range(rows):
@@ -50,10 +50,14 @@ def conduction_case(rng, rows=5, cols=5):
                 if 0 <= nr < rows and 0 <= nc < cols:
                     a, b = cell_k[r, c], cell_k[nr, nc]
                     k[r, c] = 2.0 * a * b / (a + b)
-        mats.k_face[d] = np.where(grid.exposed_mask[d], 0.0, k)
-        mats.h_face[d] = np.where(grid.exposed_mask[d], h_ext, 0.0)
-    mats.heat_capacity = rng.uniform(800.0, 1000.0, (rows, cols))
-    mats.density = rng.uniform(500.0, 2500.0, (rows, cols))
+        k_face[d] = np.where(grid.exposed_mask[d], 0.0, k)
+    mats = MaterialField.for_grid(
+        grid,
+        k_face=k_face,
+        h_face=np.where(grid.exposed_mask, h_ext, 0.0),
+        heat_capacity=rng.uniform(800.0, 1000.0, (rows, cols)),
+        density=rng.uniform(500.0, 2500.0, (rows, cols)),
+    )
     return grid, mats
 
 
@@ -131,11 +135,14 @@ def test_sweep_order_independence(rng):
         hg.ThermalState(t=t0.copy()), hg.prepare(grid, mats, config), bc
     )
     turned = BuildingGrid.from_cv_types(np.rot90(grid.cv_type, 2), grid.u, grid.v, grid.z)
-    turned_mats = MaterialField.zeros(grid.rows, grid.cols)
-    for name in ("k_face", "h_face"):  # east <-> west, north <-> south
-        setattr(turned_mats, name, np.rot90(getattr(mats, name)[[2, 3, 0, 1]], 2, axes=(1, 2)))
-    for name in ("heat_capacity", "density"):
-        setattr(turned_mats, name, np.rot90(getattr(mats, name), 2))
+    turned_mats = MaterialField.for_grid(
+        turned,
+        # east <-> west, north <-> south
+        k_face=np.rot90(mats.k_face[[2, 3, 0, 1]], 2, axes=(1, 2)),
+        h_face=np.rot90(mats.h_face[[2, 3, 0, 1]], 2, axes=(1, 2)),
+        heat_capacity=np.rot90(mats.heat_capacity, 2),
+        density=np.rot90(mats.density, 2),
+    )
     backward, _ = hg.oracle_step(
         hg.ThermalState(t=np.rot90(t0, 2).copy()), hg.prepare(turned, turned_mats, config), bc
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
 from heatgrid import radiation
-from _factories import rooms_building_yaml, tiled_building_yaml
+from _factories import remade, rooms_building_yaml, tiled_building_yaml
 from heatgrid.building import (
     DIR_OFFSETS,
     DIR_ORIENTATION,
@@ -56,15 +56,19 @@ def test_view_factor_range_check():
 # exterior long-wave: weights and tensor assembly
 # -----------------------------------------------------------------------------
 
-def ring_building(rows=5, cols=6, cell=0.5):
+def stored(grid, **properties):
+    """Materials of ``grid`` with ``properties`` and a heat capacity on every cell, which
+    construction requires and the radiation never reads."""
+    return MaterialField.for_grid(grid, heat_capacity=1000.0, density=1.0, **properties)
+
+
+def ring_building(rows=5, cols=6, cell=0.5, **properties):
     cv = np.full((rows, cols), int(CvType.EXTERIOR_WALL))
     cv[1:-1, 1:-1] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, cell, cell, 3.0)
-    mats = MaterialField.zeros(rows, cols)
-    mats.emissivity[:] = 0.9
-    mats.heat_capacity[:] = 900.0
-    mats.density[:] = 2000.0
-    return grid, mats
+    return grid, MaterialField.for_grid(
+        grid, **{"emissivity": 0.9, "heat_capacity": 900.0, "density": 2000.0, **properties}
+    )
 
 
 def single_wall_cell(eps, tilt=90.0):
@@ -74,10 +78,9 @@ def single_wall_cell(eps, tilt=90.0):
     # air above the wall cell would touch the exterior; not validated here,
     # the assembly only needs the exposure classification
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(3, 4)
-    mats.emissivity[0, 1] = eps
-    mats.tilt[0, 1] = tilt
-    return grid, mats
+    emissivity, tilts = np.zeros((3, 4)), np.full((3, 4), 90.0)
+    emissivity[0, 1], tilts[0, 1] = eps, tilt
+    return grid, stored(grid, emissivity=emissivity, tilt=tilts)
 
 
 def wall_cell_flux(grid, mats, t_surf, t_gnd, t_sky, t_air):
@@ -126,12 +129,12 @@ def test_exterior_flux_preconditions():
     # emissivity in [0, 1] is the material check's; a surface temperature
     # > 0 K is the step's
     grid, mats = ring_building()
-    mats.emissivity[0, 2] = 1.2
+    emissivity = mats.emissivity.copy()
+    emissivity[0, 2] = 1.2
     with pytest.raises(
         hg.ValidationError, match=r"emissivity=1.2 outside \[0, 1\] at cell \(0, 2\)"
     ):
-        mats.validate(grid)
-    mats.emissivity[0, 2] = 0.9
+        remade(grid, mats, emissivity=emissivity)
     config = hg.SimulationConfig(enable_interior_lw=False, enable_solar=False,
                                  enable_interior_mass=False)
     t = np.full((grid.rows, grid.cols), 293.0)
@@ -175,8 +178,7 @@ def square_cavity(cell=0.5, emissivity=1.0):
     cv = np.full((3, 3), int(CvType.EXTERIOR_WALL))
     cv[1, 1] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, cell, cell, 3.0)
-    mats = MaterialField.zeros(3, 3)
-    mats.emissivity[:] = emissivity
+    mats = stored(grid, emissivity=emissivity)
     return grid, mats, hg.build_exchange_matrix_2d(grid, mats)
 
 
@@ -201,8 +203,7 @@ def test_strip_cavity_matches_parallel_plates():
     cv = np.full((3, n + 2), int(CvType.EXTERIOR_WALL))
     cv[1, 1:-1] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(3, n + 2)
-    mats.emissivity[:] = 1.0
+    mats = stored(grid, emissivity=1.0)
     matrix = hg.build_exchange_matrix_2d(grid, mats)
 
     north = [i for i, (r, c, d) in enumerate(matrix.surfaces) if r == 0]
@@ -240,9 +241,8 @@ def test_open_cavity_rejected():
     cv[1, 1] = int(CvType.INTERIOR_AIR)
     cv[0, 1] = int(CvType.INTERIOR_AIR)  # zone reaches the grid edge: open
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(3, 3)
     with pytest.raises(OpenCavityError):
-        hg.build_exchange_matrix_2d(grid, mats)
+        hg.build_exchange_matrix_2d(grid, stored(grid))
 
 
 def test_isothermal_enclosure_flux_zero():
@@ -452,7 +452,8 @@ def assert_same_build(grid, mats):
 )
 def test_builder_matches_the_reference_walk_on_multi_room_plans(row_sizes, col_sizes, seed):
     grid, mats, _ = hg.load_building(rooms_building_yaml(row_sizes, col_sizes))
-    mats.emissivity[:] = np.random.default_rng(seed).uniform(0.1, 1.0, mats.emissivity.shape)
+    mats = remade(grid, mats, emissivity=np.random.default_rng(seed).uniform(
+        0.1, 1.0, mats.emissivity.shape))
     assert assert_same_build(grid, mats) is None
 
 
@@ -476,8 +477,7 @@ def test_builder_raises_the_reference_walk_error_on_random_cell_type_maps():
             grid = BuildingGrid.from_cv_types(random_cell_type_map(rng), 0.5, 0.4, 3.0)
         except hg.ValidationError:  # a window with no zone behind it
             continue
-        mats = MaterialField.zeros(grid.rows, grid.cols)
-        mats.emissivity[:] = rng.uniform(0.1, 1.0, mats.emissivity.shape)
+        mats = stored(grid, emissivity=rng.uniform(0.1, 1.0, (grid.rows, grid.cols)))
         error = assert_same_build(grid, mats)
         if error is not None:
             errors.append(error)
@@ -492,7 +492,7 @@ def test_open_face_named_in_raster_then_direction_order():
     cv[1, :] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
     with pytest.raises(OpenCavityError, match=r"^zone 0 is open at air cell \(1, 0\) toward west$"):
-        hg.build_exchange_matrix_2d(grid, MaterialField.zeros(3, 3))
+        hg.build_exchange_matrix_2d(grid, stored(grid))
 
 
 def test_surfaces_listed_by_air_cell_then_direction():
@@ -652,8 +652,7 @@ def test_night_tensors_zero(canonical):
 
 
 def test_opaque_building_transmits_nothing():
-    grid, mats = ring_building()
-    mats.absorptivity[:] = 0.6
+    grid, mats = ring_building(absorptivity=0.6)
     poa = PoaIrradiance({"north": 100.0, "east": 200.0, "south": 600.0, "west": 50.0})
     qa, qt, qtm = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, False)
     assert qa.sum() > 0.0
@@ -667,12 +666,9 @@ def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
     if case == "canonical":
         grid, mats, _ = canonical
     else:
-        grid, mats = ring_building()
+        grid, mats = ring_building(absorptivity=np.linspace(0.2, 0.8, 30).reshape(5, 6))
         if case == "ring_oblong_cells":
             grid = BuildingGrid.from_cv_types(grid.cv_type, 0.4, 0.7, grid.z)
-        mats.absorptivity[:] = np.linspace(0.2, 0.8, grid.rows * grid.cols).reshape(
-            grid.rows, grid.cols
-        )
     poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
     qa, _, _ = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, False)
 

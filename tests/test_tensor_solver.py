@@ -21,7 +21,7 @@ from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
-from _factories import layered_sloped_building_yaml, tiled_building_yaml
+from _factories import layered_sloped_building_yaml, remade, tiled_building_yaml
 from conftest import constant_weather
 
 
@@ -57,11 +57,13 @@ def random_raw_case(rng, rows, cols, cv=None):
     grid = BuildingGrid.from_cv_types(
         cv, float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.4, 1.0)), 3.0
     )
-    mats = MaterialField.zeros(rows, cols)
-    mats.k_face = rng.uniform(0.05, 2.0, (4, rows, cols))
-    mats.h_face = rng.uniform(0.0, 12.0, (4, rows, cols))
-    mats.heat_capacity = rng.uniform(700.0, 1100.0, (rows, cols))
-    mats.density = rng.uniform(1.0, 2500.0, (rows, cols))
+    mats = MaterialField.for_grid(
+        grid,
+        k_face=rng.uniform(0.05, 2.0, (4, rows, cols)),
+        h_face=rng.uniform(0.0, 12.0, (4, rows, cols)),
+        heat_capacity=rng.uniform(700.0, 1100.0, (rows, cols)),
+        density=rng.uniform(1.0, 2500.0, (rows, cols)),
+    )
     return grid, mats
 
 
@@ -152,10 +154,15 @@ def test_uniform_state_is_fixed_point_in_one_iteration(rng):
 
 
 def test_degenerate_denominator_names_cell(rng):
+    # materials made for a grid whose cell (2, 1) is padding, which needs no
+    # conductance or heat capacity, stepped on a grid where it is air
     grid, mats = random_raw_case(rng, 4, 4)
-    mats.k_face[:, 2, 1] = 0.0
-    mats.h_face[:, 2, 1] = 0.0
-    mats.density[2, 1] = 0.0
+    cv = np.array(grid.cv_type)
+    cv[2, 1] = int(CvType.BOUNDARY)
+    padded = BuildingGrid.from_cv_types(cv, grid.u, grid.v, grid.z)
+    k_face, h_face, density = mats.k_face.copy(), mats.h_face.copy(), mats.density.copy()
+    k_face[:, 2, 1] = h_face[:, 2, 1] = density[2, 1] = 0.0
+    mats = remade(padded, mats, k_face=k_face, h_face=h_face, density=density)
     config = bare_config()
     t = np.full((4, 4), 290.0)
     state = hg.ThermalState(t=t)
@@ -195,12 +202,14 @@ def test_boundary_cells_pinned_to_ambient():
     cv[1:-1, 1:-1] = int(CvType.EXTERIOR_WALL)
     cv[2, 2] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(5, 5)
-    mats.k_face[:, 1:-1, 1:-1] = 0.8
-    mats.h_face[:, grid.exposed_mask.any(axis=0)] = 10.0
-    mats.heat_capacity[:] = 900.0
-    mats.density[:] = 1500.0
-    mats.density[cv == int(CvType.BOUNDARY)] = 0.0
+    live = cv != int(CvType.BOUNDARY)
+    mats = MaterialField.for_grid(
+        grid,
+        k_face=np.broadcast_to(np.where(live, 0.8, 0.0), (4, 5, 5)),
+        h_face=np.broadcast_to(np.where(grid.exposed_mask.any(axis=0), 10.0, 0.0), (4, 5, 5)),
+        heat_capacity=900.0,
+        density=np.where(live, 1500.0, 0.0),
+    )
     t = np.full((5, 5), 300.0)
     state = hg.ThermalState(t=t)
     new, report = hg.step(state, hg.prepare(grid, mats, bare_config()), dark_boundary(270.0))
@@ -214,13 +223,13 @@ def test_hot_cell_decay_is_symmetric_and_matches_oracle(rng):
     cv = np.full((rows, cols), int(CvType.EXTERIOR_WALL))
     cv[1:-1, 1:-1] = int(CvType.INTERIOR_AIR)
     grid = BuildingGrid.from_cv_types(cv, 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(rows, cols)
-    mats.k_face[:] = 0.6
-    for d in range(4):
-        mats.k_face[d][grid.exposed_mask[d]] = 0.0
-        mats.h_face[d][grid.exposed_mask[d]] = 8.0
-    mats.heat_capacity[:] = 1000.0
-    mats.density[:] = 100.0
+    mats = MaterialField.for_grid(
+        grid,
+        k_face=np.where(grid.exposed_mask, 0.0, 0.6),
+        h_face=np.where(grid.exposed_mask, 8.0, 0.0),
+        heat_capacity=1000.0,
+        density=100.0,
+    )
     config = bare_config(convergence_epsilon=1e-9, max_inner_iterations=5000)
     t = np.full((rows, cols), 290.0)
     t[3, 3] = 320.0
@@ -265,6 +274,30 @@ def test_compact_exterior_term_equals_full_grid(canonical, rng, layered):
         plan.exterior_weights, t.reshape(-1)[plan.exterior_cells], 288.0, 262.0, 295.0
     )
     assert np.array_equal(scattered.reshape(t.shape), full)
+
+
+def test_prepared_plan_is_read_only_all_the_way_down(canonical):
+    grid, mats, config = canonical
+    plan = hg.prepare(grid, mats, config)
+    arrays = {}
+
+    def walk(value, path):
+        if isinstance(value, np.ndarray):
+            arrays[path] = value
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                walk(getattr(value, f.name), f"{path}.{f.name}")
+        elif isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                walk(item, f"{path}[{i}]")
+
+    walk(plan, "plan")
+    assert {"plan.g[0]", "plan.denom", "plan.newton", "plan.mats.heat_capacity", "plan.grid.u",
+            "plan.exchange.areas", "plan.exchange.blocks[0][1]", "plan.solar.areas"} <= set(arrays)
+    assert [path for path, array in arrays.items() if array.flags.writeable] == []
+    # the two solvers cannot be handed different buildings through one plan
+    with pytest.raises(ValueError, match="read-only"):
+        plan.mats.heat_capacity *= 0.5
 
 
 def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
@@ -442,16 +475,15 @@ def test_non_finite_boundary_temperature_rejected(rng):
     ],
 )
 def test_non_finite_config_value_fails_naming_key(canonical, canonical_paths, key, value):
-    grid, mats, config = canonical
+    _, _, config = canonical
     section, _, name = key.rpartition(".")
-    if section:
-        part = dataclasses.replace(getattr(config, section), **{name: value})
-        config = dataclasses.replace(config, **{section: part})
-    else:
-        config = dataclasses.replace(config, **{name: value})
     message = rf"{key}={value} must be finite"
     with pytest.raises(ValueError, match=message):
-        hg.prepare(grid, mats, config)
+        if section:
+            part = dataclasses.replace(getattr(config, section), **{name: value})
+            dataclasses.replace(config, **{section: part})
+        else:
+            dataclasses.replace(config, **{name: value})
     doc = yaml.safe_load(canonical_paths[0].read_text(encoding="utf-8"))
     sections = {"": doc["simulation"], "mass_params": doc["simulation"]["mass_params"],
                 "site": doc["site"]}
@@ -537,10 +569,9 @@ def radiating_corners(**overrides):
     heat; the other keywords are config values.
     """
     grid = BuildingGrid.from_cv_types(np.full((2, 2), int(CvType.EXTERIOR_WALL)), 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(2, 2)
-    mats.emissivity[:] = 0.9
-    mats.heat_capacity[:] = 1000.0
-    mats.density[:] = overrides.pop("density", 100.0)
+    mats = MaterialField.for_grid(
+        grid, emissivity=0.9, heat_capacity=1000.0, density=overrides.pop("density", 100.0)
+    )
     settings = dict(dt=3600.0, enable_exterior_lw=True, convergence_epsilon=1e-12)
     settings.update(overrides)
     return hg.prepare(grid, mats, bare_config(**settings))
@@ -694,7 +725,7 @@ def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rn
     cv[1:-1, 1:-1] = int(CvType.INTERIOR_AIR)
     cv[0, :2] = int(CvType.BOUNDARY)
     grid, mats = random_raw_case(rng, 5, 7, cv)
-    mats.emissivity[:] = rng.uniform(0.5, 1.0, (5, 7))
+    mats = remade(grid, mats, emissivity=rng.uniform(0.5, 1.0, (5, 7)))
     plan = hg.prepare(grid, mats, bare_config(
         dt=3600.0, enable_exterior_lw=True, convergence_epsilon=1e-9
     ))
@@ -717,16 +748,17 @@ def symmetric_raw_case(rng, rows, cols, cv=None):
     grid, mats = random_raw_case(rng, rows, cols, cv)
     k_ew = rng.uniform(0.05, 2.0, (rows, cols + 1))  # column c: the face west of cell c
     k_ns = rng.uniform(0.05, 2.0, (rows + 1, cols))  # row r: the face north of cell r
-    mats.k_face[DIR_EAST], mats.k_face[DIR_WEST] = k_ew[:, 1:], k_ew[:, :-1]
-    mats.k_face[DIR_NORTH], mats.k_face[DIR_SOUTH] = k_ns[:-1], k_ns[1:]
-    return grid, mats
+    k_face = np.empty((4, rows, cols))
+    k_face[DIR_EAST], k_face[DIR_WEST] = k_ew[:, 1:], k_ew[:, :-1]
+    k_face[DIR_NORTH], k_face[DIR_SOUTH] = k_ns[:-1], k_ns[1:]
+    return grid, remade(grid, mats, k_face=k_face)
 
 
 def test_jacobi_radius_matches_the_dense_eigenvalue(rng):
     cv = np.full((6, 8), int(CvType.INTERIOR_AIR))
     cv[0, :3] = int(CvType.BOUNDARY)
     grid, mats = symmetric_raw_case(rng, 6, 8, cv)
-    mats.h_face *= 0.02  # weak films, so that conduction dominates the balance
+    mats = remade(grid, mats, h_face=mats.h_face * 0.02)  # weak films: conduction dominates
     plan = hg.prepare(grid, mats, bare_config(dt=1e6))
     assert plan.sweep_from_start and 1.0 < plan.omega < 2.0
     # omega = 2 / (1 + sqrt(1 - rho^2)), solved for rho
@@ -856,17 +888,18 @@ def two_coupled_cells(contraction):
     point ``(C t + h t_inf) / (C + h)``. Returns the plan and ``(C, h)``.
     """
     grid = BuildingGrid.from_cv_types(np.full((1, 2), int(CvType.INTERIOR_AIR)), 0.5, 0.5, 3.0)
-    mats = MaterialField.zeros(1, 2)
-    mats.k_face[DIR_EAST, 0, 0] = mats.k_face[DIR_WEST, 0, 1] = 1.0
-    mats.h_face[DIR_NORTH] = 1.0
-    mats.heat_capacity[:] = 1000.0
-    mats.density[:] = 1.0
+    k_face, h_face = np.zeros((4, 1, 2)), np.zeros((4, 1, 2))
+    k_face[DIR_EAST, 0, 0] = k_face[DIR_WEST, 0, 1] = 1.0
+    h_face[DIR_NORTH] = 0.05  # weak enough that a contraction of 0.95 needs C > 0
+    mats = MaterialField.for_grid(
+        grid, k_face=k_face, h_face=h_face, heat_capacity=1000.0, density=1.0
+    )
     plan = hg.prepare(grid, mats, bare_config(convergence_epsilon=1e-9, max_inner_iterations=5000))
     g = plan.g[0][0, 0]
     capacity, h = plan.capacity[0, 0], plan.convection[0, 0]
     # rescale the stored heat so that g / (g + C + h) is the contraction asked for
     scale = (g / contraction - g - h) / capacity
-    mats.density[:] = scale
+    mats = remade(grid, mats, density=scale)
     plan = hg.prepare(grid, mats, plan.config)
     return plan, (plan.capacity[0, 0], h)
 

@@ -1,3 +1,4 @@
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -58,6 +59,25 @@ def test_zero_kelvin_rejected():
     text = HEADER + UNITS_K + "2021-06-21T12:00Z,0,298,,0,0,0\n"
     with pytest.raises(WeatherFormatError, match="t_air"):
         hg.load_weather(text)
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ("t_air", r"non-physical temperature at .*: t_air=nan, t_gnd=295.0"),
+        ("t_gnd", r"non-physical temperature at .*: t_air=300.0, t_gnd=nan"),
+        ("t_sky", r"non-physical t_sky=nan"),
+        ("ghi", r"irradiance ghi=nan"),
+        ("dni", r"irradiance dni=nan"),
+        ("dhi", r"irradiance dhi=nan"),
+    ],
+    ids=["t_air", "t_gnd", "t_sky", "ghi", "dni", "dhi"],
+)
+def test_nan_record_rejected_when_made(column, message):
+    values = dict(t_air=300.0, t_gnd=295.0, t_sky=270.0, ghi=0.0, dni=0.0, dhi=0.0)
+    values[column] = math.nan
+    with pytest.raises(WeatherFormatError, match=message):
+        hg.WeatherRecord(timestamp=datetime(2021, 6, 21, tzinfo=timezone.utc), **values)
 
 
 # -----------------------------------------------------------------------------
