@@ -305,13 +305,20 @@ def _zone_behind(
 
 @dataclass(frozen=True)
 class MaterialField:
-    """Per-cell physical properties aligned to a grid; built by ``for_grid``, read-only.
+    """Per-cell physical properties aligned to a grid, read-only.
 
     ``k_face`` and ``h_face`` are per-direction conduction and convection
     coefficient fields, shape (4, rows, cols), direction order east, north,
     west, south. Convection couples a face to the ambient air, so the
     loader populates ``h_face`` only on exposed faces and zeroes ``k_face``
     there (no conduction into the ambient).
+
+    Every construction, ``dataclasses.replace`` included, stores read-only
+    float copies of the properties, a scalar filled out to the shape of
+    ``heat_capacity``, and checks every value that needs no grid; a
+    property of the wrong shape or out of range raises ``ValidationError``
+    naming it. ``for_grid`` also checks what needs the grid, and is how the
+    program makes one.
     """
 
     k_face: np.ndarray  # W/(m K)
@@ -329,31 +336,38 @@ class MaterialField:
         emissivity=0.0, absorptivity=0.0, transmissivity=0.0, tilt=90.0,
     ) -> "MaterialField":
         """Materials of ``grid``, each property a scalar or an array of the grid's shape,
-        (4, rows, cols) for ``k_face`` and ``h_face``; stored as checked, read-only copies.
+        (4, rows, cols) for ``k_face`` and ``h_face``.
 
         A property of the wrong shape or out of range raises ``ValidationError``
         naming it and the cell.
         """
-        given = dict(k_face=k_face, h_face=h_face, heat_capacity=heat_capacity, density=density,
-                     emissivity=emissivity, absorptivity=absorptivity,
-                     transmissivity=transmissivity, tilt=tilt)
         shape = (grid.rows, grid.cols)
-        for name, value in given.items():
-            want = (4,) + shape if name in ("k_face", "h_face") else shape
-            arr = np.full(want, value, float) if np.ndim(value) == 0 else np.array(value, float)
-            if arr.shape != want:
-                raise ValidationError(f"{name} shape {arr.shape} != grid {want}")
-            arr.flags.writeable = False
-            given[name] = arr
-        mats = cls(**given)
-        mats._check(grid)
+        if np.ndim(heat_capacity) == 0:  # it gives the other properties their shape
+            heat_capacity = np.full(shape, heat_capacity, float)
+        elif np.shape(heat_capacity) != shape:
+            raise ValidationError(f"heat_capacity shape {np.shape(heat_capacity)} != grid {shape}")
+        mats = cls(k_face=k_face, h_face=h_face, heat_capacity=heat_capacity, density=density,
+                   emissivity=emissivity, absorptivity=absorptivity,
+                   transmissivity=transmissivity, tilt=tilt)
+        mats._check_grid(grid)
         return mats
 
     def volumetric_capacity(self) -> np.ndarray:
         """C * rho [J/(m^3 K)]."""
         return self.heat_capacity * self.density
 
-    def _check(self, grid: BuildingGrid) -> None:
+    def __post_init__(self) -> None:
+        shape = np.shape(self.heat_capacity)  # the grid's, as the materials know it
+        if len(shape) != 2:
+            raise ValidationError(f"heat_capacity shape {shape} != grid (rows, cols)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            want = (4,) + shape if f.name in _FACE_PROPERTIES else shape
+            arr = np.full(want, value, float) if np.ndim(value) == 0 else np.array(value, float)
+            if arr.shape != want:
+                raise ValidationError(f"{f.name} shape {arr.shape} != grid {want}")
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
         for name, top in (
             ("emissivity", 1.0), ("absorptivity", 1.0), ("transmissivity", 1.0), ("tilt", 180.0)
         ):
@@ -371,13 +385,6 @@ class MaterialField:
                 f"absorptivity + transmissivity > 1 at cell ({r}, {c}): "
                 f"{self.absorptivity[r, c]} + {self.transmissivity[r, c]}"
             )
-        opaque = grid.cv_type != int(CvType.WINDOW)
-        leaking = opaque & (self.transmissivity > 0.0)
-        if np.any(leaking):
-            r, c = np.argwhere(leaking)[0]
-            raise ValidationError(
-                f"transmissivity {self.transmissivity[r, c]} > 0 on opaque cell ({r}, {c})"
-            )
         for name in ("k_face", "h_face", "heat_capacity", "density"):
             arr = getattr(self, name)
             negative = ~(arr >= 0.0)  # NaN too
@@ -386,11 +393,24 @@ class MaterialField:
                 *face, r, c = index
                 label = f"{name}[{DIR_ORIENTATION[face[0]]}]" if face else name
                 raise ValidationError(f"{label}={arr[index]} must be >= 0 at cell ({r}, {c})")
+
+    def _check_grid(self, grid: BuildingGrid) -> None:
+        opaque = grid.cv_type != int(CvType.WINDOW)
+        leaking = opaque & (self.transmissivity > 0.0)
+        if np.any(leaking):
+            r, c = np.argwhere(leaking)[0]
+            raise ValidationError(
+                f"transmissivity {self.transmissivity[r, c]} > 0 on opaque cell ({r}, {c})"
+            )
         needs_capacity = grid.cv_type != int(CvType.BOUNDARY)
         dead = needs_capacity & ~(self.volumetric_capacity() > 0.0)
         if np.any(dead):
             r, c = np.argwhere(dead)[0]
             raise ValidationError(f"C*rho = 0 on non-boundary cell ({r}, {c})")
+
+
+#: The properties given per face, with a leading direction axis.
+_FACE_PROPERTIES = ("k_face", "h_face")
 
 
 # =============================================================================

@@ -19,11 +19,14 @@ nodes when those are enabled).
 Every returned flux tensor is expressed in watts per cell. Envelope cells
 scale the surface flux density [W/m^2] by their exposed face area: one
 face length times floor height on straight runs, the sum of both face
-lengths at corners. Only envelope cells radiate to the exterior, so the
-per-step work runs on envelope vectors: the solver evaluates exterior
-long-wave on the columns of the weights that are non-zero, and
-``solar_basis`` keeps, once per plan, the cells, windows and air cells
-that a step's solar tensors touch.
+lengths at corners. Only envelope cells radiate to the exterior and only
+wall and window cells own interior surfaces, so the per-pass work runs on
+vectors over those cells: the solver evaluates exterior long-wave on the
+columns of the weights it keeps, and interior exchange through
+``interior_lw_operators``, one ``sigma A_i (F - diag R)`` block per
+exchange block, applied to the fourth powers gathered into the blocks'
+slots; ``solar_basis`` keeps, once per plan, the cells, windows and air
+cells that a step's solar tensors touch.
 """
 
 from __future__ import annotations
@@ -219,23 +222,14 @@ class RadiationExchangeMatrix:
             dense[index[:, :, None], index[:, None, :]] = factors
         return dense[:n, :n]
 
-    def cell_index(self, grid: BuildingGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat grid indices for the per-iteration gather and scatter.
-
-        Returns ``(surface_cells, cells, slots)``: the flat cell of each
-        surface, the distinct cells that own a surface (ascending), and each
-        surface's position in ``cells``.
-        """
-        surface_cells = np.ravel_multi_index(
-            (self.surface_rows, self.surface_cols), (grid.rows, grid.cols)
-        )
-        cells, slots = np.unique(surface_cells, return_inverse=True)
-        return surface_cells, cells, slots
-
     def surface_temperatures(self, temperatures: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Each surface's cell temperature, from a flattened field and ``surface_cells``.
+        """The entries of ``temperatures`` at ``cells``, one per surface or block slot.
 
-        Indexing, not ``take``, which copies a read-only index array on every call.
+        With a flattened field and each surface's flat cell index, each
+        surface's cell temperature; the vectorized step gathers the fourth
+        powers of its radiating cells into the slots of every exchange block
+        this way. Indexing, not ``take``, which copies a read-only index
+        array on every call.
         """
         return temperatures[cells]
 
@@ -295,46 +289,63 @@ def _pack_blocks(
     return blocks
 
 
-def apply_interior_lw(
-    matrix: RadiationExchangeMatrix, surface_temps: np.ndarray
-) -> np.ndarray:
-    """Net interior long-wave flux density [W/m^2] per surface.
+def interior_lw_operators(matrix: RadiationExchangeMatrix) -> Tuple[np.ndarray, ...]:
+    """One ``(Z, M, M)`` operator per exchange block: ``sigma A_p (F_pq - R_p delta_pq)``.
 
-    ``q_i = sigma sum_j F_ij (T_j^4 - T_i^4)``; with reciprocal exchange
-    factors the area-weighted fluxes sum to zero over the enclosure. One
-    batched matmul per block computes ``sum_j F_ij u_j - (sum_j F_ij) u_i``
-    with ``u`` the fourth powers less those of the block's first surface,
-    so an isothermal enclosure gives ``u = 0`` and an exactly zero vector.
-    Padding slots read the last surface's temperature (their index is
-    clipped) and write one spare entry past the surfaces; their factors are
-    zero, so they change no surface's flux.
-    The temperatures are not checked here: the solvers check every iterate.
+    Applied to the fourth powers of a block's slots, row ``p`` gives the
+    net interior long-wave [W] on surface ``index[p]``: ``A_p`` times
+    ``sigma sum_q F_pq (T_q^4 - T_p^4)``. Padding rows and columns are
+    zero. Each operator is read-only.
     """
-    surface_temps = np.asarray(surface_temps, dtype=float)
-    if surface_temps.shape != (matrix.n_surfaces,):
-        raise ValueError(
-            f"got {surface_temps.shape[0] if surface_temps.ndim else 0} surface "
-            f"temperatures for a {matrix.n_surfaces}-surface matrix"
-        )
-    q = np.empty(matrix.n_surfaces + 1)
+    areas = np.append(matrix.areas, 0.0)  # entry n takes the padding slots
+    operators = []
     for index, factors, row_sums in matrix.blocks:
-        t4 = surface_temps.take(index, mode="clip") ** 4
-        u = t4 - t4[:, :1]
-        q[index] = np.matmul(factors, u[:, :, None])[:, :, 0] - row_sums * u
-    return STEFAN_BOLTZMANN * q[:-1]
+        operator = factors.copy()
+        diagonal = np.arange(index.shape[1])
+        operator[:, diagonal, diagonal] -= row_sums
+        operator *= (STEFAN_BOLTZMANN * areas[index])[:, :, None]
+        operator.flags.writeable = False
+        operators.append(operator)
+    return tuple(operators)
 
 
-def scatter_interior_lw(
-    matrix: RadiationExchangeMatrix, flux_density: np.ndarray, slots: np.ndarray, n_cells: int
-) -> np.ndarray:
-    """Per-surface flux densities summed into their owning cells [W].
+def apply_interior_lw(operators: Sequence[np.ndarray], fourth_powers: np.ndarray) -> np.ndarray:
+    """Net interior long-wave [W] into every block slot, blocks in order.
 
-    Each surface contributes its flux density times its face area to the
-    cell at its ``slots`` entry (from ``cell_index``), mirroring the
-    exposed-face scaling of the exterior tensor; the sums run in surface
-    order and come back one per distinct cell, ``n_cells`` of them.
+    ``fourth_powers`` holds ``T^4`` of each slot's surface, the slots of
+    every block of ``operators`` (from ``interior_lw_operators``) flattened
+    one after the other. Each block subtracts the fourth power of its
+    first slot from its row before one batched matmul, so an isothermal
+    enclosure gives an exactly zero vector; the operator's rows sum to
+    zero, so the shift changes nothing else. A padding slot may hold any
+    finite value, since its operator row and column are zero, and gets 0.
+    With reciprocal exchange factors the slots' watts sum to zero over
+    the enclosure. The values are not checked here: the solvers check
+    every iterate.
     """
-    return np.bincount(slots, weights=flux_density * matrix.areas, minlength=n_cells)
+    slots = sum(operator.shape[0] * operator.shape[1] for operator in operators)
+    if fourth_powers.shape != (slots,):
+        raise ValueError(
+            f"got {fourth_powers.size} fourth powers for the {slots} surface slots "
+            "of the exchange blocks"
+        )
+    watts = []
+    start = 0
+    for operator in operators:
+        z, m, _ = operator.shape
+        t4 = fourth_powers[start:start + z * m].reshape(z, m)
+        watts.append(np.matmul(operator, (t4 - t4[:, :1])[:, :, None]).reshape(-1))
+        start += z * m
+    return watts[0] if len(watts) == 1 else np.concatenate(watts)
+
+
+def scatter_interior_lw(watts: np.ndarray, positions: np.ndarray, n_cells: int) -> np.ndarray:
+    """The watts of every slot summed into its cell, one sum per cell, ``n_cells`` of them.
+
+    ``positions`` gives each slot's cell, as the index it was gathered from;
+    the sums run in slot order.
+    """
+    return np.bincount(positions, weights=watts, minlength=n_cells)
 
 
 def build_exchange_matrix_2d(

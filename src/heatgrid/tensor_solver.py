@@ -2,20 +2,27 @@
 Vectorized whole-grid temperature solver.
 
 ``prepare`` computes once per run everything no step changes: the face
-conductances, the balance denominator, the mass coupling, the envelope
-index with its exterior long-wave weights, the flat cell indices of the
-interior exchange surfaces, the radiation's Newton coefficients, the
-sweep settings, and the solar basis. Each
-``step(state, plan, boundary)`` then solves the nonlinear balance by
-Picard fixed-point iteration. It forms the constant part of the numerator
-(heat source, convection, stored heat, mass coupling, solar) once; each
-inner pass adds only the iterate-dependent terms (shifted conduction, the
-lagged exterior long-wave of the envelope cells and the lagged interior
-exchange of the surface cells, both gathered and scattered by flat index)
-into buffers allocated once per step, divides element-wise over the whole
-grid, and repeats until the largest per-cell change drops below the
-convergence threshold. With every radiation feature and the mass coupling
-disabled a single pass from the state's field reduces to the bare
+conductances, the balance denominator, the mass coupling, the radiating
+cells (the envelope cells with an exposed face and the cells that own an
+interior exchange surface) with their exterior long-wave weights and
+weight sums, each exchange block's operator and the radiating cell of
+each of its slots, the radiation's Newton coefficients, the sweep
+settings, and the solar basis. Each ``step(state, plan, boundary)`` then
+solves the nonlinear balance by Picard fixed-point iteration. It forms
+the constant part of the numerator once: heat source, convection, stored
+heat, mass coupling, solar, and the long-wave the environment sends the
+envelope, ``sum_k w_k T_k^4`` over ground, sky and air. Each inner pass
+adds only the iterate-dependent terms into buffers allocated once per
+step: the shifted conduction, and on the radiating cells one vector of
+long-wave lagged at the pass's iterate. That vector comes from one gather
+``x`` of the radiating cells, whose ``x^3`` and ``x^4`` are products: the
+interior exchange, which gathers ``x^4`` into the block slots, applies
+each block's ``sigma A_i (F - diag R)`` rows and sums the slots into their
+cells with one ``bincount``, less the exterior emission ``sum(w) x^4``.
+The pass then divides element-wise over the whole grid, and the step
+repeats until the largest per-cell change drops below the convergence
+threshold. With every radiation feature and the mass coupling disabled a
+single pass from the state's field reduces to the bare
 conduction-convection update.
 
 A step's passes are Jacobi updates or red-black sweeps. A Jacobi pass
@@ -105,6 +112,7 @@ from .radiation import (
     assemble_solar_tensors,
     build_exchange_matrix_2d,
     exterior_lw_weights,
+    interior_lw_operators,
     scatter_interior_lw,
     solar_basis,
 )
@@ -197,25 +205,29 @@ class Plan:
     shift order (east, north, west, south), ``convection`` to ambient,
     ``capacity`` C/dt and ``coupling`` to the mass nodes; ``denom`` is
     their sum on live cells and 1 on boundary padding. ``active`` marks
-    the live cells, those that are not boundary padding. ``omega`` is the over-relaxation factor of a
-    swept pass, 1 unless ``sweep_from_start``, and ``colour_gains`` are
-    ``omega / denom`` on the live cells with ``r + c`` even and odd, 0
-    elsewhere.
+    the live cells, those that are not boundary padding. ``omega`` is the
+    over-relaxation factor of a swept pass, 1 unless ``sweep_from_start``,
+    and ``colour_gains`` are ``omega / denom`` on the live cells with ``r +
+    c`` even and odd, 0 elsewhere.
     ``air`` marks the interior-air cells, whose mass nodes the step
     updates, and ``mass_t0`` is the update's ``rho c z^2 / (k dt)``; with
     mass off, they and ``coupling`` are None.
-    ``exterior_cells`` are the flat indices of the cells with a non-zero
-    exterior long-wave weight, the envelope cells with an exposed face, and
-    ``exterior_weights`` their ``(3, n)`` weights; ``solar`` is the solar
-    basis. ``surface_cells``, ``lw_cells`` and ``surface_slots`` are the
-    exchange matrix's ``cell_index``: the flat cell of each interior
-    surface, the distinct cells owning one, and each surface's position
-    among them. Each is None with its feature off. ``newton_cells`` are
-    the flat indices of the cells whose radiation depends on their own
-    temperature, and ``newton`` turns the cube of that temperature into
-    the radiation's Newton diagonal relative to ``denom`` [1/K^3]: ``4
-    sum(w)`` over the cell's exterior weights plus ``4 sigma sum_s A_s R_s``
-    over the interior surfaces it owns, ``R_s`` each one's row sum.
+    ``solar`` is the solar basis, None with solar off.
+    ``newton_cells`` are the flat indices, ascending, of the radiating
+    cells: those with a non-zero exterior long-wave weight (the envelope
+    cells with an exposed face) and those that own an interior exchange
+    surface. Per radiating cell, ``exterior_weights`` are the ``(3, n)``
+    exterior weights (None with exterior long-wave off) and
+    ``weight_sums`` their sum ``sum(w)`` (zero with it off), and
+    ``newton`` turns the cube of the cell's temperature into the
+    radiation's Newton diagonal relative to ``denom`` [1/K^3]: ``4
+    sum(w)`` plus ``4 sigma sum_s A_s R_s`` over the interior surfaces it
+    owns, ``R_s`` each one's row sum. ``lw_operators`` holds one
+    ``interior_lw_operators`` block per exchange block, and
+    ``lw_positions`` the position in ``newton_cells`` of the cell of
+    every block slot, the blocks' slots one after the other, a padding
+    slot taking its block's first; both are empty with interior
+    long-wave off.
     """
 
     grid: BuildingGrid
@@ -233,14 +245,13 @@ class Plan:
     denom: np.ndarray
     air: Optional[np.ndarray]
     mass_t0: Optional[float]
-    exterior_cells: Optional[np.ndarray]
-    exterior_weights: Optional[np.ndarray]
     solar: Optional[SolarBasis]
-    surface_cells: Optional[np.ndarray]
-    lw_cells: Optional[np.ndarray]
-    surface_slots: Optional[np.ndarray]
     newton_cells: np.ndarray
     newton: np.ndarray
+    exterior_weights: Optional[np.ndarray]
+    weight_sums: np.ndarray
+    lw_positions: np.ndarray
+    lw_operators: Tuple[np.ndarray, ...]
 
 
 def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -> Plan:
@@ -250,11 +261,7 @@ def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -
     non-positive balance denominator on a live cell, as ``mats`` made for
     another grid can give, raises naming the cell.
     """
-    exchange = None
-    lw_index = (None, None, None)
-    if config.enable_interior_lw:
-        exchange = build_exchange_matrix_2d(grid, mats)
-        lw_index = exchange.cell_index(grid)
+    exchange = build_exchange_matrix_2d(grid, mats) if config.enable_interior_lw else None
 
     u, v, z = grid.u, grid.v, grid.z
     k, h = mats.k_face, mats.h_face
@@ -284,25 +291,42 @@ def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -
     even = np.add.outer(np.arange(grid.rows), np.arange(grid.cols)) % 2 == 0
     gain = np.where(active, omega / denom, 0.0)
     colour_gains = (np.where(even, gain, 0.0), np.where(even, 0.0, gain))
-    cells = weights = None
-    newton = np.zeros(grid.rows * grid.cols)
+    radiating = np.zeros(grid.rows * grid.cols, dtype=bool)
     if config.enable_exterior_lw:
-        weights = exterior_lw_weights(grid, mats)
-        cells = np.flatnonzero(weights.any(axis=0))
-        weights = weights.reshape(3, -1)[:, cells]
-        newton[cells] += 4.0 * weights.sum(axis=0)
+        weights = exterior_lw_weights(grid, mats).reshape(3, -1)
+        radiating |= weights.any(axis=0)
     if config.enable_interior_lw:
+        surface_cells = np.ravel_multi_index(
+            (exchange.surface_rows, exchange.surface_cols), (grid.rows, grid.cols)
+        )
+        radiating[surface_cells] = True
+    newton_cells = np.flatnonzero(radiating)
+    exterior_weights, weight_sums = None, np.zeros(newton_cells.size)
+    if config.enable_exterior_lw:
+        exterior_weights = weights[:, newton_cells]
+        weight_sums = exterior_weights.sum(axis=0)
+    newton = 4.0 * weight_sums
+    lw_positions, lw_operators = np.zeros(0, dtype=np.intp), ()
+    if config.enable_interior_lw:
+        # each block slot's radiating cell; a padding slot takes its block's
+        # first surface's, so that its fourth power offsets to zero
+        surface_positions = np.searchsorted(newton_cells, surface_cells)
+        lw_positions = np.concatenate([
+            surface_positions[np.where(index < exchange.n_surfaces, index, index[:, :1])].ravel()
+            for index, _, _ in exchange.blocks
+        ])
+        lw_operators = interior_lw_operators(exchange)
         row_sums = np.zeros(exchange.n_surfaces + 1)  # entry n takes the padding slots
         for index, _, sums in exchange.blocks:
             row_sums[index] = sums
-        newton[lw_index[1]] += 4.0 * STEFAN_BOLTZMANN * np.bincount(
-            lw_index[2], weights=exchange.areas * row_sums[:-1], minlength=lw_index[1].size
+        newton += 4.0 * STEFAN_BOLTZMANN * np.bincount(
+            surface_positions, weights=exchange.areas * row_sums[:-1], minlength=newton_cells.size
         )
-    newton_cells = np.flatnonzero(newton)
     solar = solar_basis(grid, mats) if config.enable_solar else None
     plan = Plan(grid, mats, config, exchange, active, omega, sweep_from_start, colour_gains, g,
-                convection, capacity, coupling, denom, air, mass_t0, cells, weights, solar,
-                *lw_index, newton_cells, newton[newton_cells] / denom.reshape(-1)[newton_cells])
+                convection, capacity, coupling, denom, air, mass_t0, solar, newton_cells,
+                newton / denom.reshape(-1)[newton_cells], exterior_weights, weight_sums,
+                lw_positions, lw_operators)
     for value in vars(plan).values():
         for array in value if isinstance(value, tuple) else (value,):
             if isinstance(array, np.ndarray):
@@ -387,6 +411,27 @@ def _two_ratio_correction(
     return correction
 
 
+def _lagged_radiation(
+    plan: Plan, positions: np.ndarray, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The long-wave into the radiating cells at temperatures ``x`` [W], and ``x^3``.
+
+    Interior exchange less each cell's exterior emission ``sum(w) x^4``;
+    the step adds what the environment sends once, to its constant part.
+    ``positions`` is a writable copy of ``plan.lw_positions``.
+    """
+    cubes = x * x
+    cubes *= x
+    fourth = cubes * x
+    emitted = plan.weight_sums * fourth
+    if plan.exchange is None:
+        return np.negative(emitted, out=emitted), cubes
+    slots = plan.exchange.surface_temperatures(fourth, positions)
+    radiation = scatter_interior_lw(apply_interior_lw(plan.lw_operators, slots), positions, x.size)
+    radiation -= emitted
+    return radiation, cubes
+
+
 def update_mass(
     t_mass: np.ndarray, t_air: np.ndarray, q_mass: np.ndarray, t0: float, z: float, k_mass: float
 ) -> np.ndarray:
@@ -419,17 +464,25 @@ def step(
     t_inf = boundary.t_inf
 
     # The constant part of the numerator: everything the iterate does not change.
-    const = plan.convection * t_inf + plan.capacity * state.t
+    const = plan.convection * t_inf
+    const += plan.capacity * state.t
     if boundary.q_x is not None:
-        const = const + boundary.q_x
+        const += boundary.q_x
     if config.enable_interior_mass:
-        const = const + plan.coupling * state.t_mass
-    q_tau_mass = np.zeros((grid.rows, grid.cols))
+        const += plan.coupling * state.t_mass
+    q_tau_mass = 0.0  # the transmitted solar into the mass nodes [W/m^2]
     if config.enable_solar:
         q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
             plan.solar, boundary.poa, config.enable_interior_mass
         )
-        const = const + q_sol_alpha + q_sol_tau
+        const += q_sol_alpha
+        const += q_sol_tau
+    if config.enable_exterior_lw:
+        # what the environment sends, the exterior term of a surface at 0 K;
+        # each pass subtracts what the surface emits
+        const.reshape(-1)[plan.newton_cells] += assemble_exterior_lw_tensor(
+            plan.exterior_weights, 0.0, boundary.t_gnd, boundary.t_sky, t_inf
+        )
 
     shape = (grid.rows, grid.cols)
     pad = np.full((grid.rows + 2, grid.cols + 2), t_inf)
@@ -440,6 +493,8 @@ def step(
     image = np.full(shape, t_inf)
     numer, term = np.empty(shape), np.empty(shape)
     numer_flat = numer.reshape(-1)
+    radiating = plan.newton_cells.size > 0
+    positions = plan.lw_positions.copy()  # np.bincount copies a read-only index on every call
     gains = None  # flat copies of the colour gains, made by the step's first swept pass
     # the residuals of the last passes, pass k's at k modulo their count
     residuals = [np.empty(shape) for _ in range(3 if plan.sweep_from_start else 2)]
@@ -451,21 +506,12 @@ def step(
     for iterations in range(1, config.max_inner_iterations + 1):
         # image = G(x), with radiation lagged at x
         x_flat = x.reshape(-1)
-        if config.enable_exterior_lw:
-            exterior = assemble_exterior_lw_tensor(
-                plan.exterior_weights, x_flat[plan.exterior_cells],
-                boundary.t_gnd, boundary.t_sky, t_inf,
-            )
-        if config.enable_interior_lw:
-            surface_t = exchange.surface_temperatures(x_flat, plan.surface_cells)
-            flux = apply_interior_lw(exchange, surface_t)
-            interior = scatter_interior_lw(exchange, flux, plan.surface_slots, plan.lw_cells.size)
+        if radiating:
+            radiation, cubes = _lagged_radiation(plan, positions, x_flat[plan.newton_cells])
         if not swept:  # one Jacobi update of every live cell from x
             _add_conduction(numer, const, g, shift_fields(pad, x), term)
-            if config.enable_exterior_lw:
-                numer_flat[plan.exterior_cells] += exterior
-            if config.enable_interior_lw:
-                numer_flat[plan.lw_cells] += interior
+            if radiating:
+                numer_flat[plan.newton_cells] += radiation
             np.divide(numer, plan.denom, out=image, where=plan.active)
         else:
             # Each colour moves its cells omega of the way to their
@@ -480,17 +526,12 @@ def step(
                 base_flat = base.reshape(-1)
             np.multiply(plan.denom, x, out=base)
             np.subtract(const, base, out=base)
-            if config.enable_exterior_lw:
-                base_flat[plan.exterior_cells] += exterior
-            if config.enable_interior_lw:
-                base_flat[plan.lw_cells] += interior
-            x_newton = x_flat[plan.newton_cells]
-            growth = plan.newton * x_newton  # (denom + d) / denom, once 1 is added
-            growth *= x_newton
-            growth *= x_newton
-            growth += 1.0
-            for gain, newton_gain in zip(gains, newton_gains):
-                gain[plan.newton_cells] = newton_gain / growth
+            if radiating:
+                base_flat[plan.newton_cells] += radiation
+                growth = plan.newton * cubes  # (denom + d) / denom, once 1 is added
+                growth += 1.0
+                for gain, newton_gain in zip(gains, newton_gains):
+                    gain[plan.newton_cells] = newton_gain / growth
             field = x
             for gain in gains:
                 _add_conduction(numer, base, g, shift_fields(pad, field), term)

@@ -412,6 +412,29 @@ def test_inputs_are_frozen_and_their_arrays_read_only(canonical):
         assert not getattr(mats, name).flags.writeable
 
 
+def test_every_construction_of_materials_checks_and_freezes(canonical):
+    _, mats, _ = canonical
+    properties = dataclasses.asdict(mats)
+    negative = r"^density=-\S+ must be >= 0 at cell \(\d+, \d+\)$"
+    with pytest.raises(ValidationError, match=negative):
+        MaterialField(**{**properties, "density": -mats.density})
+    outside = r"^emissivity=1.5 outside \[0, 1\] at cell \(0, 0\)$"
+    with pytest.raises(ValidationError, match=outside):
+        dataclasses.replace(mats, emissivity=1.5)
+    mis_shaped = rf"^tilt shape \(3,\) != grid {re.escape(str(mats.tilt.shape))}$"
+    with pytest.raises(ValidationError, match=mis_shaped):
+        dataclasses.replace(mats, tilt=np.ones(3))
+    for value in (1000.0, np.ones(3)):  # heat_capacity gives the others their shape
+        shape = re.escape(str(np.shape(value)))
+        with pytest.raises(ValidationError, match=rf"^heat_capacity shape {shape} != grid "):
+            dataclasses.replace(mats, heat_capacity=value)
+    given = np.full(mats.emissivity.shape, 0.5)
+    made = dataclasses.replace(mats, emissivity=given)
+    given[0, 0] = 2.0  # the caller's array is copied, not kept
+    assert made.emissivity[0, 0] == 0.5
+    assert not any(a.flags.writeable for a in vars(made).values())
+
+
 @pytest.mark.parametrize("value", [2.5, True, 0])
 def test_max_inner_iterations_must_be_an_integer_of_at_least_one(canonical, value):
     _, _, config = canonical

@@ -6,7 +6,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
-from heatgrid import radiation
+from heatgrid import radiation, tensor_solver
 from _factories import remade, rooms_building_yaml, tiled_building_yaml
 from heatgrid.building import (
     DIR_OFFSETS,
@@ -14,6 +14,7 @@ from heatgrid.building import (
     BuildingGrid,
     CvType,
     MaterialField,
+    SimulationConfig,
 )
 from heatgrid.oracle_solver import _interior_lw_terms, _scalar_exterior_flux
 from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN
@@ -182,6 +183,15 @@ def square_cavity(cell=0.5, emissivity=1.0):
     return grid, mats, hg.build_exchange_matrix_2d(grid, mats)
 
 
+def surface_flux(matrix, temps):
+    """Net interior flux density [W/m^2] per surface, through the vectorized step's kernels."""
+    index = np.concatenate([b.index.reshape(-1) for b in matrix.blocks])
+    fourth = np.append(temps, temps[0]) ** 4  # padding slots read surface 0
+    slots = matrix.surface_temperatures(fourth, index)
+    watts = hg.apply_interior_lw(radiation.interior_lw_operators(matrix), slots)
+    return hg.scatter_interior_lw(watts, index, matrix.n_surfaces + 1)[:-1] / matrix.areas
+
+
 def test_square_cavity_factors_match_analytic():
     _, _, matrix = square_cavity(emissivity=1.0)
     assert matrix.n_surfaces == 4
@@ -247,7 +257,7 @@ def test_open_cavity_rejected():
 
 def test_isothermal_enclosure_flux_zero():
     _, _, matrix = square_cavity(emissivity=0.9)
-    q = hg.apply_interior_lw(matrix, np.full(4, 299.0))
+    q = surface_flux(matrix, np.full(4, 299.0))
     assert (q == 0.0).all()
 
 
@@ -258,7 +268,7 @@ def test_two_surface_antisymmetry():
         areas=np.array([1.5, 1.5]),
         groups=[([0, 1], np.array([[0.0, 0.8], [0.8, 0.0]]))],
     )
-    q = hg.apply_interior_lw(matrix, np.array([310.0, 290.0]))
+    q = surface_flux(matrix, np.array([310.0, 290.0]))
     assert q[0] == pytest.approx(-q[1] * matrix.areas[1] / matrix.areas[0], rel=1e-12)
     assert q[0] < 0.0 < q[1]  # the hot surface loses, the cold one gains
     assert q[0] == matrix.coefficients[0, 1] * STEFAN_BOLTZMANN * (290.0**4 - 310.0**4)
@@ -267,7 +277,7 @@ def test_two_surface_antisymmetry():
 def test_four_surface_brute_force_oracle(rng):
     _, _, matrix = square_cavity(emissivity=0.85)
     temps = rng.uniform(285.0, 315.0, 4)
-    q = hg.apply_interior_lw(matrix, temps)
+    q = surface_flux(matrix, temps)
     for i in range(4):
         expected = 0.0
         for j in range(4):
@@ -280,7 +290,7 @@ def test_enclosure_energy_conservation(canonical, rng):
     grid, mats, _ = canonical
     matrix = hg.build_exchange_matrix_2d(grid, mats)
     temps = rng.uniform(285.0, 310.0, matrix.n_surfaces)
-    q = hg.apply_interior_lw(matrix, temps)
+    q = surface_flux(matrix, temps)
     weighted = matrix.areas * q
     assert abs(weighted.sum()) <= 1e-9 * np.abs(weighted).sum()
 
@@ -288,17 +298,34 @@ def test_enclosure_energy_conservation(canonical, rng):
 def test_dimension_mismatch_rejected():
     _, _, matrix = square_cavity()
     with pytest.raises(ValueError, match="surface"):
-        hg.apply_interior_lw(matrix, np.full(5, 300.0))
+        hg.apply_interior_lw(radiation.interior_lw_operators(matrix), np.full(5, 300.0))
+
+
+def interior_plan(grid, mats):
+    """A plan with interior long-wave as its one radiation feature."""
+    config = SimulationConfig(enable_exterior_lw=False, enable_solar=False,
+                              enable_interior_mass=False)
+    return hg.prepare(grid, mats, config)
 
 
 def test_scatter_uses_face_areas():
-    grid, _, matrix = square_cavity(cell=0.5)
-    q = np.array([10.0, -5.0, 2.5, 0.0])
-    surface_cells, cells, slots = matrix.cell_index(grid)
-    sums = hg.scatter_interior_lw(matrix, q, slots, cells.size)
-    for i, (r, c, _d) in enumerate(matrix.surfaces):
-        assert cells[slots[i]] == surface_cells[i] == r * grid.cols + c
-        assert sums[slots[i]] == pytest.approx(q[i] * matrix.areas[i], rel=1e-15)
+    grid, mats, matrix = square_cavity(cell=0.5)
+    plan = interior_plan(grid, mats)
+    index = np.concatenate([b.index.reshape(-1) for b in matrix.blocks])
+    t4 = np.array([310.0, 290.0, 300.0, 305.0]) ** 4
+    # sigma A_i sum_j F_ij (T_j^4 - T_i^4), each face 0.5 m long and z high
+    expected = STEFAN_BOLTZMANN * (0.5 * grid.z) * (
+        matrix.coefficients * (t4[None, :] - t4[:, None])
+    ).sum(axis=1)
+    fourth = np.zeros(plan.newton_cells.size)
+    fourth[plan.lw_positions] = t4[index]
+    watts = hg.apply_interior_lw(plan.lw_operators, fourth[plan.lw_positions])
+    sums = hg.scatter_interior_lw(watts, plan.lw_positions, plan.newton_cells.size)
+    for slot, i in enumerate(index.tolist()):
+        r, c, _d = matrix.surfaces[i]
+        assert plan.newton_cells[plan.lw_positions[slot]] == r * grid.cols + c
+        assert watts[slot] == pytest.approx(expected[i], rel=1e-12)
+        assert sums[plan.lw_positions[slot]] == watts[slot]  # one surface a cell
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.05"])
@@ -518,12 +545,12 @@ def test_tiled_pair_apply_matches_dense_sum(tiled, rng):
     t4 = temps**4
     dense = matrix.coefficients
     expected = STEFAN_BOLTZMANN * (dense * (t4[None, :] - t4[:, None])).sum(axis=1)
-    np.testing.assert_allclose(hg.apply_interior_lw(matrix, temps), expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(surface_flux(matrix, temps), expected, rtol=1e-12, atol=0.0)
 
 
 def test_tiled_isothermal_flux_exactly_zero(tiled):
     _, _, matrix = tiled
-    q = hg.apply_interior_lw(matrix, np.full(matrix.n_surfaces, 296.5))
+    q = surface_flux(matrix, np.full(matrix.n_surfaces, 296.5))
     assert (q == 0.0).all()
 
 
@@ -558,15 +585,20 @@ def test_tiled_matrix_holds_no_dense_array(tiled):
 
 
 def test_tiled_oracle_terms_match_vectorized(tiled, rng):
-    grid, _, matrix = tiled
+    grid, mats, matrix = tiled
+    plan = interior_plan(grid, mats)
     t = rng.uniform(285.0, 315.0, (grid.rows, grid.cols))
-    surface_cells, cells, slots = matrix.cell_index(grid)
-    flux = hg.apply_interior_lw(matrix, matrix.surface_temperatures(t.reshape(-1), surface_cells))
+    x = t.reshape(-1)[plan.newton_cells]
     tensor = np.zeros(grid.rows * grid.cols)
-    tensor[cells] = hg.scatter_interior_lw(matrix, flux, slots, cells.size)
-    # partition cells own two surfaces; their sums keep the full-grid order
-    full = np.bincount(surface_cells, weights=flux * matrix.areas, minlength=tensor.size)
-    assert np.array_equal(tensor, full) and cells.size < matrix.n_surfaces
+    tensor[plan.newton_cells], _ = tensor_solver._lagged_radiation(
+        plan, plan.lw_positions.copy(), x
+    )
+    # the same slot watts summed over the full grid: partition cells own two
+    # surfaces, and both sums run in slot order
+    fourth = x * x * x * x  # the step's products, not pow
+    watts = hg.apply_interior_lw(plan.lw_operators, fourth[plan.lw_positions])
+    full = np.bincount(plan.newton_cells[plan.lw_positions], weights=watts, minlength=tensor.size)
+    assert np.array_equal(tensor, full) and plan.newton_cells.size < matrix.n_surfaces
     tensor = tensor.reshape(grid.rows, grid.cols)
     scalar = np.array(_interior_lw_terms(matrix, t.tolist(), grid.rows, grid.cols))
     np.testing.assert_allclose(tensor, scalar, rtol=1e-12, atol=1e-12 * np.abs(tensor).max())
@@ -590,8 +622,8 @@ def assert_blocks_apply_dense_sum(matrix, rng):
     temps = rng.uniform(285.0, 315.0, n)
     t4 = temps**4
     expected = STEFAN_BOLTZMANN * (matrix.coefficients * (t4[None, :] - t4[:, None])).sum(axis=1)
-    np.testing.assert_allclose(hg.apply_interior_lw(matrix, temps), expected, rtol=1e-12, atol=0.0)
-    assert (hg.apply_interior_lw(matrix, np.full(n, 301.25)) == 0.0).all()
+    np.testing.assert_allclose(surface_flux(matrix, temps), expected, rtol=1e-12, atol=0.0)
+    assert (surface_flux(matrix, np.full(n, 301.25)) == 0.0).all()
 
 
 def test_blocks_group_zones_by_surface_count(rng):
@@ -635,7 +667,7 @@ def test_surfaces_without_pairs_are_padded_into_the_smallest_class():
     groups = [pair, ([2], np.array([[0.0]])), ([3], np.array([[0.0]]))]
     lone = hg.RadiationExchangeMatrix(matrix.surfaces, matrix.areas, groups)
     assert [b.index.tolist() for b in lone.blocks] == [[[0, 1], [2, 4], [3, 4]]]
-    q = hg.apply_interior_lw(lone, np.array([310.0, 290.0, 350.0, 250.0]))
+    q = surface_flux(lone, np.array([310.0, 290.0, 350.0, 250.0]))
     assert q[2] == 0.0 and q[3] == 0.0 and q[0] < 0.0 < q[1]
 
 

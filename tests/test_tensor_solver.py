@@ -259,19 +259,21 @@ def test_trajectories_bit_identical(canonical, canonical_weather):
 
 @pytest.mark.parametrize("layered", [False, True], ids=["canonical", "layered_sloped"])
 def test_compact_exterior_term_equals_full_grid(canonical, rng, layered):
-    # the plan keeps only the cells with a non-zero weight, the envelope cells
-    # with an exposed face; scattered back, their term is the full-grid one, bit for bit
+    # the plan keeps the weights of the radiating cells only; the ones with a
+    # non-zero weight are the envelope cells with an exposed face, and scattered
+    # back, their term is the full-grid one, bit for bit
     grid, mats, config = hg.load_building(layered_sloped_building_yaml()) if layered else canonical
     plan = hg.prepare(grid, mats, config)
     weights = hg.exterior_lw_weights(grid, mats)
-    assert np.array_equal(plan.exterior_cells, np.flatnonzero(weights.any(axis=0)))
-    assert np.array_equal(plan.exterior_cells, np.flatnonzero(grid.delta_x))
+    exterior = plan.newton_cells[plan.exterior_weights.any(axis=0)]
+    assert np.array_equal(exterior, np.flatnonzero(weights.any(axis=0)))
+    assert np.array_equal(exterior, np.flatnonzero(grid.delta_x))
 
     t = rng.uniform(270.0, 320.0, (grid.rows, grid.cols))
     full = hg.assemble_exterior_lw_tensor(weights, t, 288.0, 262.0, 295.0)
     scattered = np.zeros(grid.rows * grid.cols)
-    scattered[plan.exterior_cells] = hg.assemble_exterior_lw_tensor(
-        plan.exterior_weights, t.reshape(-1)[plan.exterior_cells], 288.0, 262.0, 295.0
+    scattered[plan.newton_cells] = hg.assemble_exterior_lw_tensor(
+        plan.exterior_weights, t.reshape(-1)[plan.newton_cells], 288.0, 262.0, 295.0
     )
     assert np.array_equal(scattered.reshape(t.shape), full)
 
@@ -326,8 +328,8 @@ def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
         poisoned.add(f.name)
     assert poisoned == {
         "omega", "colour_gains", "g", "convection", "capacity", "coupling", "denom", "mass_t0",
-        "exterior_weights", "newton", "solar.absorptivity", "solar.areas", "solar.transmissivity",
-        "solar.window_areas", "solar.plan_area",
+        "exterior_weights", "weight_sums", "lw_operators", "newton", "solar.absorptivity",
+        "solar.areas", "solar.transmissivity", "solar.window_areas", "solar.plan_area",
     }
     poisoned_plan = dataclasses.replace(plan, **poison)
     state = hg.make_initial_state(grid, config, canonical_weather)
@@ -656,7 +658,7 @@ def python_red_black_pass(plan, x, const, boundary, omega):
     rows, cols = x.shape
     t_inf = boundary.t_inf
     radiation, diagonal = {}, {}
-    for k, cell in enumerate(plan.exterior_cells.tolist()):
+    for k, cell in enumerate(plan.newton_cells.tolist()):
         t = float(x.flat[cell])
         w_gnd, w_sky, w_air = plan.exterior_weights[:, k].tolist()
         radiation[divmod(cell, cols)] = (
@@ -730,7 +732,7 @@ def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rn
         dt=3600.0, enable_exterior_lw=True, convergence_epsilon=1e-9
     ))
     assert not plan.sweep_from_start and plan.omega == 1.0
-    assert 0 < plan.exterior_cells.size < grid.rows * grid.cols
+    assert 0 < plan.newton_cells.size < grid.rows * grid.cols
     monkeypatch.setattr(tensor_solver, "MIXING_GATE", 0.0)
     t = rng.uniform(285.0, 305.0, (5, 7))
     bc = dark_boundary(288.0, t_gnd=286.0, t_sky=265.0, q_x=rng.uniform(-50.0, 50.0, (5, 7)))
@@ -986,3 +988,147 @@ def test_day_long_step_reports_a_diverged_iteration(canonical, canonical_weather
     config = dataclasses.replace(config, dt=86400.0)
     with pytest.raises(SolverError, match=r"(?s)iteration diverged.*at dt = 86400 s"):
         hg.run_episode(grid, mats, config, canonical_weather, 1)
+
+
+# -----------------------------------------------------------------------------
+# the per-step kernels and the fused radiation
+# -----------------------------------------------------------------------------
+
+#: The kernels a traced benchmark run wraps through ``heatgrid.tensor_solver``;
+#: every step must call each of them.
+STEP_KERNELS = ("shift_fields", "assemble_exterior_lw_tensor", "surface_temperatures",
+                "apply_interior_lw", "scatter_interior_lw", "assemble_solar_tensors",
+                "update_mass", "boundary_for_time")
+
+
+@pytest.mark.parametrize("dt", [300.0, 3600.0])
+def test_every_step_calls_every_traced_kernel(canonical, canonical_weather, monkeypatch, dt):
+    grid, mats, config = canonical
+    config = dataclasses.replace(config, dt=dt)
+    steps = [0]
+    seen = {name: set() for name in STEP_KERNELS}
+
+    def counted(name, fn):
+        def kernel(*args, **kwargs):
+            seen[name].add(steps[0])
+            return fn(*args, **kwargs)
+        return kernel
+
+    for name in STEP_KERNELS:
+        owner = tensor_solver
+        if name == "surface_temperatures":
+            owner = tensor_solver.RadiationExchangeMatrix
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+
+    def stepper(state, plan, boundary):
+        steps[0] += 1
+        return tensor_solver.step(state, plan, boundary)
+
+    n = 6
+    _, reports = hg.run_episode(grid, mats, config, canonical_weather, n, stepper=stepper)
+    assert all(r.converged for r in reports)
+    assert sum(r.inner_iterations for r in reports) > n
+    # a step's boundary is assembled before its step starts; prepare may shift too
+    assert seen.pop("boundary_for_time") == set(range(n))
+    for name, called in seen.items():
+        assert called - {0} == set(range(1, n + 1)), name
+
+
+def step_radiation(plan, state, boundary, monkeypatch):
+    """The long-wave ``step`` adds to the radiating cells in each pass [W], with
+    the iterate of the pass: what it adds to its constant part once, plus what
+    it lags at each pass's iterate."""
+    environment = []
+    passes = []
+    exterior = tensor_solver.assemble_exterior_lw_tensor
+    lagged = tensor_solver._lagged_radiation
+
+    def recorded_exterior(*args):
+        environment.append(exterior(*args))
+        return environment[-1]
+
+    def recorded_lagged(plan, positions, x):
+        radiation, cubes = lagged(plan, positions, x)
+        passes.append((x.copy(), radiation.copy()))
+        return radiation, cubes
+
+    monkeypatch.setattr(tensor_solver, "assemble_exterior_lw_tensor", recorded_exterior)
+    monkeypatch.setattr(tensor_solver, "_lagged_radiation", recorded_lagged)
+    hg.step(state, plan, boundary)
+    monkeypatch.undo()
+    assert len(environment) == 1 and len(passes) >= 2
+    return [(x, radiation + environment[0]) for x, radiation in passes]
+
+
+@pytest.mark.parametrize("case", ["canonical", "layered_sloped", "tiled"])
+def test_fused_radiation_is_the_exterior_plus_the_interior_exchange(
+    canonical, rng, monkeypatch, case
+):
+    if case == "canonical":
+        grid, mats, config = canonical
+    elif case == "layered_sloped":
+        grid, mats, config = hg.load_building(layered_sloped_building_yaml())
+    else:
+        grid, mats, config = hg.load_building(tiled_building_yaml(3, 4))
+    config = dataclasses.replace(config, enable_solar=False, enable_interior_mass=False)
+    plan = hg.prepare(grid, mats, config)
+    bc = dark_boundary(288.0, t_gnd=286.0, t_sky=265.0)
+    state = hg.ThermalState(t=rng.uniform(270.0, 320.0, (grid.rows, grid.cols)))
+    weights = hg.exterior_lw_weights(grid, mats)
+    matrix = plan.exchange
+    factors = matrix.coefficients
+    surface_cells = matrix.surface_rows * grid.cols + matrix.surface_cols
+    for x, radiation in step_radiation(plan, state, bc, monkeypatch):
+        t = np.full(grid.rows * grid.cols, 300.0)
+        t[plan.newton_cells] = x
+        exterior = hg.assemble_exterior_lw_tensor(
+            weights, t.reshape(grid.rows, grid.cols), bc.t_gnd, bc.t_sky, bc.t_inf
+        ).reshape(-1)
+        t4 = t[surface_cells] ** 4
+        flux = hg.STEFAN_BOLTZMANN * (factors * (t4[None, :] - t4[:, None])).sum(axis=1)
+        interior = np.bincount(surface_cells, weights=flux * matrix.areas, minlength=t.size)
+        expected = exterior + interior
+        assert np.count_nonzero(np.delete(expected, plan.newton_cells)) == 0
+        np.testing.assert_allclose(radiation, expected[plan.newton_cells], rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    # with only the interior exchange, an isothermal field gives exactly 0
+    plan = hg.prepare(grid, mats, dataclasses.replace(config, enable_exterior_lw=False))
+    x = np.full(plan.newton_cells.size, 297.35)
+    radiation, _ = tensor_solver._lagged_radiation(plan, plan.lw_positions.copy(), x)
+    assert (radiation == 0.0).all()
+
+
+@pytest.mark.parametrize("mass", [False, True], ids=["mass_off", "mass_on"])
+def test_step_balance_carries_the_solar_tensors(canonical, canonical_weather, monkeypatch, mass):
+    grid, mats, config = canonical
+    config = dataclasses.replace(config, enable_interior_mass=mass)
+    plan = hg.prepare(grid, mats, config)
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    sunny = max(canonical_weather, key=lambda record: record.ghi).timestamp
+    bc = hg.boundary_for_time(canonical_weather, config.site, sunny)
+    q_alpha, q_tau, q_tau_mass = hg.assemble_solar_tensors(plan.solar, bc.poa, mass)
+    assert not plan.sweep_from_start  # so each step's first conduction starts from const
+
+    starts = []
+    conduction = tensor_solver._add_conduction
+
+    def recorded(numer, start, *args):
+        starts.append(start.copy())
+        conduction(numer, start, *args)
+
+    monkeypatch.setattr(tensor_solver, "_add_conduction", recorded)
+    lit, _ = hg.step(state, plan, bc)
+    const_lit = starts[0]
+    starts.clear()
+    hg.step(state, plan, dataclasses.replace(bc, poa=PoaIrradiance.dark()))
+    added = const_lit - starts[0]
+    expected = q_alpha + q_tau
+    assert np.count_nonzero(q_alpha) and (np.count_nonzero(q_tau) > 0) != mass
+    np.testing.assert_allclose(added, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    if mass:
+        assert np.count_nonzero(q_tau_mass)
+        nodes = hg.update_mass(state.t_mass, lit.t, q_tau_mass, plan.mass_t0, grid.z,
+                               config.mass_params.k_mass)
+        np.testing.assert_allclose(lit.t_mass, np.where(plan.air, nodes, state.t_mass),
+                                   rtol=1e-12, atol=0.0)
