@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import yaml
 
-from .weather import SitePosition
+from .weather import SitePosition, ValidationError, check_finite
 
 # =============================================================================
 # CV TYPES AND DIRECTIONS
@@ -61,10 +61,6 @@ _CV_TYPE_NAMES = {kind.name.lower(): kind for kind in CvType}
 
 class ConfigError(ValueError):
     """Raised when a building config document cannot be parsed."""
-
-
-class ValidationError(ValueError):
-    """Raised when a parsed building violates a structural invariant."""
 
 
 def shift_fields(pad: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -444,8 +440,11 @@ class SimulationConfig:
         values = {k: getattr(self, k) for k in ("dt", "convergence_epsilon", "initial_temperature")}
         values.update((f"mass_params.{k}", v) for k, v in asdict(self.mass_params).items())
         for key, value in values.items():
-            if not np.isfinite(value):
-                raise ValidationError(f"{key}={value} must be finite")
+            check_finite(value, key)
+        for key in ("enable_interior_lw", "enable_exterior_lw", "enable_solar",
+                    "enable_interior_mass"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValidationError(f"{key}={getattr(self, key)!r} is not true or false")
         if self.dt <= 0.0:
             raise ValidationError(f"dt={self.dt} must be positive")
         if self.convergence_epsilon <= 0.0:

@@ -36,11 +36,12 @@ the 5-point stencil this ordering is consistently ordered (Young,
 contracts by the square of the Jacobi radius ``rho_J``, and
 over-relaxing each colour, ``x + omega (GS - x)``, by ``omega = 2 / (1 +
 sqrt(1 - rho_J^2))`` contracts by about ``omega - 1``. ``prepare``
-estimates ``rho_J`` of the conduction balance by power iteration. When
-``rho_J^2 > MIXING_GATE`` every pass of every step is an over-relaxed
-sweep. Otherwise a step starts with Jacobi passes, and from the first pass
-whose largest change exceeds ``MIXING_GATE`` times the previous one, every
-later pass is a sweep with ``omega = 1``.
+estimates ``rho_J`` of the conduction balance by power iteration. A step
+picks one pass kind before its first update. It sweeps every pass,
+over-relaxed, when ``rho_J^2 > MIXING_GATE``, or at ``omega = 1`` when
+radiation would dominate a Jacobi pass: when the Jacobi contraction of
+some cell's lagged radiation at the starting iterate, ``plan.newton
+x^3``, exceeds ``MIXING_GATE``. Every other step makes Jacobi passes only.
 
 Every pass lags the exterior and interior long-wave at its starting
 iterate ``x``. A swept pass also puts each radiating cell's Newton
@@ -52,8 +53,7 @@ long steps, where radiation dominates the contraction; with it a
 radiation-dominated cell converges like Newton's method. Jacobi passes
 keep the plain lagged radiation, so steps under the gate, the benchmark
 plans at dt=300 s among them, run the same arithmetic as plain Picard
-passes. On the bundled plan, steps of 1,800 s and more sweep from their
-first pass.
+passes. On the bundled plan, steps of 1,800 s and more sweep.
 
 Predict, then extrapolate. A step whose state carries ``t_before`` starts
 from the linear prediction ``2 t - t_before`` rather than from ``t``, and
@@ -64,9 +64,9 @@ with the one global ratio ``rho = delta_k / delta_{k-1}`` of its last two
 largest changes, when ``rho < EXTRAPOLATION_LIMIT`` and the last two
 residuals point the same way (an oscillating iteration would be pushed
 away from its fixed point); otherwise it returns the last update
-``G(x_k)``. Over-relaxed residuals turn from pass to pass, so a step
-that sweeps from its first pass and converges after three or more passes
-first tries two global ratios, fitted to its last three residuals (see
+``G(x_k)``. Over-relaxed residuals turn from pass to pass, so a swept
+step that converges after three or more passes first tries two global
+ratios, fitted to its last three residuals (see
 ``_two_ratio_correction``), and falls back to Aitken's rule when the fit
 is not determined. The prediction halves the passes at dt=300 s, and the
 extrapolation removes the one-sided stopping error that the iteration
@@ -119,13 +119,12 @@ from .radiation import (
 from .weather import WeatherRecord
 
 
-#: A plan whose squared Jacobi radius exceeds this sweeps from every step's
-#: first pass; under it, a step's sweeps start after the first pass whose
-#: largest change is more than this fraction of the previous one. At
-#: dt=300 s the row-sum bound on the squared radius is 0.20 on the bundled
-#: plan and on a 5,963-CV one, and a Jacobi pass contracts by at most 0.35,
-#: so those steps keep their Jacobi passes. At dt=3,600 s the squared
-#: radius is about 0.65.
+#: A step sweeps when its plan's squared Jacobi radius, or the largest
+#: ``newton x^3`` at its starting iterate, exceeds this. At dt=300 s the
+#: row-sum bound on the squared radius is 0.20 on the bundled plan and on
+#: a 5,963-CV one, and ``newton x^3`` is at most 0.008 (0.09 at 3,600 s),
+#: so those steps make Jacobi passes. At 3,600 s the squared radius is
+#: about 0.65.
 MIXING_GATE = 0.5
 #: Power iterations of the Jacobi radius estimate in ``prepare``.
 RADIUS_ITERATIONS = 20
@@ -181,9 +180,8 @@ class StepReport:
     """Outcome of one timestep's inner iteration.
 
     ``max_delta`` is the largest change of the last pass; ``mixed_from``
-    the first red-black pass: 1 when the plan sweeps from the start, the
-    pass after the gate opened otherwise, and 0 when every pass was a
-    Jacobi update. ``error_estimate`` is the largest per-cell correction
+    is 1 when the step's passes were red-black sweeps and 0 when they were
+    Jacobi updates. ``error_estimate`` is the largest per-cell correction
     the extrapolated return added to the last update [K], ``nan`` when the
     step returned that update as it was.
     """
@@ -495,19 +493,21 @@ def step(
     numer_flat = numer.reshape(-1)
     radiating = plan.newton_cells.size > 0
     positions = plan.lw_positions.copy()  # np.bincount copies a read-only index on every call
-    gains = None  # flat copies of the colour gains, made by the step's first swept pass
+    if radiating:
+        radiation, cubes = _lagged_radiation(plan, positions, x.reshape(-1)[plan.newton_cells])
+    # one pass kind a step; radiation that would dominate a Jacobi pass sweeps
+    swept = plan.sweep_from_start or (radiating and (plan.newton * cubes).max() > MIXING_GATE)
+    if swept:  # flat copies of the colour gains, whose Newton entries each pass rewrites
+        gains = [gain.reshape(-1).copy() for gain in plan.colour_gains]
+        newton_gains = [gain[plan.newton_cells] for gain in gains]
+        base = np.empty(shape)
+        base_flat = base.reshape(-1)
     # the residuals of the last passes, pass k's at k modulo their count
-    residuals = [np.empty(shape) for _ in range(3 if plan.sweep_from_start else 2)]
-    swept = plan.sweep_from_start
-    mixed_from = 1 if swept else 0
+    residuals = [np.empty(shape) for _ in range(3 if swept else 2)]
     converged = False
     max_delta = last_delta = np.inf
-    iterations = 0
     for iterations in range(1, config.max_inner_iterations + 1):
         # image = G(x), with radiation lagged at x
-        x_flat = x.reshape(-1)
-        if radiating:
-            radiation, cubes = _lagged_radiation(plan, positions, x_flat[plan.newton_cells])
         if not swept:  # one Jacobi update of every live cell from x
             _add_conduction(numer, const, g, shift_fields(pad, x), term)
             if radiating:
@@ -519,11 +519,6 @@ def step(
             # omega / (denom + d) on the colour and d the Newton diagonal of
             # the cell's radiation at x. Red cells read x, black ones the red
             # values just written.
-            if gains is None:
-                gains = [gain.reshape(-1).copy() for gain in plan.colour_gains]
-                newton_gains = [gain[plan.newton_cells] for gain in gains]
-                base = np.empty(shape)
-                base_flat = base.reshape(-1)
             np.multiply(plan.denom, x, out=base)
             np.subtract(const, base, out=base)
             if radiating:
@@ -558,16 +553,16 @@ def step(
             break
         if iterations == config.max_inner_iterations:
             break
-        if not swept and max_delta > MIXING_GATE * last_delta:
-            swept, mixed_from = True, iterations + 1
         x, image = image, x
         last_delta = max_delta
+        if radiating:
+            radiation, cubes = _lagged_radiation(plan, positions, x.reshape(-1)[plan.newton_cells])
 
     error_estimate = math.nan
     if converged and iterations > 1 and max_delta > 0.0 and last_delta > 0.0:
         last_residual = residuals[(iterations - 1) % len(residuals)]
         correction = None
-        if plan.sweep_from_start and iterations > 2:
+        if swept and iterations > 2:
             older = residuals[(iterations - 2) % len(residuals)]
             correction = _two_ratio_correction(residual, last_residual, older)
         ratio = max_delta / last_delta
@@ -602,7 +597,7 @@ def step(
         max_delta=max_delta,
         converged=converged,
         wall_time=time.perf_counter() - started,
-        mixed_from=mixed_from,
+        mixed_from=int(swept),
         error_estimate=error_estimate,
     )
     return new_state, report

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from numbers import Real
 from typing import List, Optional, Sequence
 
 REQUIRED_COLUMNS = ("timestamp", "t_air", "t_gnd", "t_sky", "ghi", "dni", "dhi")
@@ -24,6 +25,19 @@ KELVIN_OFFSET = 273.15
 
 class WeatherFormatError(ValueError):
     """Raised when a weather file is malformed or violates record invariants."""
+
+
+class ValidationError(ValueError):
+    """Raised when a building, its settings or its site break an invariant; names the field."""
+
+
+def check_finite(value, where: str) -> None:
+    """Raise ``ValidationError`` naming ``where`` unless ``value`` is a finite real number
+    and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{where}={value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}={value} must be finite")
 
 
 @dataclass(frozen=True)
@@ -79,14 +93,13 @@ class SitePosition:
 
     def __post_init__(self) -> None:
         for key in ("latitude", "longitude", "albedo"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"site.{key}={getattr(self, key)} must be finite")
+            check_finite(getattr(self, key), f"site.{key}")
         if abs(self.latitude) > 90.0:
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
+            raise ValidationError(f"latitude {self.latitude} outside [-90, 90]")
         if abs(self.longitude) > 180.0:
-            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
+            raise ValidationError(f"longitude {self.longitude} outside [-180, 180]")
         if not 0.0 <= self.albedo <= 1.0:
-            raise ValueError(f"albedo {self.albedo} outside [0, 1]")
+            raise ValidationError(f"albedo {self.albedo} outside [0, 1]")
 
 
 def _parse_timestamp(text: str, line_no: int) -> datetime:

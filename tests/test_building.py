@@ -443,6 +443,31 @@ def test_max_inner_iterations_must_be_an_integer_of_at_least_one(canonical, valu
         dataclasses.replace(config, max_inner_iterations=value)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: hg.SimulationConfig(dt="300"), r"^dt='300' is not a number$"),
+        (lambda: hg.SimulationConfig(convergence_epsilon=True),
+         r"^convergence_epsilon=True is not a number$"),
+        (lambda: hg.SimulationConfig(mass_params=hg.MassParams(k_mass="1")),
+         r"^mass_params.k_mass='1' is not a number$"),
+        (lambda: hg.SimulationConfig(enable_solar="no"),
+         r"^enable_solar='no' is not true or false$"),
+        (lambda: hg.SimulationConfig(enable_interior_lw=1),
+         r"^enable_interior_lw=1 is not true or false$"),
+        (lambda: hg.SitePosition(latitude="45", longitude=0.0),
+         r"^site.latitude='45' is not a number$"),
+        (lambda: hg.SitePosition(latitude=45.0, longitude=0.0, albedo=None),
+         r"^site.albedo=None is not a number$"),
+    ],
+    ids=["dt-string", "epsilon-bool", "k_mass-string", "solar-string", "interior_lw-int",
+         "latitude-string", "albedo-none"],
+)
+def test_settings_made_in_code_name_the_field_of_the_wrong_type(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
 def set_section(section, key, value):
     def edit(doc):
         doc.setdefault(section, {})[key] = value

@@ -364,14 +364,15 @@ def test_multi_room_plans_agree_with_oracle_over_predicted_steps(
     col_sizes=st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True),
     heat=st.floats(0.0, 500.0),
     t0=st.floats(285.0, 300.0),
+    dt=st.sampled_from([1200.0, 3600.0]),
 )
 def test_multi_room_plans_agree_with_oracle_at_hourly_steps(
-    canonical_weather, row_sizes, col_sizes, heat, t0
+    canonical_weather, row_sizes, col_sizes, heat, t0, dt
 ):
-    # hourly steps contract slowly enough that the tensor solver mixes
+    # long steps contract slowly, so the solvers agree only at a tight epsilon
     grid, mats, config = hg.load_building(rooms_building_yaml(row_sizes, col_sizes))
     config = dataclasses.replace(
-        config, dt=3600.0, convergence_epsilon=1e-9, max_inner_iterations=5000,
+        config, dt=dt, convergence_epsilon=1e-9, max_inner_iterations=5000,
         initial_temperature=t0,
     )
     q_x = np.zeros((grid.rows, grid.cols))

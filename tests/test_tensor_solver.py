@@ -561,6 +561,21 @@ def test_bad_boundary_rejected_naming_the_field(canonical, canonical_weather, st
 # gated red-black sweeps
 # -----------------------------------------------------------------------------
 
+@pytest.fixture
+def pass_images(monkeypatch):
+    """The list to which every pass of the steps that follow appends its image."""
+    images = []
+    check = tensor_solver._check_temperatures
+
+    def recording_check(t, context):
+        if context.startswith("iteration"):
+            images.append(t.copy())
+        check(t, context)
+
+    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
+    return images
+
+
 def radiating_corners(**overrides):
     """Four uncoupled live cells that store heat and exchange long-wave with sky and ground.
 
@@ -588,6 +603,19 @@ def test_small_steps_never_mix(canonical, canonical_weather):
     # the plain Picard count of the canonical day from predicted starts
     # (1,172 from the last field as the start)
     assert sum(r.inner_iterations for r in reports) == 522
+
+
+def test_steps_under_the_gate_make_jacobi_passes_only(canonical, canonical_weather):
+    # at 1,200 s neither the bundled plan's conduction nor its radiation opens the gate
+    grid, mats, config = canonical
+    config = dataclasses.replace(config, dt=1200.0)
+    tight = dataclasses.replace(config, convergence_epsilon=1e-11, max_inner_iterations=5000)
+    snapshots, reports = hg.run_episode(grid, mats, config, canonical_weather, 62)
+    reference, _ = hg.run_episode(grid, mats, tight, canonical_weather, 62)
+    assert all(r.converged and r.mixed_from == 0 for r in reports)
+    assert np.mean([r.inner_iterations for r in reports]) <= 5.0
+    worst = max(float((np.abs(a.t - b.t) / b.t).max()) for a, b in zip(snapshots, reference))
+    assert worst <= 1.5e-5
 
 
 def test_hourly_steps_mix_to_fewer_iterations_and_a_closer_fixed_point(
@@ -619,9 +647,10 @@ def test_slowly_contracting_cell_converges_to_the_plain_fixed_point():
     new, report = hg.step(hg.ThermalState(t=np.full((2, 2), 300.0)), plan, bc)
     contraction = 4.0 * plan.exterior_weights[:, 0].sum() * new.t[0, 0] ** 3 / plan.denom[0, 0]
     assert contraction > 0.5
-    # no conduction, so no sweep from the start: the gate opens after pass 2
+    # no conduction, so the plan does not sweep, but the radiation's
+    # contraction at the start does: the step sweeps from its first pass
     assert not plan.sweep_from_start
-    assert report.converged and report.mixed_from == 3
+    assert report.converged and report.mixed_from == 1
     assert report.inner_iterations < plan.config.max_inner_iterations
     assert abs(new.t[0, 0] - newton_root(plan, 300.0, 290.0, 270.0)) < 1e-9
 
@@ -692,17 +721,7 @@ def python_red_black_pass(plan, x, const, boundary, omega):
     return np.array(t)
 
 
-def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rng):
-    images = []  # every pass's image the step checks
-    check = tensor_solver._check_temperatures
-
-    def recording_check(t, context):
-        if context.startswith("iteration"):
-            images.append(t.copy())
-        check(t, context)
-
-    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
-
+def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rng, pass_images):
     # an hour on the bundled plan: over-relaxed sweeps from the first pass,
     # with the exterior and the interior long-wave on the diagonal
     grid, mats, config = canonical
@@ -716,13 +735,14 @@ def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rn
     _, report = hg.step(hg.ThermalState(t=t), plan, bc)
     assert report.converged and report.mixed_from == 1 and report.inner_iterations >= 5
     const = plan.convection * bc.t_inf + plan.capacity * t
-    for before, after in zip([t] + images[:-1], images):
+    for before, after in zip([t] + pass_images[:-1], pass_images):
         expected = python_red_black_pass(plan, before, const, bc, plan.omega)
         assert np.abs(after - expected).max() <= 1e-12
 
-    # a plan under the gate, with boundary padding: Jacobi passes until the
-    # gate opens, then sweeps at omega = 1
-    images.clear()
+    # a plan under the gate, with boundary padding, and the gate then
+    # lowered to 0 for its radiation to open: sweeps at omega = 1 from the
+    # first pass
+    pass_images.clear()
     cv = np.full((5, 7), int(CvType.EXTERIOR_WALL))
     cv[1:-1, 1:-1] = int(CvType.INTERIOR_AIR)
     cv[0, :2] = int(CvType.BOUNDARY)
@@ -737,10 +757,10 @@ def test_swept_pass_is_a_red_black_gauss_seidel_sweep(canonical, monkeypatch, rn
     t = rng.uniform(285.0, 305.0, (5, 7))
     bc = dark_boundary(288.0, t_gnd=286.0, t_sky=265.0, q_x=rng.uniform(-50.0, 50.0, (5, 7)))
     _, report = hg.step(hg.ThermalState(t=t), plan, bc)
-    # the gate needs a previous pass, so sweeps start at the third
-    assert report.converged and report.mixed_from == 3 and report.inner_iterations >= 5
+    assert report.converged and report.mixed_from == 1 and report.inner_iterations >= 5
     const = plan.convection * bc.t_inf + plan.capacity * t + bc.q_x
-    for before, after in zip(images[1:-1], images[2:]):
+    start = np.where(plan.active, t, bc.t_inf)
+    for before, after in zip([start] + pass_images[:-1], pass_images):
         expected = python_red_black_pass(plan, before, const, bc, 1.0)
         assert np.abs(after - expected).max() <= 1e-12
 
@@ -790,25 +810,16 @@ def test_swept_and_jacobi_passes_share_the_hourly_fixed_point(canonical_weather,
         assert np.abs(a.t_mass - b.t_mass).max() <= 1e-10
 
 
-def test_budget_spent_while_mixing_is_reported_not_raised(monkeypatch):
-    images = []  # every Picard image the step checks
-    check = tensor_solver._check_temperatures
-
-    def recording_check(t, context):
-        if context.startswith("iteration"):
-            images.append(t.copy())
-        check(t, context)
-
-    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
+def test_budget_spent_while_mixing_is_reported_not_raised(pass_images):
     plan = radiating_corners(max_inner_iterations=4)
     new, report = hg.step(
         hg.ThermalState(t=np.full((2, 2), 300.0)), plan, dark_boundary(290.0, t_sky=270.0)
     )
     assert not report.converged
-    assert report.inner_iterations == 4 and report.mixed_from == 3
+    assert report.inner_iterations == 4 and report.mixed_from == 1
     assert report.max_delta >= plan.config.convergence_epsilon
-    # the step returns its last Picard image, not the mix made from it
-    assert len(images) == 4 and np.array_equal(new.t, images[-1])
+    # the step returns its last image, not an extrapolation from it
+    assert len(pass_images) == 4 and np.array_equal(new.t, pass_images[-1])
 
 
 # -----------------------------------------------------------------------------
@@ -847,7 +858,7 @@ def test_t_before_kept_after_every_step(canonical, canonical_weather):
     new, report = hg.step(
         hg.ThermalState(t=t, t_before=t.copy()), plan, dark_boundary(290.0, t_sky=270.0)
     )
-    assert report.mixed_from >= 2 and new.t_before is t
+    assert report.mixed_from == 1 and new.t_before is t
 
 
 def test_one_pass_budget_starts_from_t(canonical, canonical_weather):
@@ -907,53 +918,36 @@ def two_coupled_cells(contraction):
 
 
 @pytest.mark.parametrize("contraction", [0.4, 0.95])
-def test_extrapolated_return_below_the_ratio_limit_only(monkeypatch, contraction):
-    images = []  # every Picard image the step checks
-    check = tensor_solver._check_temperatures
-
-    def recording_check(t, context):
-        if context.startswith("iteration"):
-            images.append(t.copy())
-        check(t, context)
-
-    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
+def test_extrapolated_return_below_the_ratio_limit_only(monkeypatch, pass_images, contraction):
     monkeypatch.setattr(tensor_solver, "MIXING_GATE", np.inf)
     plan, (capacity, h) = two_coupled_cells(contraction)
     t, t_inf = np.full((1, 2), 300.0), 290.0
     new, report = hg.step(hg.ThermalState(t=t), plan, dark_boundary(t_inf))
     assert report.converged and report.mixed_from == 0 and report.inner_iterations > 2
-    ratio = np.abs(images[-1] - images[-2]).max() / np.abs(images[-2] - images[-3]).max()
+    last, before, older = pass_images[-1], pass_images[-2], pass_images[-3]
+    ratio = np.abs(last - before).max() / np.abs(before - older).max()
     assert ratio == pytest.approx(contraction, rel=1e-3)
     fixed_point = (capacity * 300.0 + h * t_inf) / (capacity + h)
     if contraction < tensor_solver.EXTRAPOLATION_LIMIT:
         # Aitken's delta-squared is exact on a linear scalar map
-        assert np.abs(new.t - fixed_point).max() < 1e-10 < np.abs(images[-1] - fixed_point).max()
-        assert report.error_estimate == pytest.approx(np.abs(new.t - images[-1]).max(), rel=1e-9)
+        assert np.abs(new.t - fixed_point).max() < 1e-10 < np.abs(last - fixed_point).max()
+        assert report.error_estimate == pytest.approx(np.abs(new.t - last).max(), rel=1e-9)
     else:
-        assert np.array_equal(new.t, images[-1]) and np.isnan(report.error_estimate)
+        assert np.array_equal(new.t, last) and np.isnan(report.error_estimate)
 
 
-def test_over_relaxed_return_is_exact_on_two_cells(monkeypatch):
+def test_over_relaxed_return_is_exact_on_two_cells(pass_images):
     # one cell of each colour: the swept error lives in a plane, so its
     # residuals follow a two-term recurrence exactly; over-relaxation turns
     # them from pass to pass, so one ratio would not do
-    images = []  # every image the step checks
-    check = tensor_solver._check_temperatures
-
-    def recording_check(t, context):
-        if context.startswith("iteration"):
-            images.append(t.copy())
-        check(t, context)
-
-    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
     plan, (capacity, h) = two_coupled_cells(0.9)
     assert plan.sweep_from_start and plan.omega > 1.3
     t, t_inf = np.full((1, 2), 300.0), 290.0
     new, report = hg.step(hg.ThermalState(t=t), plan, dark_boundary(t_inf))
     assert report.converged and report.mixed_from == 1 and report.inner_iterations > 3
     fixed_point = (capacity * 300.0 + h * t_inf) / (capacity + h)
-    assert np.abs(new.t - fixed_point).max() < 1e-11 < np.abs(images[-1] - fixed_point).max()
-    assert report.error_estimate == pytest.approx(np.abs(new.t - images[-1]).max(), abs=1e-13)
+    assert np.abs(new.t - fixed_point).max() < 1e-11 < np.abs(pass_images[-1] - fixed_point).max()
+    assert report.error_estimate == pytest.approx(np.abs(new.t - pass_images[-1]).max(), abs=1e-13)
 
 
 def test_oscillating_iteration_is_not_extrapolated(monkeypatch):
