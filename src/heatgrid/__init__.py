@@ -24,7 +24,7 @@ from .building import (
     load_building_file,
     shift_fields,
 )
-from .conditions import StepBoundary, boundary_for_time
+from .conditions import BoundarySeries, StepBoundary, boundary_for_time, boundary_series
 from .oracle_solver import energy_audit, oracle_step
 from .radiation import (
     OpenCavityError,
@@ -71,6 +71,7 @@ from .weather import (
 )
 
 __all__ = [
+    "BoundarySeries",
     "BuildingGrid",
     "ConfigError",
     "CvType",
@@ -98,6 +99,7 @@ __all__ = [
     "assemble_exterior_lw_tensor",
     "assemble_solar_tensors",
     "boundary_for_time",
+    "boundary_series",
     "build_exchange_matrix_2d",
     "energy_audit",
     "exterior_lw_weights",

@@ -505,12 +505,15 @@ def _mapping(raw, where: str, keys) -> dict:
 
 
 def _finite(raw, where: str) -> float:
-    """``raw`` as a float; raise ``ConfigError`` naming ``where`` unless it is a finite number."""
+    """``raw`` as a float; raise ``ConfigError`` naming ``where`` unless it is a finite number.
+
+    A YAML string is not a number, even one that ``float`` reads (``"300"``).
+    """
     try:
         value = float(raw)
     except (TypeError, ValueError):
         value = None
-    if value is None or isinstance(raw, bool):  # float(True) is 1.0
+    if value is None or isinstance(raw, (bool, str)):  # float(True) is 1.0
         raise ConfigError(f"{where}={raw!r} is not a number")
     if not math.isfinite(value):
         raise ConfigError(f"{where}={value} must be finite")

@@ -26,7 +26,8 @@ columns of the weights it keeps, and interior exchange through
 ``interior_lw_operators``, one ``sigma A_i (F - diag R)`` block per
 exchange block, applied to the fourth powers gathered into the blocks'
 slots; ``solar_basis`` keeps, once per plan, the cells, windows and air
-cells that a step's solar tensors touch.
+cells that a step's solar tensors touch, and ``assemble_solar_tensors``
+returns the solar of those cells only.
 """
 
 from __future__ import annotations
@@ -550,14 +551,15 @@ def solar_basis(grid: BuildingGrid, mats: MaterialField) -> SolarBasis:
 def assemble_solar_tensors(
     basis: SolarBasis, poa: PoaIrradiance, mass_enabled: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Absorbed and transmitted solar tensors for one step's irradiance.
+    """Absorbed and transmitted solar for one step's irradiance, on the cells it reaches.
 
-    Returns ``(q_sol_alpha, q_sol_tau, q_tau_mass)``. The absorbed tensor
-    [W] lands on envelope cells with the exposed-face area scaling. The
-    power transmitted through each window is pooled per zone and spread
-    uniformly over that zone's air cells: into ``q_sol_tau`` [W] when mass
-    is disabled, or into ``q_tau_mass`` [W/m^2 of plan area] for the mass
-    nodes when enabled (the air-balance tensor then stays zero).
+    Returns ``(q_sol_alpha, q_sol_tau, q_tau_mass)``. ``q_sol_alpha`` [W]
+    holds the absorbed power of each cell of ``basis.cells``, with the
+    exposed-face area scaling. The power transmitted through each window is
+    pooled per zone and spread uniformly over that zone's air cells, the
+    cells of ``basis.air``: into ``q_sol_tau`` [W] when mass is disabled,
+    or into ``q_tau_mass`` [W/m^2 of plan area] for the mass nodes when
+    enabled; the other of the two is zero.
     """
     g = np.array([[poa[o]] for o in DIR_ORIENTATION], dtype=float)  # (4, 1), shift order
     alpha = (basis.absorptivity * g * basis.areas).sum(axis=0)
@@ -569,11 +571,6 @@ def assemble_solar_tensors(
         basis.window_zone, weights=tau_power, minlength=basis.zone_cells.size
     )
     share = (zone_total / basis.zone_cells)[basis.air_zone]
-
-    q_alpha, q_tau, q_tau_mass = (np.zeros(basis.shape) for _ in range(3))
-    q_alpha.reshape(-1)[basis.cells] = alpha
     if mass_enabled:
-        q_tau_mass.reshape(-1)[basis.air] = share / basis.plan_area
-    else:
-        q_tau.reshape(-1)[basis.air] = share
-    return q_alpha, q_tau, q_tau_mass
+        return alpha, np.zeros_like(share), share / basis.plan_area
+    return alpha, share, np.zeros_like(share)

@@ -10,8 +10,9 @@ each of its slots, the radiation's Newton coefficients, the sweep
 settings, and the solar basis. Each ``step(state, plan, boundary)`` then
 solves the nonlinear balance by Picard fixed-point iteration. It forms
 the constant part of the numerator once: heat source, convection, stored
-heat, mass coupling, solar, and the long-wave the environment sends the
-envelope, ``sum_k w_k T_k^4`` over ground, sky and air. Each inner pass
+heat, mass coupling, solar (added by index on the exposed and air cells
+it reaches), and the long-wave the environment sends the envelope, ``sum_k
+w_k T_k^4`` over ground, sky and air. Each inner pass
 adds only the iterate-dependent terms into buffers allocated once per
 step: the shifted conduction, and on the radiating cells one vector of
 long-wave lagged at the pass's iterate. That vector comes from one gather
@@ -21,8 +22,10 @@ each block's ``sigma A_i (F - diag R)`` rows and sums the slots into their
 cells with one ``bincount``, less the exterior emission ``sum(w) x^4``.
 The pass then divides element-wise over the whole grid, and the step
 repeats until the largest per-cell change drops below the convergence
-threshold. With every radiation feature and the mass coupling disabled a
-single pass from the state's field reduces to the bare
+threshold. Each pass checks its iterate with one least value and the
+finiteness of that largest change, and only on a failure looks for the
+cell to name. With every radiation feature and the mass coupling
+disabled a single pass from the state's field reduces to the bare
 conduction-convection update.
 
 A step's passes are Jacobi updates or red-black sweeps. A Jacobi pass
@@ -79,6 +82,10 @@ temperature the state carries in ``t_mass``. Once the air field converges,
 Temperatures shifted in from outside the grid carry the ambient value;
 boundary-padding cells are pinned to ambient, so they never change and
 drop out of the convergence measure.
+
+``run_episode`` works out the boundary of every step before the first
+one, as arrays over the step instants (``conditions.boundary_series``),
+and hands each step its row through ``boundary_for_time``.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ from .building import (
     SimulationConfig,
     shift_fields,
 )
-from .conditions import SolverError, StepBoundary, boundary_for_time
+from .conditions import SolverError, StepBoundary, boundary_for_time, boundary_series
 from .radiation import (
     STEFAN_BOLTZMANN,
     RadiationExchangeMatrix,
@@ -142,6 +149,32 @@ def _check_temperatures(t: np.ndarray, context: str) -> None:
         raise SolverError(
             f"{context}: temperature {t[r, c]} at cell ({r}, {c}) is not finite and > 0 K"
         )
+
+
+def _check_pass(
+    image: np.ndarray, change: float, last_change: float, iterations: int,
+    boundary: StepBoundary, dt: float,
+) -> None:
+    """Raise ``SolverError`` if pass ``iterations`` left a cell not finite and > 0 K.
+
+    ``change`` is the pass's largest change from a finite iterate, so the
+    image is finite and > 0 K when its least value is > 0 and ``change`` is
+    finite (a NaN fails both). The error names the cell, as
+    ``_check_temperatures`` does, then any non-finite heat source and, when
+    the change grew from the last pass's ``last_change``, the divergence.
+    """
+    if image.min() > 0.0 and change < math.inf:
+        return
+    note = boundary.heat_source_note()
+    if change > last_change:  # False for a NaN change and on the first pass
+        note += (
+            f"; the iteration diverged (pass-to-pass change grew from "
+            f"{last_change:.4g} K to {change:.4g} K) at dt = {dt:g} s"
+        )
+    try:
+        _check_temperatures(image, f"iteration {iterations}")
+    except SolverError as exc:
+        raise SolverError(f"{exc}{note}") from None
 
 
 @dataclass
@@ -203,7 +236,8 @@ class Plan:
     shift order (east, north, west, south), ``convection`` to ambient,
     ``capacity`` C/dt and ``coupling`` to the mass nodes; ``denom`` is
     their sum on live cells and 1 on boundary padding. ``active`` marks
-    the live cells, those that are not boundary padding. ``omega`` is the
+    the live cells, those that are not boundary padding, and ``padding``
+    holds the flat indices of the others. ``omega`` is the
     over-relaxation factor of a swept pass, 1 unless ``sweep_from_start``,
     and ``colour_gains`` are ``omega / denom`` on the live cells with ``r +
     c`` even and odd, 0 elsewhere.
@@ -233,6 +267,7 @@ class Plan:
     config: SimulationConfig
     exchange: Optional[RadiationExchangeMatrix]
     active: np.ndarray
+    padding: np.ndarray
     omega: float
     sweep_from_start: bool
     colour_gains: Tuple[np.ndarray, np.ndarray]
@@ -321,8 +356,9 @@ def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -
             surface_positions, weights=exchange.areas * row_sums[:-1], minlength=newton_cells.size
         )
     solar = solar_basis(grid, mats) if config.enable_solar else None
-    plan = Plan(grid, mats, config, exchange, active, omega, sweep_from_start, colour_gains, g,
-                convection, capacity, coupling, denom, air, mass_t0, solar, newton_cells,
+    plan = Plan(grid, mats, config, exchange, active, np.flatnonzero(~active), omega,
+                sweep_from_start, colour_gains, g, convection, capacity, coupling, denom, air,
+                mass_t0, solar, newton_cells,
                 newton / denom.reshape(-1)[newton_cells], exterior_weights, weight_sums,
                 lw_positions, lw_operators)
     for value in vars(plan).values():
@@ -461,34 +497,49 @@ def step(
     boundary.validate((grid.rows, grid.cols), config.enable_solar)
     t_inf = boundary.t_inf
 
+    shape = (grid.rows, grid.cols)
     # The constant part of the numerator: everything the iterate does not change.
     const = plan.convection * t_inf
     const += plan.capacity * state.t
+    const_flat = const.reshape(-1)
     if boundary.q_x is not None:
         const += boundary.q_x
     if config.enable_interior_mass:
         const += plan.coupling * state.t_mass
     q_tau_mass = 0.0  # the transmitted solar into the mass nodes [W/m^2]
-    if config.enable_solar:
-        q_sol_alpha, q_sol_tau, q_tau_mass = assemble_solar_tensors(
-            plan.solar, boundary.poa, config.enable_interior_mass
+    if config.enable_solar:  # added on the cells it reaches
+        basis = plan.solar
+        q_sol_alpha, q_sol_tau, q_air_mass = assemble_solar_tensors(
+            basis, boundary.poa, config.enable_interior_mass
         )
-        const += q_sol_alpha
-        const += q_sol_tau
+        const_flat[basis.cells] += q_sol_alpha
+        if config.enable_interior_mass:
+            q_tau_mass = np.zeros(shape)
+            q_tau_mass.reshape(-1)[basis.air] = q_air_mass
+        else:
+            const_flat[basis.air] += q_sol_tau
     if config.enable_exterior_lw:
         # what the environment sends, the exterior term of a surface at 0 K;
         # each pass subtracts what the surface emits
-        const.reshape(-1)[plan.newton_cells] += assemble_exterior_lw_tensor(
+        const_flat[plan.newton_cells] += assemble_exterior_lw_tensor(
             plan.exterior_weights, 0.0, boundary.t_gnd, boundary.t_sky, t_inf
         )
 
-    shape = (grid.rows, grid.cols)
     pad = np.full((grid.rows + 2, grid.cols + 2), t_inf)
     # Start from the linear prediction in time. Its first pass cannot end
-    # the step, so a budget of one pass starts from t.
+    # the step, so a budget of one pass starts from t. Boundary padding
+    # stays at ambient: each Jacobi pass puts it back, and a swept pass
+    # leaves it where it is.
     predicted = state.t_before is not None and config.max_inner_iterations > 1
-    x = np.where(plan.active, 2.0 * state.t - state.t_before if predicted else state.t, t_inf)
-    image = np.full(shape, t_inf)
+    if predicted:
+        x = np.multiply(state.t, 2.0)
+        x -= state.t_before
+    else:
+        x = state.t.copy()
+    padded = plan.padding.size > 0  # an empty fancy index still costs a microsecond
+    if padded:
+        x.reshape(-1)[plan.padding] = t_inf
+    image = np.empty(shape)
     numer, term = np.empty(shape), np.empty(shape)
     numer_flat = numer.reshape(-1)
     radiating = plan.newton_cells.size > 0
@@ -512,7 +563,9 @@ def step(
             _add_conduction(numer, const, g, shift_fields(pad, x), term)
             if radiating:
                 numer_flat[plan.newton_cells] += radiation
-            np.divide(numer, plan.denom, out=image, where=plan.active)
+            np.divide(numer, plan.denom, out=image)
+            if padded:
+                image.reshape(-1)[plan.padding] = t_inf
         else:
             # Each colour moves its cells omega of the way to their
             # Gauss-Seidel value: by gain (numer - denom x), with gain
@@ -533,21 +586,10 @@ def step(
                 numer_flat *= gain
                 np.add(field, numer, out=image)
                 field = image
-        try:
-            _check_temperatures(image, f"iteration {iterations}")
-        except SolverError as exc:
-            change = float(np.abs(image - x).max())
-            note = boundary.heat_source_note()
-            if change > last_delta:  # False for a NaN change and on the first pass
-                note += (
-                    f"; the iteration diverged (pass-to-pass change grew from "
-                    f"{last_delta:.4g} K to {change:.4g} K) at dt = {config.dt:g} s"
-                )
-            raise SolverError(f"{exc}{note}") from None
-
         residual = residuals[iterations % len(residuals)]
         np.subtract(image, x, out=residual)
         max_delta = float(np.abs(residual, out=term).max())
+        _check_pass(image, max_delta, last_delta, iterations, boundary, config.dt)
         if max_delta < config.convergence_epsilon and (iterations > 1 or not predicted):
             converged = True
             break
@@ -631,10 +673,13 @@ def run_episode(
 ) -> Tuple[List[ThermalState], List[StepReport]]:
     """Run ``n_steps`` timesteps and collect state snapshots and reports.
 
-    Prepares one plan and drives any solver exposing the common
-    ``(state, plan, boundary)`` step signature (the vectorized one by
-    default) from the uniform initial state. The weather series must cover
-    the whole horizon; failures carry the step index. Solar gains without
+    Works out every step's boundary in one ``boundary_series``, prepares
+    one plan and drives any solver exposing the common ``(state, plan,
+    boundary)`` step signature (the vectorized one by default) from the
+    uniform initial state, handing each step its row through
+    ``boundary_for_time``. The weather series must cover the whole horizon,
+    and a step outside it fails, naming the step, before the first step
+    runs; a step's own failure carries its index too. Solar gains without
     a site fail before the plan is prepared.
     """
     if n_steps < 1:
@@ -645,17 +690,17 @@ def run_episode(
         raise ValueError(f"q_x shape {np.shape(q_x)} != grid shape {(grid.rows, grid.cols)}")
     if config.enable_solar and config.site is None:
         raise ValueError("simulation.enable_solar is true but the plan has no site section")
-    plan = prepare(grid, mats, config)
     state = make_initial_state(grid, config, records)
+    series = boundary_series(
+        records, config.site, state.sim_clock, config.dt, n_steps, config.enable_solar
+    )
+    plan = prepare(grid, mats, config)
 
     snapshots: List[ThermalState] = []
     reports: List[StepReport] = []
     for index in range(n_steps):
         try:
-            bc = boundary_for_time(
-                records, config.site, state.sim_clock, want_solar=config.enable_solar, q_x=q_x
-            )
-            state, report = stepper(state, plan, bc)
+            state, report = stepper(state, plan, boundary_for_time(series, index, q_x))
         except (SolverError, ValueError) as exc:
             raise SolverError(f"step {index}: {exc}") from exc
         reports.append(report)

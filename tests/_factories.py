@@ -22,6 +22,24 @@ def remade(grid, mats, **changes):
     return hg.MaterialField.for_grid(grid, **{**dataclasses.asdict(mats), **changes})
 
 
+def boundary_at(records, site, when, q_x=None):
+    """The boundary at the single instant ``when``: row 0 of a one-step boundary series."""
+    return hg.boundary_for_time(hg.boundary_series(records, site, when, 1.0, 1), 0, q_x)
+
+
+def instants(*when):
+    """UTC ``datetime``s as the ``datetime64`` array that ``solar_position`` reads."""
+    return np.array([w.astimezone(timezone.utc).replace(tzinfo=None) for w in when],
+                    dtype="datetime64[us]")
+
+
+def on_grid(basis, cells, values):
+    """``values`` on the flat ``cells`` of ``basis``'s grid, as a field that is zero elsewhere."""
+    field = np.zeros(basis.shape)
+    field.reshape(-1)[cells] = values
+    return field
+
+
 def tiled_building_yaml(n_rows: int = 3, n_cols: int = 3, room: int = 4) -> str:
     """Plan of ``n_rows`` x ``n_cols`` rooms of ``room`` x ``room`` air cells."""
     return rooms_building_yaml([room] * n_rows, [room] * n_cols)

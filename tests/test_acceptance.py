@@ -13,7 +13,7 @@ from heatgrid.building import BuildingGrid, CvType, DIR_ORIENTATION, MaterialFie
 from heatgrid.cli import bench_solvers
 from heatgrid.solar import PoaIrradiance
 
-from _factories import random_case
+from _factories import boundary_at, on_grid, random_case
 from conftest import constant_weather
 from test_tensor_solver import bare_config, baseline_update, dark_boundary, random_raw_case
 
@@ -157,7 +157,7 @@ def test_equilibrium_fixed_point_both_solvers(canonical):
             grid, dataclasses.replace(config, initial_temperature=t0), records
         )
         for _ in range(100):
-            bc = hg.boundary_for_time(records, config.site, state.sim_clock)
+            bc = boundary_at(records, config.site, state.sim_clock)
             new, _ = stepper(state, plan, bc)
             worst = max(worst, float(np.abs(new.t - state.t).max()))
             state = new
@@ -179,7 +179,7 @@ def test_energy_audit_on_random_configurations():
         grid, mats, config, records, q_x = random_case(rng, n_steps=1, epsilon=1e-10)
         plan = hg.prepare(grid, mats, config)
         state = hg.make_initial_state(grid, config, records)
-        bc = hg.boundary_for_time(records, config.site, state.sim_clock, q_x=q_x)
+        bc = boundary_at(records, config.site, state.sim_clock, q_x=q_x)
         new, report = hg.oracle_step(state, plan, bc)
         assert report.converged
         audit = hg.energy_audit(state, new, plan, bc)
@@ -257,9 +257,9 @@ def test_solar_conservation_exact():
         poa = PoaIrradiance({o: float(rng.uniform(0.0, 900.0)) for o in
                              ("north", "east", "south", "west")})
         mass_enabled = bool(rng.integers(0, 2))
-        _qa, q_tau, q_tau_mass = hg.assemble_solar_tensors(
-            hg.solar_basis(grid, mats), poa, mass_enabled
-        )
+        basis = hg.solar_basis(grid, mats)
+        _qa, q_tau, q_tau_mass = hg.assemble_solar_tensors(basis, poa, mass_enabled)
+        q_tau, q_tau_mass = on_grid(basis, basis.air, q_tau), on_grid(basis, basis.air, q_tau_mass)
 
         # independent accounting, grouped per zone in window order with the
         # implementation's multiplication association: bitwise comparable

@@ -514,6 +514,25 @@ def test_bad_setting_fails_at_load_naming_the_key(edit, message):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_section("simulation", "dt", "300"), r"^simulation.dt='300' is not a number$"),
+        (set_section("site", "latitude", " 45 "), r"^site.latitude=' 45 ' is not a number$"),
+        (set_property(0, "conductivity", "0.5"),
+         r"^materials\[0\] \(\w+\): conductivity='0.5' is not a number$"),
+    ],
+    ids=["simulation", "site", "materials"],
+)
+def test_quoted_yaml_number_fails_at_load_naming_the_key(edit, message):
+    # a quoted number loads as a string, which no reader takes for a number
+    doc = minimal_doc()
+    doc["site"] = {"latitude": 40.0, "longitude": -105.0}
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        load_doc(doc)
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("latitude", 100.0, r"^latitude 100.0 outside \[-90, 90\]$"),

@@ -21,6 +21,7 @@ from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
 from _factories import (
+    boundary_at,
     layered_sloped_building_yaml,
     padded_l_building_yaml,
     random_case,
@@ -179,7 +180,7 @@ def test_solvers_agree_on_every_feature_combination(
         config, convergence_epsilon=1e-9, enable_interior_lw=interior_lw,
         enable_exterior_lw=exterior_lw, enable_solar=solar, enable_interior_mass=mass,
     )
-    bc = hg.boundary_for_time(canonical_weather, config.site, canonical_weather[0].timestamp)
+    bc = boundary_at(canonical_weather, config.site, canonical_weather[0].timestamp)
     assert min(bc.poa.g_ts.values()) > 0.0
     snaps_t, reports = hg.run_episode(grid, mats, config, canonical_weather, 3)
     snaps_o, _ = hg.run_episode(
@@ -233,7 +234,7 @@ def test_energy_audit_balances_on_tight_convergence(rng):
     grid, mats, config, records, q_x = random_case(rng, n_steps=1, epsilon=1e-10)
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, records)
-    bc = hg.boundary_for_time(records, config.site, state.sim_clock, q_x=q_x)
+    bc = boundary_at(records, config.site, state.sim_clock, q_x=q_x)
     new, report = hg.oracle_step(state, plan, bc)
     assert report.converged
     audit = hg.energy_audit(state, new, plan, bc)
@@ -244,7 +245,7 @@ def test_audit_detects_tampered_field(rng):
     grid, mats, config, records, _ = random_case(rng, n_steps=1, epsilon=1e-10)
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, records)
-    bc = hg.boundary_for_time(records, config.site, state.sim_clock)
+    bc = boundary_at(records, config.site, state.sim_clock)
     new, _ = hg.oracle_step(state, plan, bc)
     broken = hg.ThermalState(t=new.t + 0.5, t_mass=new.t_mass)
     audit = hg.energy_audit(state, broken, plan, bc)
@@ -257,7 +258,7 @@ def test_audit_rejects_bad_states_by_name(canonical, canonical_weather):
     grid, mats, config = canonical
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     new, _ = hg.oracle_step(state, plan, bc)
     with pytest.raises(SolverError, match="state t_mass is missing"):
         hg.energy_audit(hg.ThermalState(t=state.t), new, plan, bc)
@@ -270,7 +271,7 @@ def test_energy_audit_reads_capacity_once(canonical, canonical_weather, monkeypa
     grid, mats, config = canonical
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     new, _ = hg.oracle_step(state, plan, bc)
     calls = []
     capacity = MaterialField.volumetric_capacity

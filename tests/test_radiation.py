@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
 from heatgrid import radiation, tensor_solver
-from _factories import remade, rooms_building_yaml, tiled_building_yaml
+from _factories import on_grid, remade, rooms_building_yaml, tiled_building_yaml
 from heatgrid.building import (
     DIR_OFFSETS,
     DIR_ORIENTATION,
@@ -702,7 +702,8 @@ def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
         if case == "ring_oblong_cells":
             grid = BuildingGrid.from_cv_types(grid.cv_type, 0.4, 0.7, grid.z)
     poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
-    qa, _, _ = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, False)
+    basis = hg.solar_basis(grid, mats)
+    qa, _, _ = hg.assemble_solar_tensors(basis, poa, False)
 
     reference = np.zeros((grid.rows, grid.cols))
     for r, c in np.argwhere(grid.is_envelope()):
@@ -713,16 +714,17 @@ def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
                 acc += mats.absorptivity[r, c] * poa[DIR_ORIENTATION[d]] * (length * grid.z)
         reference[r, c] = acc
     assert np.count_nonzero(reference) == np.count_nonzero(grid.delta_x)
-    assert np.array_equal(qa, reference)
+    assert np.array_equal(on_grid(basis, basis.cells, qa), reference)
 
 
 def test_window_share_distributes_uniformly(canonical):
     grid, mats, _ = canonical
     poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
-    qa, qt, qtm = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, mass_enabled=False)
+    basis = hg.solar_basis(grid, mats)
+    qa, qt, qtm = hg.assemble_solar_tensors(basis, poa, mass_enabled=False)
     for zone in range(grid.n_zones):
         members = grid.zone_id == zone
-        values = np.unique(qt[members])
+        values = np.unique(on_grid(basis, basis.air, qt)[members])
         assert values.size == 1  # uniform share, bit-identical per cell
     assert (qtm == 0.0).all()
 
@@ -730,17 +732,16 @@ def test_window_share_distributes_uniformly(canonical):
 def test_mass_routing_empties_air_tensor(canonical):
     grid, mats, _ = canonical
     poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
-    qa_off, qt_off, _ = hg.assemble_solar_tensors(
-        hg.solar_basis(grid, mats), poa, mass_enabled=False
-    )
-    qa_on, qt_on, qtm_on = hg.assemble_solar_tensors(
-        hg.solar_basis(grid, mats), poa, mass_enabled=True
-    )
+    basis = hg.solar_basis(grid, mats)
+    qa_off, qt_off, _ = hg.assemble_solar_tensors(basis, poa, mass_enabled=False)
+    qa_on, qt_on, qtm_on = hg.assemble_solar_tensors(basis, poa, mass_enabled=True)
     assert np.array_equal(qa_on, qa_off)
     assert (qt_on == 0.0).all()
     # same power, expressed per plan area
     plan_area = grid.u * grid.v
-    assert (qtm_on * plan_area).sum() == pytest.approx(qt_off.sum(), rel=1e-12)
+    assert (on_grid(basis, basis.air, qtm_on) * plan_area).sum() == pytest.approx(
+        qt_off.sum(), rel=1e-12
+    )
 
 
 def test_missing_orientation_rejected(canonical):

@@ -21,7 +21,13 @@ from heatgrid.conditions import StepBoundary
 from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
-from _factories import layered_sloped_building_yaml, remade, tiled_building_yaml
+from _factories import (
+    boundary_at,
+    layered_sloped_building_yaml,
+    on_grid,
+    remade,
+    tiled_building_yaml,
+)
 from conftest import constant_weather
 
 
@@ -333,7 +339,7 @@ def test_oracle_reads_no_array_the_plan_derives(canonical, canonical_weather):
     }
     poisoned_plan = dataclasses.replace(plan, **poison)
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     clean, _ = hg.oracle_step(state, plan, bc)
     dirty, _ = hg.oracle_step(state, poisoned_plan, bc)
     assert np.array_equal(clean.t, dirty.t)
@@ -359,7 +365,7 @@ def test_solar_without_site_rejected_naming_both_entries(canonical, canonical_we
         hg.run_episode(grid, mats, config, canonical_weather, 1)
     # a direct caller of the boundary assembly gets its own check
     with pytest.raises(ValueError, match="solar gains enabled but no site position given"):
-        hg.boundary_for_time(canonical_weather, None, canonical_weather[0].timestamp)
+        hg.boundary_series(canonical_weather, None, canonical_weather[0].timestamp, 300.0, 1)
     dark = dataclasses.replace(config, enable_solar=False)
     assert len(hg.run_episode(grid, mats, dark, canonical_weather, 1)[1]) == 1
 
@@ -383,8 +389,15 @@ def test_episode_weather_horizon_error_carries_step_index(canonical):
         timestamp=first.timestamp + timedelta(hours=1),
         t_air=291.0, t_gnd=290.0, t_sky=None, ghi=0.0, dni=0.0, dhi=0.0,
     )
+    steps = []
+
+    def stepper(*args):
+        steps.append(args)
+        return hg.step(*args)
+
     with pytest.raises(SolverError, match="step 25"):
-        hg.run_episode(grid, mats, config, [first, second], 40)  # 40 * 300 s > 2 h
+        hg.run_episode(grid, mats, config, [first, second], 40, stepper)  # 40 * 300 s > 2 h
+    assert steps == []  # the whole horizon is checked before the first step
 
 
 def test_long_constant_weather_approaches_steady_state(canonical):
@@ -411,7 +424,7 @@ def test_nan_heat_source_raises_naming_cell(canonical, canonical_weather, steppe
     state = hg.make_initial_state(grid, config, canonical_weather)
     q_x = np.zeros((grid.rows, grid.cols))
     q_x[5, 5] = np.nan
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock, q_x=q_x)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock, q_x=q_x)
     with pytest.raises(SolverError, match=rf"{first_pass}: temperature nan at cell \(5, 5\)"):
         stepper(state, plan, bc)
 
@@ -444,7 +457,7 @@ def test_bad_mass_nodes_rejected_naming_them(
 ):
     grid, mats, config = canonical
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     state.t_mass = defect(state.t_mass)
     with pytest.raises(SolverError, match=message):
         stepper(state, hg.prepare(grid, mats, config), bc)
@@ -552,9 +565,89 @@ def test_bad_boundary_rejected_naming_the_field(canonical, canonical_weather, st
     assert config.enable_solar
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     with pytest.raises(SolverError, match=message):
         stepper(state, plan, edit(bc))
+
+
+def bad_iterate(monkeypatch, swept, value, at_pass):
+    """Make pass ``at_pass``'s image ``value`` at cell (0, 0), before the pass measures its change.
+
+    A Jacobi pass divides its numerator, so that cell's numerator becomes
+    ``value`` (0 / denom is 0, and an infinity or NaN stays one). A swept
+    pass's second colour starts from the first colour's image and leaves
+    (0, 0), a first-colour cell, as it finds it, so that image is set to
+    ``value`` as the second colour reads it.
+    """
+    calls = [0]
+    if swept:
+        shift = tensor_solver.shift_fields
+
+        def injected(pad, field):
+            calls[0] += 1
+            if calls[0] == 2 * at_pass:
+                field[0, 0] = value
+            return shift(pad, field)
+
+        monkeypatch.setattr(tensor_solver, "shift_fields", injected)
+    else:
+        conduction = tensor_solver._add_conduction
+
+        def injected(numer, *args):
+            conduction(numer, *args)
+            calls[0] += 1
+            if calls[0] == at_pass:
+                numer[0, 0] = value
+
+        monkeypatch.setattr(tensor_solver, "_add_conduction", injected)
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["jacobi", "swept"])
+@pytest.mark.parametrize(
+    "value, shown, diverged",
+    [(-50.0, r"-\d\S*", True), (0.0, r"0\.0", True), (np.inf, "inf", True),
+     (np.nan, "nan", False)],
+    ids=["negative", "zero", "inf", "nan"],
+)
+@pytest.mark.parametrize("at_pass", [1, 2])
+def test_bad_iterate_raises_naming_pass_and_cell(monkeypatch, rng, swept, value, shown, diverged,
+                                                 at_pass):
+    # the pass check is one least value and the finiteness of the largest
+    # change; what it catches must still fail naming the pass and the cell
+    grid, mats = random_raw_case(rng, 4, 5)
+    if swept:
+        monkeypatch.setattr(tensor_solver, "MIXING_GATE", -1.0)  # every plan sweeps
+    plan = hg.prepare(grid, mats, bare_config(convergence_epsilon=1e-12))
+    assert plan.sweep_from_start == swept
+    bad_iterate(monkeypatch, swept, value, at_pass)
+    t = rng.uniform(285.0, 305.0, (4, 5))
+    named = rf"^iteration {at_pass}: temperature {shown} at cell \(0, 0\)"
+    message = named + " is not finite and > 0 K"
+    # a change that grew from the last pass's is reported as a divergence;
+    # a NaN change is not, and the first pass has no last change
+    message += r"; the iteration diverged .* at dt = 200 s$" if diverged and at_pass > 1 else "$"
+    with pytest.raises(SolverError, match=message):
+        hg.step(hg.ThermalState(t=t), plan, dark_boundary(290.0))
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["jacobi", "swept"])
+def test_padding_stays_at_ambient_through_every_pass(monkeypatch, rng, pass_images, swept):
+    # the padding reads the old ambient in the state, and the prediction
+    # would move it; every pass's image has it at this step's ambient
+    cv = np.full((5, 6), int(CvType.INTERIOR_AIR))
+    cv[0, :3] = cv[-1, -2:] = int(CvType.BOUNDARY)
+    grid, mats = random_raw_case(rng, 5, 6, cv)
+    if swept:
+        monkeypatch.setattr(tensor_solver, "MIXING_GATE", -1.0)
+    plan = hg.prepare(grid, mats, bare_config(convergence_epsilon=1e-9))
+    assert plan.sweep_from_start == swept and plan.padding.size == 5
+    t, t_before = rng.uniform(285.0, 305.0, (2, 5, 6))
+    _, report = hg.step(hg.ThermalState(t=t, t_before=t_before), plan, dark_boundary(271.5))
+    assert report.converged and report.inner_iterations >= 2 and report.mixed_from == int(swept)
+    assert len(pass_images) == report.inner_iterations
+    padding = cv == int(CvType.BOUNDARY)
+    for image in pass_images:
+        assert (image[padding] == 271.5).all() and (image[~padding] != 271.5).all()
 
 
 # -----------------------------------------------------------------------------
@@ -565,14 +658,13 @@ def test_bad_boundary_rejected_naming_the_field(canonical, canonical_weather, st
 def pass_images(monkeypatch):
     """The list to which every pass of the steps that follow appends its image."""
     images = []
-    check = tensor_solver._check_temperatures
+    check = tensor_solver._check_pass
 
-    def recording_check(t, context):
-        if context.startswith("iteration"):
-            images.append(t.copy())
-        check(t, context)
+    def recording_check(image, *args):
+        images.append(image.copy())
+        check(image, *args)
 
-    monkeypatch.setattr(tensor_solver, "_check_temperatures", recording_check)
+    monkeypatch.setattr(tensor_solver, "_check_pass", recording_check)
     return images
 
 
@@ -846,7 +938,7 @@ def test_t_before_kept_after_every_step(canonical, canonical_weather):
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, canonical_weather)
     assert state.t_before is None
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     first, report = hg.step(state, plan, bc)
     assert report.mixed_from == 0 and first.t_before is state.t
     second, report = hg.step(first, plan, bc)
@@ -866,7 +958,7 @@ def test_one_pass_budget_starts_from_t(canonical, canonical_weather):
     grid, mats, config = canonical
     plan = hg.prepare(grid, mats, dataclasses.replace(config, max_inner_iterations=1))
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     first, _ = hg.step(state, plan, bc)
     assert first.t_before is state.t
     predicted, report = hg.step(first, plan, bc)
@@ -886,7 +978,7 @@ def test_one_pass_budget_starts_from_t(canonical, canonical_weather):
 def test_bad_t_before_rejected_naming_it(canonical, canonical_weather, stepper, defect, message):
     grid, mats, config = canonical
     state = hg.make_initial_state(grid, config, canonical_weather)
-    bc = hg.boundary_for_time(canonical_weather, config.site, state.sim_clock)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
     state.t_before = defect(state.t.copy())
     with pytest.raises(SolverError, match=message):
         stepper(state, hg.prepare(grid, mats, config), bc)
@@ -1100,7 +1192,7 @@ def test_step_balance_carries_the_solar_tensors(canonical, canonical_weather, mo
     plan = hg.prepare(grid, mats, config)
     state = hg.make_initial_state(grid, config, canonical_weather)
     sunny = max(canonical_weather, key=lambda record: record.ghi).timestamp
-    bc = hg.boundary_for_time(canonical_weather, config.site, sunny)
+    bc = boundary_at(canonical_weather, config.site, sunny)
     q_alpha, q_tau, q_tau_mass = hg.assemble_solar_tensors(plan.solar, bc.poa, mass)
     assert not plan.sweep_from_start  # so each step's first conduction starts from const
 
@@ -1117,12 +1209,15 @@ def test_step_balance_carries_the_solar_tensors(canonical, canonical_weather, mo
     starts.clear()
     hg.step(state, plan, dataclasses.replace(bc, poa=PoaIrradiance.dark()))
     added = const_lit - starts[0]
-    expected = q_alpha + q_tau
+    expected = on_grid(plan.solar, plan.solar.cells, q_alpha) + on_grid(
+        plan.solar, plan.solar.air, q_tau
+    )
     assert np.count_nonzero(q_alpha) and (np.count_nonzero(q_tau) > 0) != mass
     np.testing.assert_allclose(added, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     if mass:
         assert np.count_nonzero(q_tau_mass)
-        nodes = hg.update_mass(state.t_mass, lit.t, q_tau_mass, plan.mass_t0, grid.z,
+        q_mass = on_grid(plan.solar, plan.solar.air, q_tau_mass)
+        nodes = hg.update_mass(state.t_mass, lit.t, q_mass, plan.mass_t0, grid.z,
                                config.mass_params.k_mass)
         np.testing.assert_allclose(lit.t_mass, np.where(plan.air, nodes, state.t_mass),
                                    rtol=1e-12, atol=0.0)
