@@ -42,7 +42,6 @@ from .radiation import (
     view_factors,
 )
 from .solar import (
-    PoaIrradiance,
     SolarGeometry,
     angle_of_incidence,
     poa_for_orientations,
@@ -79,7 +78,6 @@ __all__ = [
     "MaterialField",
     "OpenCavityError",
     "Plan",
-    "PoaIrradiance",
     "RadiationExchangeMatrix",
     "STEFAN_BOLTZMANN",
     "SimulationConfig",

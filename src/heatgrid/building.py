@@ -19,6 +19,7 @@ faces have length U.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import IntEnum
 from numbers import Integral
@@ -577,6 +578,25 @@ def _parse_cv_type(raw, where: str) -> CvType:
     return _CV_TYPE_NAMES[name]
 
 
+def _plan_loader(base: type) -> type:
+    """PyYAML's safe loader ``base``, reading YAML 1.2's exponent floats too.
+
+    PyYAML resolves plain scalars by YAML 1.1, whose floats need a dot and
+    a signed exponent, so without this ``1e-3`` and ``1E3`` load as strings.
+    """
+    loader = type("PlanLoader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+    return loader
+
+
+#: libyaml's parser where PyYAML was built with it; same documents
+_PLAN_LOADER = _plan_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, SimulationConfig]:
     """Parse a YAML building description into grid, materials, and config.
 
@@ -588,8 +608,7 @@ def load_building(config_text: str) -> Tuple[BuildingGrid, MaterialField, Simula
     location used for solar geometry.
     """
     try:
-        # libyaml's parser where PyYAML was built with it; same documents
-        doc = yaml.load(config_text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        doc = yaml.load(config_text, Loader=_PLAN_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):

@@ -7,9 +7,9 @@ all out before its first step, as arrays over its step instants, with
 ``boundary_series``: the weather record each instant holds (records are
 held constant between timestamps), the sky temperature, the sun position
 and the POA irradiance on the four facades. Each step then takes its row
-with ``boundary_for_time``. Each solver checks its boundary with
-``StepBoundary.validate`` before a step starts, so a bad value fails naming
-the field rather than surfacing as a bad iterate.
+with ``boundary_for_time``. A StepBoundary checks its values when it is
+made, so a bad value fails naming the field rather than surfacing as a
+bad iterate.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .building import DIR_ORIENTATION
-from .solar import (
-    J2000,
-    ORIENTATIONS,
-    PoaIrradiance,
-    SolarGeometry,
-    poa_for_orientations,
-    solar_position,
-)
+from .solar import J2000, SolarGeometry, poa_for_orientations, solar_position
 from .weather import SitePosition, WeatherFormatError, WeatherRecord, record_at, sky_temperature
 
 
@@ -39,37 +32,43 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepBoundary:
-    """Boundary conditions for one simulation step."""
+    """Boundary conditions for one simulation step; made, it checks its values.
+
+    ``poa`` is the ``(4,)`` POA irradiance [W/m^2] of the facades in shift
+    order (``building.DIR_ORIENTATION``), zeros with solar off. A
+    temperature not finite and > 0 K or an irradiance not finite and >= 0
+    raises ``SolverError`` naming its field or facade.
+    """
 
     t_inf: float  # ambient air [K]
     t_gnd: float  # ground [K]
     t_sky: float  # effective sky [K]
-    poa: PoaIrradiance
+    poa: np.ndarray
     q_x: Optional[np.ndarray] = None  # external heat source [W per cell]
 
-    def validate(self, shape: Tuple[int, int], solar: bool) -> None:
-        """Raise ``SolverError`` naming the first field a step on a ``shape`` grid cannot use.
-
-        Temperatures must be finite and > 0 K. With ``solar`` on, every
-        facade's POA irradiance must be present, finite and >= 0 W/m^2.
-        ``q_x``, when given, must have the grid's shape. Its entries are
-        not scanned here: a non-finite one makes its cell's first update
-        non-finite, and the solver's error for that update names it through
-        ``heat_source_note``.
-        """
+    def __post_init__(self) -> None:
         for name in ("t_inf", "t_gnd", "t_sky"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise SolverError(f"boundary {name}={value} is not finite and > 0 K")
-        if solar:
-            for orientation in ORIENTATIONS:
-                g = self.poa.g_ts.get(orientation)
-                if g is None:
-                    raise SolverError(f"boundary has no {orientation} POA irradiance")
-                if not 0.0 <= g < math.inf:
-                    raise SolverError(
-                        f"boundary {orientation} POA irradiance {g} W/m^2 is not finite and >= 0"
-                    )
+        if not (isinstance(self.poa, np.ndarray) and self.poa.shape == (4,)):
+            raise SolverError(
+                f"boundary POA irradiance has shape {np.shape(self.poa)} "
+                f"({type(self.poa).__name__}); it must be a (4,) array, one entry per facade"
+            )
+        for orientation, g in zip(DIR_ORIENTATION, self.poa.tolist()):
+            if not 0.0 <= g < math.inf:
+                raise SolverError(
+                    f"boundary {orientation} POA irradiance {g} W/m^2 is not finite and >= 0"
+                )
+
+    def validate(self, shape: Tuple[int, int]) -> None:
+        """Raise ``SolverError`` unless ``q_x``, when given, has the ``shape`` of the grid.
+
+        Its entries are not scanned here: a non-finite one makes its cell's
+        first update non-finite, and the solver's error for that update
+        names it through ``heat_source_note``.
+        """
         if self.q_x is not None and np.shape(self.q_x) != shape:
             raise SolverError(f"boundary q_x shape {np.shape(self.q_x)} != grid shape {shape}")
 
@@ -181,11 +180,11 @@ def boundary_series(
 def boundary_for_time(
     series: BoundarySeries, index: int, q_x: Optional[np.ndarray] = None
 ) -> StepBoundary:
-    """The boundary of step ``index``: row ``index`` of ``series``, with heat source ``q_x``."""
+    """Step ``index``'s boundary: row ``index`` of ``series``, no copy, with heat source ``q_x``."""
     return StepBoundary(
         t_inf=float(series.t_inf[index]),
         t_gnd=float(series.t_gnd[index]),
         t_sky=float(series.t_sky[index]),
-        poa=PoaIrradiance(dict(zip(DIR_ORIENTATION, series.poa[index].tolist()))),
+        poa=series.poa[index],
         q_x=q_x,
     )

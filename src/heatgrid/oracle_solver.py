@@ -65,7 +65,6 @@ def _solar_terms(grid, mats, boundary, mass_enabled: bool):
     q_tau = [[0.0] * cols for _ in range(rows)]
     q_tau_mass = [[0.0] * cols for _ in range(rows)]
 
-    orientation_of = ("east", "north", "west", "south")
     zone_total = [0.0] * max(grid.n_zones, 1)
     for r in range(rows):
         for c in range(cols):
@@ -77,7 +76,7 @@ def _solar_terms(grid, mats, boundary, mass_enabled: bool):
             for d in range(4):
                 if not grid.exposed_mask[d, r, c]:
                     continue
-                g = boundary.poa[orientation_of[d]]
+                g = float(boundary.poa[d])
                 length = float(grid.v[r, c]) if d in (0, 2) else float(grid.u[r, c])
                 absorbed += float(mats.absorptivity[r, c]) * g * length * grid.z
                 if kind == int(CvType.WINDOW):
@@ -138,7 +137,7 @@ def oracle_step(
     grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
     mass_on = config.enable_interior_mass
     state.validate(grid, mass_on)
-    boundary.validate((grid.rows, grid.cols), config.enable_solar)
+    boundary.validate((grid.rows, grid.cols))
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     dt = config.dt

@@ -47,7 +47,6 @@ from .building import (
     face_length,
     shift_fields,
 )
-from .solar import PoaIrradiance
 
 STEFAN_BOLTZMANN = 5.670374419e-8  # W/(m^2 K^4)
 
@@ -549,19 +548,21 @@ def solar_basis(grid: BuildingGrid, mats: MaterialField) -> SolarBasis:
 
 
 def assemble_solar_tensors(
-    basis: SolarBasis, poa: PoaIrradiance, mass_enabled: bool
+    basis: SolarBasis, poa: np.ndarray, mass_enabled: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Absorbed and transmitted solar for one step's irradiance, on the cells it reaches.
 
-    Returns ``(q_sol_alpha, q_sol_tau, q_tau_mass)``. ``q_sol_alpha`` [W]
-    holds the absorbed power of each cell of ``basis.cells``, with the
-    exposed-face area scaling. The power transmitted through each window is
-    pooled per zone and spread uniformly over that zone's air cells, the
-    cells of ``basis.air``: into ``q_sol_tau`` [W] when mass is disabled,
-    or into ``q_tau_mass`` [W/m^2 of plan area] for the mass nodes when
-    enabled; the other of the two is zero.
+    ``poa`` is the step's ``(4,)`` POA irradiance [W/m^2] in shift order
+    (``StepBoundary.poa``). Returns ``(q_sol_alpha, q_sol_tau,
+    q_tau_mass)``. ``q_sol_alpha`` [W] holds the absorbed power of each
+    cell of ``basis.cells``, with the exposed-face area scaling. The power
+    transmitted through each window is pooled per zone and spread
+    uniformly over that zone's air cells, the cells of ``basis.air``: into
+    ``q_sol_tau`` [W] when mass is disabled, or into ``q_tau_mass`` [W/m^2
+    of plan area] for the mass nodes when enabled; the other of the two is
+    zero.
     """
-    g = np.array([[poa[o]] for o in DIR_ORIENTATION], dtype=float)  # (4, 1), shift order
+    g = poa[:, None]
     alpha = (basis.absorptivity * g * basis.areas).sum(axis=0)
     tau_power = (basis.transmissivity * g * basis.window_areas).sum(axis=0)
 

@@ -34,8 +34,6 @@ ORIENTATION_AZIMUTH: Dict[str, float] = {
     "west": 270.0,
 }
 
-ORIENTATIONS = tuple(ORIENTATION_AZIMUTH)
-
 #: The J2000.0 epoch, 2000-01-01 12:00 UTC, from which ``solar_position`` counts time.
 J2000 = np.datetime64("2000-01-01T12:00", "us")
 _DAY_US = 86_400_000_000  # microseconds in a day
@@ -47,23 +45,6 @@ class SolarGeometry:
 
     zenith: np.ndarray
     azimuth: np.ndarray
-
-
-@dataclass(frozen=True)
-class PoaIrradiance:
-    """Plane-of-array irradiance per facade orientation [W/m^2], for one step."""
-
-    g_ts: Dict[str, float]
-
-    def __getitem__(self, orientation: str) -> float:
-        try:
-            return self.g_ts[orientation]
-        except KeyError:
-            raise KeyError(f"no POA irradiance for orientation {orientation!r}") from None
-
-    @classmethod
-    def dark(cls) -> "PoaIrradiance":
-        return cls({orientation: 0.0 for orientation in ORIENTATIONS})
 
 
 def _declination_and_eqtime(t: np.ndarray):

@@ -241,9 +241,9 @@ class Plan:
     over-relaxation factor of a swept pass, 1 unless ``sweep_from_start``,
     and ``colour_gains`` are ``omega / denom`` on the live cells with ``r +
     c`` even and odd, 0 elsewhere.
-    ``air`` marks the interior-air cells, whose mass nodes the step
-    updates, and ``mass_t0`` is the update's ``rho c z^2 / (k dt)``; with
-    mass off, they and ``coupling`` are None.
+    ``air`` holds the ascending flat indices of the interior-air cells,
+    whose mass nodes the step updates, and ``mass_t0`` is the update's
+    ``rho c z^2 / (k dt)``; with mass off, they and ``coupling`` are None.
     ``solar`` is the solar basis, None with solar off.
     ``newton_cells`` are the flat indices, ascending, of the radiating
     cells: those with a non-zero exterior long-wave weight (the envelope
@@ -306,8 +306,9 @@ def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -
     coupling = air = mass_t0 = None
     if config.enable_interior_mass:
         params = config.mass_params
-        air = grid.cv_type == int(CvType.INTERIOR_AIR)
-        coupling = np.where(air, params.k_mass, 0.0) * u * v / z
+        air_mask = grid.cv_type == int(CvType.INTERIOR_AIR)
+        air = np.flatnonzero(air_mask)
+        coupling = np.where(air_mask, params.k_mass, 0.0) * u * v / z
         denom = denom + coupling
         mass_t0 = params.rho_mass * params.c_mass * z**2 / (params.k_mass * config.dt)
     active = grid.cv_type != int(CvType.BOUNDARY)
@@ -493,11 +494,11 @@ def step(
     """
     started = time.perf_counter()
     grid, config, exchange, g = plan.grid, plan.config, plan.exchange, plan.g
+    shape = (grid.rows, grid.cols)
     state.validate(grid, config.enable_interior_mass)
-    boundary.validate((grid.rows, grid.cols), config.enable_solar)
+    boundary.validate(shape)
     t_inf = boundary.t_inf
 
-    shape = (grid.rows, grid.cols)
     # The constant part of the numerator: everything the iterate does not change.
     const = plan.convection * t_inf
     const += plan.capacity * state.t
@@ -506,17 +507,14 @@ def step(
         const += boundary.q_x
     if config.enable_interior_mass:
         const += plan.coupling * state.t_mass
-    q_tau_mass = 0.0  # the transmitted solar into the mass nodes [W/m^2]
+    q_air_mass = 0.0  # the transmitted solar into each air cell's mass node [W/m^2]
     if config.enable_solar:  # added on the cells it reaches
         basis = plan.solar
         q_sol_alpha, q_sol_tau, q_air_mass = assemble_solar_tensors(
             basis, boundary.poa, config.enable_interior_mass
         )
         const_flat[basis.cells] += q_sol_alpha
-        if config.enable_interior_mass:
-            q_tau_mass = np.zeros(shape)
-            q_tau_mass.reshape(-1)[basis.air] = q_air_mass
-        else:
+        if not config.enable_interior_mass:
             const_flat[basis.air] += q_sol_tau
     if config.enable_exterior_lw:
         # what the environment sends, the exterior term of a surface at 0 K;
@@ -621,11 +619,12 @@ def step(
             image += correction
 
     t_mass = None
-    if config.enable_interior_mass:
-        updated = update_mass(
-            state.t_mass, image, q_tau_mass, plan.mass_t0, grid.z, config.mass_params.k_mass
+    if config.enable_interior_mass:  # only the air cells' nodes move
+        t_mass = state.t_mass.copy()
+        t_mass.reshape(-1)[plan.air] = update_mass(
+            t_mass.reshape(-1)[plan.air], image.reshape(-1)[plan.air], q_air_mass,
+            plan.mass_t0, grid.z, config.mass_params.k_mass,
         )
-        t_mass = np.where(plan.air, updated, state.t_mass)
 
     new_state = ThermalState(
         t=image,

@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 import heatgrid as hg
+from heatgrid.building import DIR_ORIENTATION
 from heatgrid.cli import default_building_path
 
 
@@ -25,6 +26,22 @@ def remade(grid, mats, **changes):
 def boundary_at(records, site, when, q_x=None):
     """The boundary at the single instant ``when``: row 0 of a one-step boundary series."""
     return hg.boundary_for_time(hg.boundary_series(records, site, when, 1.0, 1), 0, q_x)
+
+
+def dark_boundary(t_inf, t_gnd=None, t_sky=None, q_x=None):
+    """A step boundary with no sun, ground and sky at ``t_inf`` unless given."""
+    return hg.StepBoundary(
+        t_inf=t_inf,
+        t_gnd=t_inf if t_gnd is None else t_gnd,
+        t_sky=t_inf if t_sky is None else t_sky,
+        poa=np.zeros(4),
+        q_x=q_x,
+    )
+
+
+def facade_poa(**irradiance):
+    """POA irradiance [W/m^2] given by facade name, as the shift-order row a boundary holds."""
+    return np.array([irradiance[o] for o in DIR_ORIENTATION], dtype=float)
 
 
 def instants(*when):

@@ -9,13 +9,12 @@ import dataclasses
 import numpy as np
 
 import heatgrid as hg
-from heatgrid.building import BuildingGrid, CvType, DIR_ORIENTATION, MaterialField
+from heatgrid.building import BuildingGrid, CvType, MaterialField
 from heatgrid.cli import bench_solvers
-from heatgrid.solar import PoaIrradiance
 
-from _factories import boundary_at, on_grid, random_case
+from _factories import boundary_at, dark_boundary, facade_poa, on_grid, random_case
 from conftest import constant_weather
-from test_tensor_solver import bare_config, baseline_update, dark_boundary, random_raw_case
+from test_tensor_solver import bare_config, baseline_update, random_raw_case
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -254,8 +253,8 @@ def test_solar_conservation_exact():
             absorptivity=np.where(window, min(absorptivity, 1.0 - transmissivity), absorptivity),
             transmissivity=np.where(window, transmissivity, 0.0),
         )
-        poa = PoaIrradiance({o: float(rng.uniform(0.0, 900.0)) for o in
-                             ("north", "east", "south", "west")})
+        poa = facade_poa(**{o: float(rng.uniform(0.0, 900.0)) for o in
+                            ("north", "east", "south", "west")})
         mass_enabled = bool(rng.integers(0, 2))
         basis = hg.solar_basis(grid, mats)
         _qa, q_tau, q_tau_mass = hg.assemble_solar_tensors(basis, poa, mass_enabled)
@@ -270,7 +269,7 @@ def test_solar_conservation_exact():
                 if grid.exposed_mask[d, r, c]:
                     length = grid.v[r, c] if d in (0, 2) else grid.u[r, c]
                     area = length * grid.z
-                    acc += mats.transmissivity[r, c] * poa[DIR_ORIENTATION[d]] * area
+                    acc += mats.transmissivity[r, c] * poa[d] * area
             zone_ref[zone] += acc
         reference_total = float(zone_ref.sum())
 

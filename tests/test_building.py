@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
+from heatgrid import building
 from heatgrid.building import (
     DIR_OFFSETS,
     BuildingGrid,
@@ -530,6 +531,38 @@ def test_quoted_yaml_number_fails_at_load_naming_the_key(edit, message):
     edit(doc)
     with pytest.raises(ConfigError, match=message):
         load_doc(doc)
+
+
+@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize(
+    "section, key, raw, value",
+    [
+        ("simulation", "convergence_epsilon", "1e-3", 1e-3),
+        ("simulation", "dt", "1E3", 1000.0),
+        ("site", "longitude", "-2e+1", -20.0),
+        ("simulation", "convergence_epsilon", '"1e-3"', None),
+    ],
+    ids=["lower", "upper", "signed", "quoted"],
+)
+def test_yaml_1_2_exponents_load_as_numbers(monkeypatch, base, section, key, raw, value):
+    # PyYAML's YAML 1.1 floats need a dot and a signed exponent; the plan
+    # loader also takes 1.2's, with libyaml's parser and with PyYAML's own
+    if not hasattr(yaml, base):
+        pytest.skip(f"PyYAML was built without {base}")
+    monkeypatch.setattr(building, "_PLAN_LOADER", building._plan_loader(getattr(yaml, base)))
+    doc = minimal_doc()
+    doc["site"] = {"latitude": 40.0, "longitude": -105.0}
+    doc[section][key] = "EXPONENT"
+    text = yaml.safe_dump(doc).replace("EXPONENT", raw)
+    if value is None:
+        with pytest.raises(ConfigError, match=rf"^{section}.{key}='1e-3' is not a number$"):
+            hg.load_building(text)
+    else:
+        _, _, config = hg.load_building(text)
+        read = getattr(config.site if section == "site" else config, key)
+        assert type(read) is float and read == value
+    # PyYAML's own safe loader is left as it was
+    assert yaml.safe_load(f"a: {raw}") == {"a": "1e-3" if value is None else raw}
 
 
 @pytest.mark.parametrize(

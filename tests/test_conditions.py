@@ -1,10 +1,10 @@
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 import heatgrid as hg
-from heatgrid.building import DIR_ORIENTATION
 from heatgrid.conditions import SolverError
 
 from _factories import instants
@@ -30,7 +30,9 @@ def test_every_row_equals_a_one_step_series_at_its_instant(canonical, canonical_
         assert one.when[0] == series.when[i] == instants(start + i * step)[0]
         for a, b in zip(series_fields(series, i), series_fields(one, 0)):
             assert np.array_equal(a, b)  # bitwise, the sun and the POA included
-        assert hg.boundary_for_time(series, i) == hg.boundary_for_time(one, 0)
+        a, b = hg.boundary_for_time(series, i), hg.boundary_for_time(one, 0)
+        assert (a.t_inf, a.t_gnd, a.t_sky) == (b.t_inf, b.t_gnd, b.t_sky)
+        assert np.array_equal(a.poa, b.poa)
 
 
 def test_a_row_is_the_step_boundary(canonical, canonical_weather):
@@ -43,10 +45,34 @@ def test_a_row_is_the_step_boundary(canonical, canonical_weather):
     assert record is hg.record_at(canonical_weather, start + 30 * timedelta(seconds=300.0))
     assert (bc.t_inf, bc.t_gnd, bc.t_sky) == (record.t_air, record.t_gnd,
                                                hg.sky_temperature(record))
-    assert bc.poa.g_ts == dict(zip(DIR_ORIENTATION, series.poa[30]))
+    assert np.array_equal(bc.poa, series.poa[30])
+    # the row itself: read-only, and no copy
+    assert not bc.poa.flags.writeable and np.shares_memory(bc.poa, series.poa)
     assert bc.q_x is q_x
     geometry = hg.solar_position(config.site, series.when[30:31])
     assert geometry.zenith[0] == series.sun.zenith[30]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("t_gnd", 0.0, r"^boundary t_gnd=0.0 is not finite and > 0 K$"),
+        ("t_inf", np.inf, r"^boundary t_inf=inf is not finite and > 0 K$"),
+        ("poa", np.array([0.0, np.nan, 0.0, 0.0]),
+         r"^boundary north POA irradiance nan W/m\^2 is not finite and >= 0$"),
+        ("poa", np.array([0.0, 0.0, -1.0, 0.0]),
+         r"^boundary west POA irradiance -1.0 W/m\^2 is not finite and >= 0$"),
+        ("poa", np.zeros(3), r"^boundary POA irradiance has shape \(3,\) \(ndarray\)"),
+        ("poa", [0.0] * 4, r"^boundary POA irradiance has shape \(4,\) \(list\)"),
+    ],
+    ids=["t_gnd-zero", "t_inf-inf", "poa-nan", "poa-negative", "poa-shape", "poa-list"],
+)
+def test_a_boundary_checks_itself_when_made(field, value, message):
+    good = dict(t_inf=290.0, t_gnd=288.0, t_sky=270.0, poa=np.zeros(4))
+    with pytest.raises(SolverError, match=message):
+        hg.StepBoundary(**{**good, field: value})
+    with pytest.raises(SolverError, match=message):
+        dataclasses.replace(hg.StepBoundary(**good), **{field: value})
 
 
 def test_series_hold_matches_record_at_on_a_year_of_hourly_records():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
 from heatgrid.building import BuildingGrid, CvType, MassParams, MaterialField, SimulationConfig
-from heatgrid.conditions import StepBoundary
-from heatgrid.solar import PoaIrradiance
+
+from _factories import dark_boundary
 
 
 def small_grid(z=3.0):
@@ -37,7 +37,7 @@ def test_t0_definition_value():
     plan = hg.prepare(grid, small_mats(grid), config)
     air = grid.cv_type == int(CvType.INTERIOR_AIR)
     assert plan.mass_t0 == 30000.0
-    assert np.array_equal(plan.air, air)
+    assert np.array_equal(plan.air, np.flatnonzero(air))
     assert (plan.coupling[~air] == 0.0).all()
     assert (plan.coupling[air] > 0.0).all()
 
@@ -113,10 +113,7 @@ def test_uncoupled_cells_never_change():
     air = grid.cv_type == int(CvType.INTERIOR_AIR)
     t_mass = np.where(air, 290.0, 280.0)
     state = hg.ThermalState(t=np.full((4, 4), 310.0), t_mass=t_mass.copy())
-    boundary = StepBoundary(
-        t_inf=310.0, t_gnd=310.0, t_sky=310.0, poa=PoaIrradiance.dark(), q_x=None
-    )
-    new, _ = hg.step(state, hg.prepare(grid, small_mats(grid), config), boundary)
+    new, _ = hg.step(state, hg.prepare(grid, small_mats(grid), config), dark_boundary(310.0))
     assert (new.t_mass[~air] == 280.0).all()
     assert (new.t_mass[air] != 290.0).all()
 
@@ -147,9 +144,7 @@ def test_update_does_not_mutate_input():
     grid = small_grid()
     state = hg.make_initial_state(grid, mass_config(initial_temperature=300.0), [])
     before = state.t_mass.copy()
-    boundary = StepBoundary(
-        t_inf=280.0, t_gnd=280.0, t_sky=280.0, poa=PoaIrradiance.dark(), q_x=None
-    )
-    new, _ = hg.step(state, hg.prepare(grid, small_mats(grid), mass_config()), boundary)
+    plan = hg.prepare(grid, small_mats(grid), mass_config())
+    new, _ = hg.step(state, plan, dark_boundary(280.0))
     assert np.array_equal(state.t_mass, before)
     assert not np.array_equal(new.t_mass, before)

@@ -16,23 +16,16 @@ from heatgrid.building import (
     SimulationConfig,
 )
 from heatgrid import oracle_solver
-from heatgrid.conditions import StepBoundary
-from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
 from _factories import (
     boundary_at,
+    dark_boundary,
     layered_sloped_building_yaml,
     padded_l_building_yaml,
     random_case,
     rooms_building_yaml,
 )
-
-
-def dark_boundary(t_inf):
-    return StepBoundary(
-        t_inf=t_inf, t_gnd=t_inf, t_sky=t_inf, poa=PoaIrradiance.dark(), q_x=None
-    )
 
 
 def conduction_case(rng, rows=5, cols=5):
@@ -181,7 +174,7 @@ def test_solvers_agree_on_every_feature_combination(
         enable_exterior_lw=exterior_lw, enable_solar=solar, enable_interior_mass=mass,
     )
     bc = boundary_at(canonical_weather, config.site, canonical_weather[0].timestamp)
-    assert min(bc.poa.g_ts.values()) > 0.0
+    assert bc.poa.min() > 0.0
     snaps_t, reports = hg.run_episode(grid, mats, config, canonical_weather, 3)
     snaps_o, _ = hg.run_episode(
         grid, mats, config, canonical_weather, 3, stepper=hg.oracle_step

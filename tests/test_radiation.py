@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import heatgrid as hg
 from heatgrid import radiation, tensor_solver
-from _factories import on_grid, remade, rooms_building_yaml, tiled_building_yaml
+from _factories import (
+    dark_boundary,
+    facade_poa,
+    on_grid,
+    remade,
+    rooms_building_yaml,
+    tiled_building_yaml,
+)
 from heatgrid.building import (
     DIR_OFFSETS,
     DIR_ORIENTATION,
@@ -18,7 +25,6 @@ from heatgrid.building import (
 )
 from heatgrid.oracle_solver import _interior_lw_terms, _scalar_exterior_flux
 from heatgrid.radiation import OpenCavityError, STEFAN_BOLTZMANN
-from heatgrid.solar import PoaIrradiance
 
 
 # -----------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def test_exterior_flux_preconditions():
                                  enable_interior_mass=False)
     t = np.full((grid.rows, grid.cols), 293.0)
     t[0, 2] = -1.0
-    boundary = hg.StepBoundary(t_inf=285.0, t_gnd=290.0, t_sky=270.0, poa=PoaIrradiance.dark())
+    boundary = dark_boundary(285.0, t_gnd=290.0, t_sky=270.0)
     with pytest.raises(hg.SolverError, match=r"temperature -1.0 at cell \(0, 2\)"):
         hg.step(hg.ThermalState(t=t), hg.prepare(grid, mats, config), boundary)
 
@@ -678,14 +684,14 @@ def test_surfaces_without_pairs_are_padded_into_the_smallest_class():
 def test_night_tensors_zero(canonical):
     grid, mats, _ = canonical
     qa, qt, qtm = hg.assemble_solar_tensors(
-        hg.solar_basis(grid, mats), PoaIrradiance.dark(), False
+        hg.solar_basis(grid, mats), np.zeros(4), False
     )
     assert (qa == 0.0).all() and (qt == 0.0).all() and (qtm == 0.0).all()
 
 
 def test_opaque_building_transmits_nothing():
     grid, mats = ring_building(absorptivity=0.6)
-    poa = PoaIrradiance({"north": 100.0, "east": 200.0, "south": 600.0, "west": 50.0})
+    poa = facade_poa(north=100.0, east=200.0, south=600.0, west=50.0)
     qa, qt, qtm = hg.assemble_solar_tensors(hg.solar_basis(grid, mats), poa, False)
     assert qa.sum() > 0.0
     assert (qt == 0.0).all() and (qtm == 0.0).all()
@@ -701,7 +707,7 @@ def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
         grid, mats = ring_building(absorptivity=np.linspace(0.2, 0.8, 30).reshape(5, 6))
         if case == "ring_oblong_cells":
             grid = BuildingGrid.from_cv_types(grid.cv_type, 0.4, 0.7, grid.z)
-    poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
+    poa = facade_poa(north=120.0, east=310.5, south=640.25, west=75.125)
     basis = hg.solar_basis(grid, mats)
     qa, _, _ = hg.assemble_solar_tensors(basis, poa, False)
 
@@ -711,7 +717,7 @@ def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
         for d in range(4):
             if grid.exposed_mask[d, r, c]:
                 length = grid.v[r, c] if d in (0, 2) else grid.u[r, c]
-                acc += mats.absorptivity[r, c] * poa[DIR_ORIENTATION[d]] * (length * grid.z)
+                acc += mats.absorptivity[r, c] * poa[d] * (length * grid.z)
         reference[r, c] = acc
     assert np.count_nonzero(reference) == np.count_nonzero(grid.delta_x)
     assert np.array_equal(on_grid(basis, basis.cells, qa), reference)
@@ -719,7 +725,7 @@ def test_absorbed_solar_is_the_scalar_sum_over_exposed_faces(canonical, case):
 
 def test_window_share_distributes_uniformly(canonical):
     grid, mats, _ = canonical
-    poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
+    poa = facade_poa(north=120.0, east=310.5, south=640.25, west=75.125)
     basis = hg.solar_basis(grid, mats)
     qa, qt, qtm = hg.assemble_solar_tensors(basis, poa, mass_enabled=False)
     for zone in range(grid.n_zones):
@@ -731,7 +737,7 @@ def test_window_share_distributes_uniformly(canonical):
 
 def test_mass_routing_empties_air_tensor(canonical):
     grid, mats, _ = canonical
-    poa = PoaIrradiance({"north": 120.0, "east": 310.5, "south": 640.25, "west": 75.125})
+    poa = facade_poa(north=120.0, east=310.5, south=640.25, west=75.125)
     basis = hg.solar_basis(grid, mats)
     qa_off, qt_off, _ = hg.assemble_solar_tensors(basis, poa, mass_enabled=False)
     qa_on, qt_on, qtm_on = hg.assemble_solar_tensors(basis, poa, mass_enabled=True)
@@ -743,10 +749,3 @@ def test_mass_routing_empties_air_tensor(canonical):
         qt_off.sum(), rel=1e-12
     )
 
-
-def test_missing_orientation_rejected(canonical):
-    grid, mats, _ = canonical
-    with pytest.raises(KeyError, match="orientation"):
-        hg.assemble_solar_tensors(
-            hg.solar_basis(grid, mats), PoaIrradiance({"north": 10.0}), False
-        )

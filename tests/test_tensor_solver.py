@@ -17,28 +17,17 @@ from heatgrid.building import (
     MaterialField,
     SimulationConfig,
 )
-from heatgrid.conditions import StepBoundary
-from heatgrid.solar import PoaIrradiance
 from heatgrid.tensor_solver import SolverError
 
 from _factories import (
     boundary_at,
+    dark_boundary,
     layered_sloped_building_yaml,
     on_grid,
     remade,
     tiled_building_yaml,
 )
 from conftest import constant_weather
-
-
-def dark_boundary(t_inf, t_gnd=None, t_sky=None, q_x=None):
-    return StepBoundary(
-        t_inf=t_inf,
-        t_gnd=t_inf if t_gnd is None else t_gnd,
-        t_sky=t_inf if t_sky is None else t_sky,
-        poa=PoaIrradiance.dark(),
-        q_x=q_x,
-    )
 
 
 def bare_config(**overrides):
@@ -526,14 +515,10 @@ def with_q_x(shape, cell=None):
 
 def with_south_poa(value):
     def edit(bc):
-        return dataclasses.replace(bc, poa=PoaIrradiance({**bc.poa.g_ts, "south": value}))
+        poa = bc.poa.copy()
+        poa[DIR_SOUTH] = value
+        return dataclasses.replace(bc, poa=poa)
     return edit
-
-
-def without_west_poa(bc):
-    return dataclasses.replace(
-        bc, poa=PoaIrradiance({k: v for k, v in bc.poa.g_ts.items() if k != "west"})
-    )
 
 
 def with_boundary(**values):
@@ -552,12 +537,12 @@ def with_boundary(**values):
         (with_south_poa(np.nan), r"boundary south POA irradiance nan W/m\^2 is not finite"),
         (with_south_poa(np.inf), r"boundary south POA irradiance inf W/m\^2 is not finite"),
         (with_south_poa(-5000.0), r"boundary south POA irradiance -5000.0 W/m\^2 .* >= 0"),
-        (without_west_poa, r"boundary has no west POA irradiance"),
+        (with_boundary(poa=np.zeros(3)), r"boundary POA irradiance has shape \(3,\)"),
         (with_boundary(t_inf=-5.0), r"boundary t_inf=-5.0 is not finite and > 0 K"),
         (with_boundary(t_sky=np.nan), r"boundary t_sky=nan is not finite and > 0 K"),
     ],
     ids=["q_x-row", "q_x-one-row", "q_x-nan", "poa-nan", "poa-inf", "poa-negative",
-         "poa-missing", "t_inf-negative", "t_sky-nan"],
+         "poa-shape", "t_inf-negative", "t_sky-nan"],
 )
 def test_bad_boundary_rejected_naming_the_field(canonical, canonical_weather, stepper, edit,
                                                 message):
@@ -1207,7 +1192,7 @@ def test_step_balance_carries_the_solar_tensors(canonical, canonical_weather, mo
     lit, _ = hg.step(state, plan, bc)
     const_lit = starts[0]
     starts.clear()
-    hg.step(state, plan, dataclasses.replace(bc, poa=PoaIrradiance.dark()))
+    hg.step(state, plan, dataclasses.replace(bc, poa=np.zeros(4)))
     added = const_lit - starts[0]
     expected = on_grid(plan.solar, plan.solar.cells, q_alpha) + on_grid(
         plan.solar, plan.solar.air, q_tau
@@ -1219,5 +1204,6 @@ def test_step_balance_carries_the_solar_tensors(canonical, canonical_weather, mo
         q_mass = on_grid(plan.solar, plan.solar.air, q_tau_mass)
         nodes = hg.update_mass(state.t_mass, lit.t, q_mass, plan.mass_t0, grid.z,
                                config.mass_params.k_mass)
-        np.testing.assert_allclose(lit.t_mass, np.where(plan.air, nodes, state.t_mass),
-                                   rtol=1e-12, atol=0.0)
+        expected = state.t_mass.copy()
+        expected.reshape(-1)[plan.air] = nodes.reshape(-1)[plan.air]
+        np.testing.assert_allclose(lit.t_mass, expected, rtol=1e-12, atol=0.0)
