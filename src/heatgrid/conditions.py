@@ -9,7 +9,7 @@ held constant between timestamps), the sky temperature, the sun position
 and the POA irradiance on the four facades. Each step then takes its row
 with ``boundary_for_time``. A StepBoundary checks its values when it is
 made, so a bad value fails naming the field rather than surfacing as a
-bad iterate.
+bad iterate; ``Plan.check`` asks whether its heat source fits the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,14 +30,16 @@ class SolverError(RuntimeError):
     """Raised on numerical degeneracy or invalid solver inputs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepBoundary:
     """Boundary conditions for one simulation step; made, it checks its values.
 
     ``poa`` is the ``(4,)`` POA irradiance [W/m^2] of the facades in shift
     order (``building.DIR_ORIENTATION``), zeros with solar off. A
     temperature not finite and > 0 K or an irradiance not finite and >= 0
-    raises ``SolverError`` naming its field or facade.
+    raises ``SolverError`` naming its field or facade. Whether ``q_x`` has
+    the grid's shape is ``Plan.check``'s question. Boundaries compare and
+    hash by identity.
     """
 
     t_inf: float  # ambient air [K]
@@ -61,16 +63,6 @@ class StepBoundary:
                 raise SolverError(
                     f"boundary {orientation} POA irradiance {g} W/m^2 is not finite and >= 0"
                 )
-
-    def validate(self, shape: Tuple[int, int]) -> None:
-        """Raise ``SolverError`` unless ``q_x``, when given, has the ``shape`` of the grid.
-
-        Its entries are not scanned here: a non-finite one makes its cell's
-        first update non-finite, and the solver's error for that update
-        names it through ``heat_source_note``.
-        """
-        if self.q_x is not None and np.shape(self.q_x) != shape:
-            raise SolverError(f"boundary q_x shape {np.shape(self.q_x)} != grid shape {shape}")
 
     def heat_source_note(self) -> str:
         """For a solver error: a clause naming the first non-finite ``q_x`` entry, if any."""

@@ -11,10 +11,10 @@ same fixed point.
 It deliberately shares no numerical kernels with the vectorized solver;
 only data types, grid geometry, and configuration are common. From a
 ``Plan`` it reads the inputs alone (grid, materials, config and exchange
-matrix), never an array the plan derives from them. That independence is
-what makes agreement between the two solvers meaningful, so keep this
-implementation plain: scalar loops, no vectorization, no shortcuts
-borrowed from the other module.
+matrix) and ``Plan.check``, never an array the plan derives from them.
+That independence is what makes agreement between the two solvers
+meaningful, so keep this implementation plain: scalar loops, no
+vectorization, no shortcuts borrowed from the other module.
 """
 
 from __future__ import annotations
@@ -129,15 +129,14 @@ def oracle_step(
 ) -> Tuple[ThermalState, StepReport]:
     """One timestep by sequential node-by-node sweeps.
 
-    Same contract as the vectorized step: explicit non-converged reports,
-    degeneracy errors naming the cell, identical mass update after
-    convergence.
+    Same contract as the vectorized step: ``Plan.check`` first, explicit
+    non-converged reports, degeneracy errors naming the cell, identical
+    mass update after convergence.
     """
     started = time.perf_counter()
     grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
     mass_on = config.enable_interior_mass
-    state.validate(grid, mass_on)
-    boundary.validate((grid.rows, grid.cols))
+    plan.check(state, boundary)
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     dt = config.dt
@@ -295,19 +294,12 @@ def oracle_step(
                     ) / (1.0 + t0)
         t_mass = np.array(t_mass)
 
-    new_state = ThermalState(
-        t=np.array(temps),
-        t_mass=t_mass,
-        step_index=state.step_index + 1,
-        sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
-    )
-    report = StepReport(
+    return state.after(timedelta(seconds=dt), np.array(temps), t_mass, None), StepReport(
         inner_iterations=sweeps,
         max_delta=max_delta,
         converged=converged,
         wall_time=time.perf_counter() - started,
     )
-    return new_state, report
 
 
 def energy_audit(
@@ -315,15 +307,15 @@ def energy_audit(
 ) -> dict:
     """Balance the step's stored-energy change against its source terms.
 
-    Every term is evaluated at the converged field, so the imbalance
-    measures bookkeeping consistency plus the convergence residual; run
-    the step with a tight threshold for a meaningful audit. Returns the
-    stored power, the summed source power, per-group totals, and the
-    imbalance relative to the gross flux magnitude.
+    Both states must pass ``Plan.check``. Every term is evaluated at the
+    converged field, so the imbalance measures bookkeeping consistency
+    plus the convergence residual; run the step with a tight threshold for
+    a meaningful audit. Returns the stored power, the summed source power,
+    per-group totals, and the imbalance relative to the gross flux magnitude.
     """
     grid, mats, config, exchange = plan.grid, plan.mats, plan.config, plan.exchange
-    state_before.validate(grid, config.enable_interior_mass)
-    state_after.validate(grid, False)
+    plan.check(state_before, boundary)
+    plan.check(state_after, boundary)
     rows, cols = grid.rows, grid.cols
     t_inf = boundary.t_inf
     z = grid.z

@@ -177,15 +177,19 @@ def _check_pass(
         raise SolverError(f"{exc}{note}") from None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ThermalState:
-    """Temperature field state between steps.
+    """Temperature field state between steps; made, it checks its fields.
 
     ``t`` is the current field (the converged field of the last step) and
     ``t_mass`` the interior mass node temperatures, None with mass off.
     ``t_before`` is the field one step before ``t``, from which the
     vectorized step predicts its starting iterate; ``step`` sets it to the
-    field it was handed, and the oracle never reads it.
+    field it was handed, and the oracle never reads it. On every
+    construction, ``dataclasses.replace`` too, a ``t`` not a 2-D array, a
+    ``t_mass`` or ``t_before`` not of its shape, or an entry not finite and
+    > 0 K raises ``SolverError`` naming the field and cell. Arrays are kept,
+    not copied; ``==`` and ``hash`` go by identity.
     """
 
     t: np.ndarray
@@ -194,18 +198,24 @@ class ThermalState:
     sim_clock: Optional[datetime] = None
     t_before: Optional[np.ndarray] = None
 
-    def validate(self, grid: BuildingGrid, mass: bool) -> None:
-        """Check each field's shape and values; ``mass`` says whether ``t_mass`` is one."""
-        shape = (grid.rows, grid.cols)
-        fields = {"state": self.t, "state t_mass": self.t_mass} if mass else {"state": self.t}
-        if self.t_before is not None:
-            fields["state t_before"] = self.t_before
-        for context, field in fields.items():
+    def __post_init__(self) -> None:
+        if not (isinstance(self.t, np.ndarray) and self.t.ndim == 2):
+            raise SolverError(f"state t has shape {np.shape(self.t)} ({type(self.t).__name__}); "
+                              "it must be a 2-D array")
+        _check_temperatures(self.t, "state")
+        for context, field in (("state t_mass", self.t_mass), ("state t_before", self.t_before)):
             if field is None:
-                raise SolverError(f"{context} is missing")
-            if field.shape != shape:
-                raise SolverError(f"{context} shape {field.shape} does not match grid {shape}")
+                continue
+            if not (isinstance(field, np.ndarray) and field.shape == self.t.shape):
+                shape = np.shape(field)
+                raise SolverError(f"{context} shape {shape} does not match t {self.t.shape}")
             _check_temperatures(field, context)
+
+    def after(self, dt: timedelta, t: np.ndarray, t_mass: Optional[np.ndarray],
+              t_before: Optional[np.ndarray]) -> ThermalState:
+        """The state one step of ``dt`` later, holding the given fields."""
+        clock = self.sim_clock + dt if self.sim_clock is not None else None
+        return ThermalState(t, t_mass, self.step_index + 1, clock, t_before)
 
 
 @dataclass(frozen=True)
@@ -285,6 +295,20 @@ class Plan:
     weight_sums: np.ndarray
     lw_positions: np.ndarray
     lw_operators: Tuple[np.ndarray, ...]
+
+    def check(self, state: ThermalState, boundary: StepBoundary) -> None:
+        """Raise ``SolverError`` unless ``state`` and ``boundary`` fit this plan.
+
+        ``state.t`` and any ``boundary.q_x`` must have the grid's shape, and
+        ``state.t_mass`` must be given with mass on. No array is scanned.
+        """
+        shape = (self.grid.rows, self.grid.cols)
+        if state.t.shape != shape:
+            raise SolverError(f"state shape {state.t.shape} does not match grid {shape}")
+        if self.config.enable_interior_mass and state.t_mass is None:
+            raise SolverError("state t_mass is missing")
+        if boundary.q_x is not None and np.shape(boundary.q_x) != shape:
+            raise SolverError(f"boundary q_x shape {np.shape(boundary.q_x)} != grid shape {shape}")
 
 
 def prepare(grid: BuildingGrid, mats: MaterialField, config: SimulationConfig) -> Plan:
@@ -485,9 +509,10 @@ def step(
 ) -> Tuple[ThermalState, StepReport]:
     """Advance the field one timestep; returns the new state and a report.
 
-    Iterates until the maximum temperature change falls below
-    ``config.convergence_epsilon`` or the budget runs out (reported, never
-    silent). An iterate that is not finite and > 0 K aborts naming the cell.
+    Asks ``Plan.check`` first, then iterates until the maximum temperature
+    change falls below ``config.convergence_epsilon`` or the budget runs out
+    (reported, never silent). An iterate or a new state that is not finite
+    and > 0 K aborts naming the cell.
     With ``state.t_before`` set, the first iterate is predicted from it; a
     converged step returns its extrapolated fixed point, and its new state
     keeps ``state.t`` as ``t_before`` (see the module notes).
@@ -495,8 +520,7 @@ def step(
     started = time.perf_counter()
     grid, config, exchange, g = plan.grid, plan.config, plan.exchange, plan.g
     shape = (grid.rows, grid.cols)
-    state.validate(grid, config.enable_interior_mass)
-    boundary.validate(shape)
+    plan.check(state, boundary)
     t_inf = boundary.t_inf
 
     # The constant part of the numerator: everything the iterate does not change.
@@ -626,14 +650,7 @@ def step(
             plan.mass_t0, grid.z, config.mass_params.k_mass,
         )
 
-    new_state = ThermalState(
-        t=image,
-        t_mass=t_mass,
-        step_index=state.step_index + 1,
-        sim_clock=(state.sim_clock + timedelta(seconds=config.dt)) if state.sim_clock else None,
-        t_before=state.t,
-    )
-    report = StepReport(
+    return state.after(timedelta(seconds=config.dt), image, t_mass, state.t), StepReport(
         inner_iterations=iterations,
         max_delta=max_delta,
         converged=converged,
@@ -641,7 +658,6 @@ def step(
         mixed_from=int(swept),
         error_estimate=error_estimate,
     )
-    return new_state, report
 
 
 def make_initial_state(
@@ -655,7 +671,6 @@ def make_initial_state(
     return ThermalState(
         t=t,
         t_mass=t.copy() if config.enable_interior_mass else None,
-        step_index=0,
         sim_clock=records[0].timestamp if records else None,
     )
 

@@ -257,6 +257,11 @@ def test_audit_rejects_bad_states_by_name(canonical, canonical_weather):
         hg.energy_audit(hg.ThermalState(t=state.t), new, plan, bc)
     with pytest.raises(SolverError, match=r"state shape \(11, 23\) does not match grid"):
         hg.energy_audit(state, hg.ThermalState(t=new.t[1:]), plan, bc)
+    short = hg.ThermalState(t=state.t[:, 1:], t_mass=state.t_mass[:, 1:])
+    with pytest.raises(SolverError, match=r"state shape \(12, 22\) does not match grid"):
+        hg.energy_audit(short, new, plan, bc)
+    with pytest.raises(SolverError, match=r"boundary q_x shape \(23,\) != grid shape \(12, 23\)"):
+        hg.energy_audit(state, new, plan, dataclasses.replace(bc, q_x=np.zeros(23)))
 
 
 def test_energy_audit_reads_capacity_once(canonical, canonical_weather, monkeypatch):

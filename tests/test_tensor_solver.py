@@ -1,4 +1,5 @@
 import dataclasses
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -426,6 +427,71 @@ def test_non_finite_state_rejected_naming_cell(rng):
         hg.step(hg.ThermalState(t=t), hg.prepare(grid, mats, bare_config()), dark_boundary(290.0))
 
 
+def one_by_two(*values):
+    return np.array([values])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("t", one_by_two(290.0, np.nan),
+         r"^state: temperature nan at cell \(0, 1\) is not finite and > 0 K$"),
+        ("t", one_by_two(0.0, 290.0), r"^state: temperature 0.0 at cell \(0, 0\)"),
+        ("t_mass", one_by_two(290.0, -1.0), r"^state t_mass: temperature -1.0 at cell \(0, 1\)"),
+        ("t_before", one_by_two(np.inf, 290.0),
+         r"^state t_before: temperature inf at cell \(0, 0\)"),
+        ("t", np.full(2, 290.0), r"^state t has shape \(2,\) \(ndarray\); it must be a 2-D array$"),
+        ("t", [[290.0, 290.0]], r"^state t has shape \(1, 2\) \(list\)"),
+        ("t_mass", np.full((2, 1), 290.0),
+         r"^state t_mass shape \(2, 1\) does not match t \(1, 2\)$"),
+    ],
+    ids=["t-nan", "t-zero", "t_mass-negative", "t_before-inf", "t-1d", "t-list", "t_mass-shape"],
+)
+def test_a_state_checks_itself_when_made(field, value, message):
+    good = dict(t=one_by_two(290.0, 291.0), t_mass=one_by_two(280.0, 281.0),
+                t_before=one_by_two(289.0, 290.0))
+    with pytest.raises(SolverError, match=message):
+        hg.ThermalState(**{**good, field: value})
+    with pytest.raises(SolverError, match=message):
+        dataclasses.replace(hg.ThermalState(**good), **{field: value})
+
+
+def test_states_and_boundaries_compare_and_hash_by_identity():
+    # a generated field-wise == would compare arrays and raise
+    t = np.full((2, 2), 290.0)
+    for make in (lambda: hg.ThermalState(t=t), lambda: dark_boundary(290.0)):
+        a, b = make(), make()
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+
+def test_a_step_checks_the_state_it_returns(canonical, canonical_weather, monkeypatch):
+    # no later step reads the last step's mass nodes, so only the returned
+    # state's own check stands between a NaN update and the caller
+    grid, mats, config = canonical
+    assert config.enable_interior_mass
+
+    def nan_update(t_mass, *_):
+        return np.full_like(t_mass, np.nan)
+
+    monkeypatch.setattr(tensor_solver, "update_mass", nan_update)
+    with pytest.raises(SolverError, match=r"^step 0: state t_mass: temperature nan at cell"):
+        hg.run_episode(grid, mats, config, canonical_weather, 1)
+
+
+@pytest.mark.parametrize("stepper", [hg.step, hg.oracle_step], ids=["tensor", "oracle"])
+def test_a_step_advances_the_index_and_the_clock(canonical, canonical_weather, stepper):
+    grid, mats, config = canonical
+    state = hg.make_initial_state(grid, config, canonical_weather)
+    bc = boundary_at(canonical_weather, config.site, state.sim_clock)
+    new, _ = stepper(state, hg.prepare(grid, mats, config), bc)
+    assert new.step_index == 1
+    assert new.sim_clock == state.sim_clock + timedelta(seconds=config.dt)
+    assert new.t_before is (state.t if stepper is hg.step else None)
+    unclocked = dataclasses.replace(state, sim_clock=None)
+    assert stepper(unclocked, hg.prepare(grid, mats, config), bc)[0].sim_clock is None
+
+
 def nan_on_wall_node(t_mass):
     t_mass[0, 0] = np.nan  # a wall cell's node never couples, but NaN is still a bad state
     return t_mass
@@ -435,7 +501,7 @@ def nan_on_wall_node(t_mass):
 @pytest.mark.parametrize(
     "defect, message",
     [
-        (lambda t_mass: t_mass[1:], r"state t_mass shape \(11, 23\) does not match grid"),
+        (lambda t_mass: t_mass[1:], r"state t_mass shape \(11, 23\) does not match t \(12, 23\)"),
         (nan_on_wall_node, r"state t_mass: temperature nan at cell \(0, 0\)"),
         (lambda t_mass: None, "state t_mass is missing"),
     ],
@@ -445,11 +511,13 @@ def test_bad_mass_nodes_rejected_naming_them(
     canonical, canonical_weather, stepper, defect, message
 ):
     grid, mats, config = canonical
+    # a mis-shaped or NaN field fails as the state is made, before either
+    # stepper runs; a missing one fails in the stepper, through Plan.check
     state = hg.make_initial_state(grid, config, canonical_weather)
     bc = boundary_at(canonical_weather, config.site, state.sim_clock)
-    state.t_mass = defect(state.t_mass)
     with pytest.raises(SolverError, match=message):
-        stepper(state, hg.prepare(grid, mats, config), bc)
+        bad = dataclasses.replace(state, t_mass=defect(state.t_mass.copy()))
+        stepper(bad, hg.prepare(grid, mats, config), bc)
 
 
 def test_non_finite_boundary_temperature_rejected(rng):
@@ -955,7 +1023,7 @@ def test_one_pass_budget_starts_from_t(canonical, canonical_weather):
 @pytest.mark.parametrize(
     "defect, message",
     [
-        (lambda t: t[:, 1:], r"state t_before shape \(12, 22\) does not match grid"),
+        (lambda t: t[:, 1:], r"state t_before shape \(12, 22\) does not match t \(12, 23\)"),
         (lambda t: np.where(t > 0.0, np.nan, t), r"state t_before: temperature nan at cell"),
     ],
     ids=["one_column_short", "nan"],
@@ -964,9 +1032,9 @@ def test_bad_t_before_rejected_naming_it(canonical, canonical_weather, stepper, 
     grid, mats, config = canonical
     state = hg.make_initial_state(grid, config, canonical_weather)
     bc = boundary_at(canonical_weather, config.site, state.sim_clock)
-    state.t_before = defect(state.t.copy())
-    with pytest.raises(SolverError, match=message):
-        stepper(state, hg.prepare(grid, mats, config), bc)
+    with pytest.raises(SolverError, match=message):  # as the state is made
+        bad = dataclasses.replace(state, t_before=defect(state.t.copy()))
+        stepper(bad, hg.prepare(grid, mats, config), bc)
 
 
 def two_coupled_cells(contraction):
